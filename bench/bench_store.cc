@@ -1,5 +1,5 @@
-// Storage-engine bench: one .lcsr2 snapshot, three open modes (DESIGN.md
-// Section 9, EXPERIMENTS.md "Storage engine"). Three questions, all
+// Storage-engine bench: one .lcsr2 snapshot, two open modes (DESIGN.md
+// Section 9, EXPERIMENTS.md "Storage engine"). Two questions, both
 // dimensionless so they transfer across machines:
 //
 //   1. Cold open: how much faster does an mmap open (header validation
@@ -8,9 +8,6 @@
 //   2. Warm enumeration: once the page cache is hot, does enumerating over
 //      the mapped CSR cost anything vs the owning in-memory Graph? The
 //      --check gate requires warm mmap within 1.10x of heap.
-//   3. Paged slowdown: how does the same plan degrade as the buffer pool
-//      shrinks below the adjacency footprint (DUALSIM's out-of-core
-//      regime), while counts stay bit-identical?
 
 #include <algorithm>
 #include <cstdio>
@@ -55,8 +52,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  PrintHeader("Storage engine: heap vs mmap vs paged over one snapshot",
-              args);
+  PrintHeader("Storage engine: heap vs mmap over one snapshot", args);
 
   bool gate_failed = false;
   double worst_warm_ratio = 0.0;
@@ -135,54 +131,6 @@ int main(int argc, char** argv) {
         FormatSeconds(mmap_s).c_str(), warm_ratio,
         parity ? "counts ok" : "COUNT MISMATCH");
     if (!parity) gate_failed = true;
-
-    // --- Paged slowdown curve: pool shrinking below the adjacency. ---
-    std::printf("  %-12s | %10s %10s %12s %10s %12s\n", "pool", "time",
-                "slowdown", "hit rate", "faults", "matches ok?");
-    const double fractions[] = {1.0, 0.25, 0.05, 0.01};
-    for (const double fraction : fractions) {
-      GraphStore::OpenOptions o;
-      o.mode = GraphStore::Mode::kPaged;
-      o.page_bytes = 16 * 1024;
-      o.pool_bytes = std::max<size_t>(
-          static_cast<size_t>(fraction *
-                              static_cast<double>(
-                                  bg.graph.NeighborsSpan().size() *
-                                  sizeof(VertexID))),
-          8 * 1024);
-      std::shared_ptr<const GraphStore> paged;
-      if (!GraphStore::Open(path, o, &paged).ok()) {
-        std::fprintf(stderr, "cannot open paged store\n");
-        return 1;
-      }
-      Enumerator e(paged->view(), plan);
-      e.SetTimeLimit(args.time_limit_seconds);
-      Timer timer;
-      const uint64_t matches = e.Count();
-      const double seconds = timer.ElapsedSeconds();
-      const BufferPoolStats pool_stats = paged->pool_stats();
-      const bool paged_parity = matches == heap_matches;
-      if (!paged_parity && !e.stats().timed_out) gate_failed = true;
-      std::printf("  %10.0f%% | %10s %9.1fx %11.1f%% %10llu %12s\n",
-                  fraction * 100,
-                  e.stats().timed_out ? "INF" : FormatSeconds(seconds).c_str(),
-                  heap_s > 0 ? seconds / heap_s : 0.0,
-                  100.0 * pool_stats.HitRate(),
-                  static_cast<unsigned long long>(pool_stats.misses),
-                  e.stats().timed_out ? "OOT"
-                                      : (paged_parity ? "yes" : "MISMATCH"));
-      if (!args.json_path.empty()) {
-        RunResult rr;
-        rr.seconds = seconds;
-        rr.matches = matches;
-        rr.oot = e.stats().timed_out;
-        rr.stats = e.stats();
-        const std::string variant =
-            "paged_f" + std::to_string(static_cast<int>(fraction * 100));
-        RecordRun(args, "bench_store", dataset, args.patterns[0],
-                  variant.c_str(), 1, rr);
-      }
-    }
 
     // Machine-readable summary record (snapshot.sh reads the last one):
     // the two gated dimensionless metrics plus the raw seconds behind them.

@@ -65,9 +65,9 @@ echo "==> bench_iep (inclusion-exclusion counting >= 3x on two workloads)"
 "$build_dir/bench/bench_iep" --check 3 --scale 0.25 --time-limit 20 \
   --json "$tmp/iep.jsonl"
 
-# Storage-engine leg: one .lcsr2 snapshot opened heap/mmap/paged. The gate
+# Storage-engine leg: one .lcsr2 snapshot opened heap and mmap. The gate
 # requires warm mmap enumeration within 1.10x of the heap store and
-# bit-identical counts in every mode; cold-open speedup (full heap load vs
+# bit-identical counts in both modes; cold-open speedup (full heap load vs
 # mmap header validation) is the snapshot's second store metric.
 echo "==> bench_store (warm mmap <= 1.10x heap, counts identical)"
 "$build_dir/bench/bench_store" --check --json "$tmp/store.jsonl"

@@ -127,6 +127,21 @@ echo "==> server smoke: deadline + overload + clean shutdown over loopback"
 # light_server --graph-store.
 ./build/tools/light_cli --dataset yt_s --scale 0.02 \
   --save-store build/verify_store.lcsr2
+# The user-space paged store mode was removed: asking for it must be a
+# usage error (exit 1 with a message), never a crash or a silent fallback.
+for tool_args in "light_cli --pattern triangle" "light_server --port 0"; do
+  read -r tool extra <<<"$tool_args"
+  rc=0
+  # shellcheck disable=SC2086
+  timeout 20 ./build/tools/"$tool" --graph-store build/verify_store.lcsr2 \
+    --store-mode paged $extra >/dev/null 2>build/verify_paged.err || rc=$?
+  if [[ "$rc" -ne 1 ]] || ! grep -q "unknown --store-mode" build/verify_paged.err; then
+    echo "==> $tool --store-mode paged: expected a usage error, got exit $rc" >&2
+    cat build/verify_paged.err >&2
+    exit 1
+  fi
+done
+echo "store-mode smoke OK: --store-mode paged rejected by light_cli and light_server"
 server_log="build/verify_server.log"
 ./build/tools/light_server --graph-store build/verify_store.lcsr2 \
   --store-mode mmap --threads 4 \
@@ -202,8 +217,8 @@ if [[ "$skip_tsan" -eq 0 ]]; then
   ./build-tsan/tests/session_test
   ./build-tsan/tests/net_test
   ./build-tsan/tests/concurrency_test
-  # Buffer-pool frame reuse + multi-threaded ParallelCount over a tiny
-  # paged pool: the kStorePool mutex contract under real contention.
+  # Multi-threaded ParallelCount over one shared mmap store, and two
+  # Sessions sharing one store's bitmap cache (GraphStore::bitmap_mutex_).
   ./build-tsan/tests/storage_test
 
   echo "==> TSan: light_server/light_client loopback soak"
@@ -334,8 +349,8 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke exercised no IEP-counting cases" >&2
     exit 1
   fi
-  # The store-parity oracle (every case spilled to .lcsr2, re-opened mmap
-  # and tiny-pool paged, counts cross-checked against the heap engines)
+  # The store-parity oracle (every case spilled to .lcsr2, re-opened mmap,
+  # counts cross-checked against the heap engines)
   # must have run; zero means the storage leg silently went dark.
   store_cases="$(sed -n 's/.*store_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
   if [[ -z "$store_cases" || "$store_cases" -lt 1 ]]; then

@@ -31,7 +31,6 @@
 //   | 50   | MultiQueryQueue::mutex_            | (leaf)                       |
 //   | 54   | GraphStore::bitmap_mutex_          | 70 (BitmapIndex::Build       |
 //   |      |                                    |  publishes obs counters)     |
-//   | 55   | BufferPool::mutex_                 | (leaf)                       |
 //   | 60   | net::Server::completions_mutex_    | (leaf)                       |
 //   | 61   | net::Server::stats_mutex_          | (leaf)                       |
 //   | 70   | obs::MetricsRegistry::mutex_       | (leaf)                       |
@@ -50,11 +49,9 @@
 //     wait mutex when they call back into the session (init 20); the checker
 //     turns a regression there into an immediate abort.
 //   - Session::EnsureBitmap under init 20 may call
-//     GraphStore::SharedBitmap, which caches under bitmap_mutex_ (54); a
-//     paged enumeration inside that window faults adjacency through
-//     BufferPool::mutex_ (55). Both sit above the queue rank (50) so a
-//     worker holding no queue lock can fault pages mid-range, and below the
-//     obs registries (70) the bitmap build publishes into.
+//     GraphStore::SharedBitmap, which builds and caches under bitmap_mutex_
+//     (54). It sits above the queue rank (50) and below the obs registries
+//     (70) the bitmap build publishes into.
 
 namespace light {
 namespace lockrank {
@@ -73,7 +70,6 @@ inline constexpr int kPoolMerge = 41;
 inline constexpr int kPoolDone = 42;
 inline constexpr int kTaskQueue = 50;
 inline constexpr int kStoreBitmap = 54;
-inline constexpr int kStorePool = 55;
 inline constexpr int kNetCompletions = 60;
 inline constexpr int kNetStats = 61;
 inline constexpr int kObsMetrics = 70;

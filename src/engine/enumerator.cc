@@ -61,7 +61,6 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
                        const std::vector<uint32_t>* data_labels,
                        ScratchArena* arena)
     : graph_(graph),
-      paged_(!graph.contiguous()),
       plan_(plan),
       data_labels_(data_labels),
       arena_(arena),
@@ -88,22 +87,6 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
     scratch_ = arena_->AcquireVertexBuffer(graph_.MaxDegree());
   } else {
     scratch_.resize(graph_.MaxDegree());
-  }
-
-  needs_adjacency_.assign(static_cast<size_t>(n), false);
-  if (paged_) {
-    // K1 operands read adjacency of earlier-bound vertices; without a
-    // resident array those neighborhoods are staged once per bind.
-    for (const Operands& ops : plan_.operands) {
-      for (int x : ops.k1) needs_adjacency_[static_cast<size_t>(x)] = true;
-    }
-    adjacency_.resize(static_cast<size_t>(n));
-    adjacency_size_.assign(static_cast<size_t>(n), 0);
-    for (int u = 0; u < n; ++u) {
-      if (needs_adjacency_[static_cast<size_t>(u)]) {
-        adjacency_[static_cast<size_t>(u)].resize(graph_.MaxDegree());
-      }
-    }
   }
 
   size_t cand_bytes = 0;
@@ -256,7 +239,6 @@ void Enumerator::RunRootImpl(VertexID v) {
   ++stats_.mat_counts[static_cast<size_t>(first)];
   ++stats_.num_partial_results;
   mapping_[static_cast<size_t>(first)] = v;
-  StageAdjacency(first, v);
   bound_values_.push_back(v);
   if (num_ops_ == 1) {
     EmitMatch();
@@ -338,15 +320,7 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
     const VertexID mapped = mapping_[static_cast<size_t>(x)];
     const uint64_t* row =
         bitmap_index_ != nullptr ? bitmap_index_->Row(mapped) : nullptr;
-    if (paged_) {
-      // Staged at bind time (StageAdjacency); rows still apply — the index
-      // is keyed by data vertex, not by where its adjacency lives.
-      sets[k++] = SetView({adjacency_[static_cast<size_t>(x)].data(),
-                           adjacency_size_[static_cast<size_t>(x)]},
-                          row);
-    } else {
-      sets[k++] = SetView(graph_.Neighbors(mapped), row);
-    }
+    sets[k++] = SetView(graph_.Neighbors(mapped), row);
   }
   for (int y : ops.k2) {
     sets[k++] = SetView({cand_data_[static_cast<size_t>(y)],
@@ -406,13 +380,6 @@ void Enumerator::RunCountedTail() {
   stats_.num_matches += product;
 }
 
-bool Enumerator::HasDataEdge(VertexID a, VertexID b) {
-  if (!paged_) return graph_.HasEdge(a, b);
-  if (graph_.Degree(a) > graph_.Degree(b)) std::swap(a, b);
-  const uint32_t size = graph_.CopyNeighbors(a, scratch_.data());
-  return std::binary_search(scratch_.data(), scratch_.data() + size, b);
-}
-
 void Enumerator::RunMaterialize(size_t op_index) {
   const int u = plan_.sigma[op_index].vertex;
   ScopedOpSpan span(trace_root_, "MAT", u);
@@ -451,7 +418,7 @@ void Enumerator::RunMaterialize(size_t op_index) {
     }
     // Induced matching: pattern non-edges require data non-edges.
     for (int w : plan_.non_adjacent[static_cast<size_t>(u)]) {
-      if (HasDataEdge(v, mapping_[static_cast<size_t>(w)])) return;
+      if (graph_.HasEdge(v, mapping_[static_cast<size_t>(w)])) return;
     }
     if (counting_leaf) {
       ++stats_.mat_counts[static_cast<size_t>(u)];
@@ -462,7 +429,6 @@ void Enumerator::RunMaterialize(size_t op_index) {
     ++stats_.mat_counts[static_cast<size_t>(u)];
     ++stats_.num_partial_results;
     mapping_[static_cast<size_t>(u)] = v;
-    StageAdjacency(u, v);
     bound_values_.push_back(v);
     if (last_op) {
       EmitMatch();

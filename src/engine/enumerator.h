@@ -41,14 +41,10 @@ struct EngineStats {
 /// runtime instantiates one per worker.
 ///
 /// The data graph arrives as a GraphView, so one engine serves every
-/// GraphStore mode. Contiguous views (heap, mmap) run the zero-copy fast
-/// path: K1 operands alias Neighbors() spans and the induced check binary
-/// searches the resident adjacency. Paged views have no resident adjacency;
-/// the enumerator stages N(v) into per-pattern-vertex buffers at bind time
-/// (only for vertices some later COMP lists in its K1) and the induced
-/// check copies the smaller-degree endpoint through the store's pool.
-/// Counts are bit-identical across modes — the fuzz store oracle holds the
-/// engine to that.
+/// GraphStore mode: heap and mmap both hand it a resident CSR, K1 operands
+/// alias Neighbors() spans, and the induced check binary searches the
+/// resident adjacency. Counts are bit-identical across modes — the fuzz
+/// store oracle holds the engine to that.
 class Enumerator {
  public:
   /// The view's backing store and plan must outlive the enumerator. The
@@ -107,9 +103,9 @@ class Enumerator {
   /// computation then routes intersections over indexed neighborhoods to the
   /// bitmap kernels per the cost model. Null or empty detaches — the engine
   /// falls back to the pure sorted-array path with identical results. The
-  /// index must have been built for `graph` (any view of the same snapshot;
-  /// paged views apply rows to staged adjacency) and must outlive the
-  /// enumerator; it is read-only and safe to share across workers.
+  /// index must have been built for `graph` (any view of the same snapshot)
+  /// and must outlive the enumerator; it is read-only and safe to share
+  /// across workers.
   void SetBitmapIndex(const BitmapIndex* index);
 
   /// Wall-clock budget; when exceeded the run unwinds and stats().timed_out
@@ -159,22 +155,7 @@ class Enumerator {
            (*data_labels_)[v] == want;
   }
 
-  /// Stages N(v) for newly-bound pattern vertex u when a later COMP lists u
-  /// in its K1 and the view is paged (contiguous views alias spans instead).
-  void StageAdjacency(int u, VertexID v) {
-    if (!paged_ || !needs_adjacency_[static_cast<size_t>(u)]) return;
-    adjacency_size_[static_cast<size_t>(u)] = graph_.CopyNeighbors(
-        v, adjacency_[static_cast<size_t>(u)].data());
-  }
-
-  /// Mode-blind edge membership for the induced non-edge check. Paged views
-  /// copy the smaller-degree endpoint's adjacency into scratch_ and binary
-  /// search it (scratch_ is free here: no intersection is in flight during
-  /// materialization).
-  bool HasDataEdge(VertexID a, VertexID b);
-
   const GraphView graph_;
-  const bool paged_;
   const ExecutionPlan& plan_;
   const std::vector<uint32_t>* data_labels_;
   ScratchArena* arena_ = nullptr;
@@ -193,13 +174,6 @@ class Enumerator {
   std::vector<const VertexID*> cand_data_;
   std::vector<uint32_t> cand_size_;
   std::vector<bool> universal_;  // COMP with no operands: candidates = V(G)
-
-  // Paged staging (sized only when paged_): adjacency_[u] holds N(v) for
-  // the data vertex v currently bound to u, maintained at bind time for
-  // every u some COMP references through K1.
-  std::vector<bool> needs_adjacency_;
-  std::vector<std::vector<VertexID>> adjacency_;
-  std::vector<uint32_t> adjacency_size_;
 
   std::vector<VertexID> bound_values_;  // materialized data vertices (stack)
   std::vector<VertexID> scratch_;

@@ -119,9 +119,9 @@ struct OracleOutcome {
   /// cross-checked against the enumerated pivot.
   bool iep_checked = false;
   /// True when the storage-engine leg ran: the case graph was written as an
-  /// .lcsr2 snapshot, reopened as an mmap store and a deliberately tiny
-  /// paged store, and both views' counts cross-checked against the serial
-  /// pivot (bit-identical heap/mmap/paged is the GraphStore contract).
+  /// .lcsr2 snapshot, reopened as an mmap store, and its count
+  /// cross-checked against the serial pivot (bit-identical heap/mmap is the
+  /// GraphStore contract).
   bool store_checked = false;
   /// True when the session oracle's random tiny-deadline submission was
   /// actually killed by its deadline (structured deadline_exceeded error).
@@ -194,7 +194,7 @@ struct FuzzSummary {
   /// exercises the IEP counting path).
   uint64_t iep_cases = 0;
   /// Cases the storage-engine parity leg ran on (CI asserts the smoke run
-  /// exercises the mmap and paged store paths).
+  /// exercises the mmap store path).
   uint64_t store_cases = 0;
   /// Per-case session-query latency quantiles (nanoseconds), read off the
   /// histogram the driver fills from OracleOutcome::session_latency_ns.

@@ -253,11 +253,9 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   }
 
   // Storage-engine parity leg: the case graph written as an .lcsr2 snapshot
-  // and reopened as (a) an mmap store and (b) a deliberately tiny paged
-  // store must reproduce the pivot count bit-for-bit with the same plan —
-  // the GraphStore contract that heap/mmap/paged are observationally
-  // identical. The paged pool is sized to a couple of sub-page frames so
-  // even these small fuzz graphs actually evict and re-fault.
+  // and reopened as an mmap store must reproduce the pivot count
+  // bit-for-bit with the same plan — the GraphStore contract that heap and
+  // mmap are observationally identical.
   {
     const std::string store_file =
         "/tmp/light_fuzz_store_" +
@@ -266,20 +264,16 @@ OracleOutcome RunOracles(const FuzzCase& c) {
     const Status saved =
         SaveStoreFile(graph, store_file, c.Labeled() ? &c.labels : nullptr);
     if (saved.ok()) {
-      const auto run_store = [&](const char* name, GraphStore::Mode mode) {
-        EngineCount e;
-        e.name = name;
-        GraphStore::OpenOptions store_options;
-        store_options.mode = mode;
-        store_options.pool_bytes = 2048;
-        store_options.page_bytes = 512;
-        std::shared_ptr<const GraphStore> store;
-        if (Status s = GraphStore::Open(store_file, store_options, &store);
-            !s.ok()) {
-          e.count = std::numeric_limits<uint64_t>::max();
-          e.note = s.ToString();
-          return e;
-        }
+      EngineCount e;
+      e.name = "store_mmap";
+      GraphStore::OpenOptions store_options;
+      store_options.mode = GraphStore::Mode::kMmap;
+      std::shared_ptr<const GraphStore> store;
+      if (Status s = GraphStore::Open(store_file, store_options, &store);
+          !s.ok()) {
+        e.count = std::numeric_limits<uint64_t>::max();
+        e.note = s.ToString();
+      } else {
         Enumerator enumerator(store->view(), light_plan,
                               c.Labeled() ? &c.labels : nullptr);
         e.count = enumerator.Count();
@@ -287,12 +281,8 @@ OracleOutcome RunOracles(const FuzzCase& c) {
           e.skipped = true;
           e.note = "timed out";
         }
-        return e;
-      };
-      outcome.engines.push_back(
-          run_store("store_mmap", GraphStore::Mode::kMmap));
-      outcome.engines.push_back(
-          run_store("store_paged", GraphStore::Mode::kPaged));
+      }
+      outcome.engines.push_back(std::move(e));
       outcome.store_checked = true;
     }
     std::remove(store_file.c_str());

@@ -47,24 +47,12 @@ BitmapIndex BitmapIndex::Build(const GraphView& view,
 
   index.num_rows_ = qualifying.size();
   index.rows_.assign(index.num_rows_ * index.words_, 0);
-  // Paged views have no resident adjacency: stage each indexed neighborhood
-  // through CopyNeighbors. Contiguous views set bits straight off the span.
-  std::vector<VertexID> staged;
-  if (!view.contiguous()) staged.resize(view.MaxDegree());
   for (size_t r = 0; r < qualifying.size(); ++r) {
     const VertexID v = qualifying[r];
     index.row_of_[v] = static_cast<int64_t>(r);
     uint64_t* row = index.rows_.data() + r * index.words_;
-    if (view.contiguous()) {
-      for (const VertexID u : view.Neighbors(v)) {
-        row[u >> 6] |= uint64_t{1} << (u & 63u);
-      }
-    } else {
-      const uint32_t deg = view.CopyNeighbors(v, staged.data());
-      for (uint32_t i = 0; i < deg; ++i) {
-        const VertexID u = staged[i];
-        row[u >> 6] |= uint64_t{1} << (u & 63u);
-      }
+    for (const VertexID u : view.Neighbors(v)) {
+      row[u >> 6] |= uint64_t{1} << (u & 63u);
     }
   }
   return index;

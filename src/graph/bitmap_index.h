@@ -50,9 +50,7 @@ class BitmapIndex {
   static BitmapIndex Build(const Graph& graph,
                            const BitmapIndexOptions& options = {});
 
-  /// Same, over any GraphView — including paged views, where each indexed
-  /// neighborhood is staged through CopyNeighbors (one sequential pass, so
-  /// the build is I/O-linear in the rows it keeps).
+  /// Same, over any GraphView (a heap or mmap store's view).
   static BitmapIndex Build(const GraphView& view,
                            const BitmapIndexOptions& options = {});
 

@@ -1,5 +1,7 @@
 #include "graph/graph_io.h"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -13,7 +15,6 @@ namespace light {
 namespace {
 
 constexpr char kMagic[4] = {'L', 'C', 'S', 'R'};
-constexpr uint32_t kVersion = 1;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -80,67 +81,6 @@ Status SaveEdgeList(const Graph& graph, const std::string& path) {
       if (u < v) std::fprintf(file.get(), "%u %u\n", u, v);
     }
   }
-  return Status::OK();
-}
-
-Status SaveBinary(const Graph& graph, const std::string& path) {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const uint64_t n = graph.NumVertices();
-  const uint64_t slots = graph.NeighborsSpan().size();
-  bool ok = std::fwrite(kMagic, 1, 4, file.get()) == 4 &&
-            std::fwrite(&kVersion, sizeof(kVersion), 1, file.get()) == 1 &&
-            std::fwrite(&n, sizeof(n), 1, file.get()) == 1 &&
-            std::fwrite(&slots, sizeof(slots), 1, file.get()) == 1;
-  if (ok && n > 0) {
-    ok = std::fwrite(graph.OffsetsSpan().data(), sizeof(EdgeID), n + 1,
-                     file.get()) == n + 1;
-  }
-  if (ok && slots > 0) {
-    ok = std::fwrite(graph.NeighborsSpan().data(), sizeof(VertexID), slots,
-                     file.get()) == slots;
-  }
-  if (!ok) return Status::IOError("short write to " + path);
-  return Status::OK();
-}
-
-Status LoadBinary(const std::string& path, Graph* out) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open " + path);
-  }
-  char magic[4];
-  uint32_t version = 0;
-  uint64_t n = 0;
-  uint64_t slots = 0;
-  if (std::fread(magic, 1, 4, file.get()) != 4 ||
-      std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument(path + " is not an LCSR file");
-  }
-  if (std::fread(&version, sizeof(version), 1, file.get()) != 1 ||
-      version != kVersion) {
-    return Status::InvalidArgument("unsupported LCSR version in " + path);
-  }
-  if (std::fread(&n, sizeof(n), 1, file.get()) != 1 ||
-      std::fread(&slots, sizeof(slots), 1, file.get()) != 1) {
-    return Status::IOError("truncated header in " + path);
-  }
-  std::vector<EdgeID> offsets(n + 1, 0);
-  std::vector<VertexID> neighbors(slots);
-  if (n > 0 &&
-      std::fread(offsets.data(), sizeof(EdgeID), n + 1, file.get()) != n + 1) {
-    return Status::IOError("truncated offsets in " + path);
-  }
-  if (slots > 0 && std::fread(neighbors.data(), sizeof(VertexID), slots,
-                              file.get()) != slots) {
-    return Status::IOError("truncated neighbors in " + path);
-  }
-  if (offsets.back() != slots) {
-    return Status::InvalidArgument("inconsistent CSR arrays in " + path);
-  }
-  *out = Graph(std::move(offsets), std::move(neighbors));
   return Status::OK();
 }
 
@@ -231,19 +171,14 @@ Status ReadLcsr2Header(const std::string& path, Lcsr2Header* out) {
                           path, out);
 }
 
-Status SaveStoreFile(const Graph& graph, const std::string& path,
-                     const std::vector<uint32_t>* labels) {
+namespace {
+
+/// Writes the header and every section of an .lcsr2 snapshot to `file`,
+/// then flushes and fsyncs it. `path` names the file in error messages.
+Status WriteStoreSections(const Graph& graph,
+                          const std::vector<uint32_t>* labels,
+                          std::FILE* file, const std::string& path) {
   const uint64_t n = graph.NumVertices();
-  if (labels != nullptr && labels->size() != n) {
-    return Status::InvalidArgument("label count " +
-                                   std::to_string(labels->size()) +
-                                   " does not match " + std::to_string(n) +
-                                   " vertices");
-  }
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
   const uint64_t slots = graph.NeighborsSpan().size();
   const uint64_t offsets_off = kLcsr2HeaderBytes;
   const uint64_t neighbors_off =
@@ -263,8 +198,8 @@ Status SaveStoreFile(const Graph& graph, const std::string& path,
   Put64(header + 40, neighbors_off);
   Put64(header + 48, labels_off);
 
-  const auto pad_to = [&file](uint64_t target) {
-    const long pos = std::ftell(file.get());
+  const auto pad_to = [file](uint64_t target) {
+    const long pos = std::ftell(file);
     if (pos < 0) return false;
     static constexpr uint8_t kZeros[64] = {0};
     uint64_t remaining = target - static_cast<uint64_t>(pos);
@@ -272,37 +207,65 @@ Status SaveStoreFile(const Graph& graph, const std::string& path,
       const size_t chunk =
           remaining < sizeof(kZeros) ? static_cast<size_t>(remaining)
                                      : sizeof(kZeros);
-      if (std::fwrite(kZeros, 1, chunk, file.get()) != chunk) return false;
+      if (std::fwrite(kZeros, 1, chunk, file) != chunk) return false;
       remaining -= chunk;
     }
     return true;
   };
 
-  bool ok =
-      std::fwrite(header, 1, sizeof(header), file.get()) == sizeof(header);
+  bool ok = std::fwrite(header, 1, sizeof(header), file) == sizeof(header);
   // An empty Graph (default-constructed) has no offsets array; persist it as
   // n=0 with a single zero offset so the file round-trips.
   const EdgeID zero_offset = 0;
   const EdgeID* offsets_data =
       graph.OffsetsSpan().empty() ? &zero_offset : graph.OffsetsSpan().data();
-  ok = ok && std::fwrite(offsets_data, sizeof(EdgeID), n + 1, file.get()) ==
-                 n + 1;
+  ok = ok && std::fwrite(offsets_data, sizeof(EdgeID), n + 1, file) == n + 1;
   ok = ok && pad_to(neighbors_off);
   if (ok && slots > 0) {
     ok = std::fwrite(graph.NeighborsSpan().data(), sizeof(VertexID), slots,
-                     file.get()) == slots;
+                     file) == slots;
   }
   if (ok && labels != nullptr) {
     ok = pad_to(labels_off);
     if (ok && n > 0) {
-      ok = std::fwrite(labels->data(), sizeof(uint32_t), n, file.get()) == n;
+      ok = std::fwrite(labels->data(), sizeof(uint32_t), n, file) == n;
     }
   }
   if (!ok) return Status::IOError("short write to " + path);
-  if (std::fflush(file.get()) != 0) {
+  if (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0) {
     return Status::IOError("flush failed for " + path);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status SaveStoreFile(const Graph& graph, const std::string& path,
+                     const std::vector<uint32_t>* labels) {
+  const uint64_t n = graph.NumVertices();
+  if (labels != nullptr && labels->size() != n) {
+    return Status::InvalidArgument("label count " +
+                                   std::to_string(labels->size()) +
+                                   " does not match " + std::to_string(n) +
+                                   " vertices");
+  }
+  // Write a sibling temp file and rename it over `path`: a reader that has
+  // the old snapshot mapped keeps the old inode intact, and a fresh open
+  // sees either the old or the new file, never a partial one.
+  const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open " + tmp_path + " for writing");
+  }
+  Status status = WriteStoreSections(graph, labels, file, tmp_path);
+  if (std::fclose(file) != 0 && status.ok()) {
+    status = Status::IOError("close failed for " + tmp_path);
+  }
+  if (status.ok() && std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    status = Status::IOError("cannot rename " + tmp_path + " to " + path);
+  }
+  if (!status.ok()) std::remove(tmp_path.c_str());
+  return status;
 }
 
 Status LoadStoreFile(const std::string& path, Graph* out,
@@ -359,7 +322,8 @@ Status SniffGraphFormat(const std::string& path, GraphFileFormat* out) {
     return Status::InvalidArgument(path + " is empty");
   }
   // Binary snapshot? The magic decides; a truncated or unknown-version
-  // binary file is an error, never an edge list.
+  // binary file (including the retired v1 layout) is an error, never an
+  // edge list.
   if (got >= 1 && head[0] == 'L') {
     if (got < 8 || std::memcmp(head, kMagic, 4) != 0) {
       // Could still be a text file that happens to start with 'L' — an edge
@@ -368,10 +332,6 @@ Status SniffGraphFormat(const std::string& path, GraphFileFormat* out) {
           path + " is neither an LCSR snapshot nor an edge list");
     }
     const uint32_t version = Get32(head + 4);
-    if (version == kVersion) {
-      *out = GraphFileFormat::kLcsr1;
-      return Status::OK();
-    }
     if (version == kLcsr2Version) {
       *out = GraphFileFormat::kLcsr2;
       return Status::OK();
@@ -401,8 +361,6 @@ Status LoadAuto(const std::string& path, Graph* out) {
   switch (format) {
     case GraphFileFormat::kEdgeList:
       return LoadEdgeList(path, out);
-    case GraphFileFormat::kLcsr1:
-      return LoadBinary(path, out);
     case GraphFileFormat::kLcsr2:
       return LoadStoreFile(path, out);
   }

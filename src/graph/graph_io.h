@@ -19,11 +19,6 @@ Status LoadEdgeList(const std::string& path, Graph* out);
 /// per undirected edge).
 Status SaveEdgeList(const Graph& graph, const std::string& path);
 
-/// Binary CSR snapshot: magic "LCSR", u32 version, u64 N, u64 slots, then the
-/// offset and neighbor arrays. Loading is a bulk read with no re-sorting.
-Status SaveBinary(const Graph& graph, const std::string& path);
-Status LoadBinary(const std::string& path, Graph* out);
-
 // ---------------------------------------------------------------------------
 // .lcsr2 store snapshots (LCSR v2): the GraphStore on-disk format. One
 // 64-byte header followed by 64-byte-aligned sections, so every section can
@@ -64,6 +59,9 @@ Status ReadLcsr2Header(const std::string& path, Lcsr2Header* out);
 
 /// Writes `graph` (plus optional per-vertex labels) as an .lcsr2 snapshot.
 /// Works for borrowed graphs too — only the span accessors are touched.
+/// The bytes go to a temp file in the same directory, are fsynced, and are
+/// renamed over `path`, so a process that has the old file mapped keeps
+/// reading the old snapshot and `path` never holds a partial file.
 Status SaveStoreFile(const Graph& graph, const std::string& path,
                      const std::vector<uint32_t>* labels = nullptr);
 
@@ -75,14 +73,14 @@ Status LoadStoreFile(const std::string& path, Graph* out,
 /// On-disk graph formats LoadAuto distinguishes.
 enum class GraphFileFormat {
   kEdgeList,  // whitespace text edge list
-  kLcsr1,     // legacy binary CSR (SaveBinary)
   kLcsr2,     // store snapshot (SaveStoreFile)
 };
 
-/// Sniffs the format from the leading bytes: "LCSR" magic selects a binary
-/// snapshot (the version field picks v1 vs v2), printable text selects an
-/// edge list. Truncated magic, unknown versions, and binary garbage are
-/// structured errors — never silently misparsed as an edge list.
+/// Sniffs the format from the leading bytes: "LCSR" magic with version 2
+/// selects a store snapshot, printable text selects an edge list. Truncated
+/// magic, other versions (the retired v1 layout included), and binary
+/// garbage are structured errors — never silently misparsed as an edge
+/// list.
 Status SniffGraphFormat(const std::string& path, GraphFileFormat* out);
 
 /// Loads any supported on-disk format into a heap graph, sniffing first, so

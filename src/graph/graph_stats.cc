@@ -2,43 +2,22 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
+#include <span>
 
 namespace light {
 
 uint64_t CountTriangles(const GraphView& view) {
   // Standard forward counting: for each edge (u, v) with u < v, intersect the
   // higher-ID tails of N(u) and N(v) restricted to w > v. Counts each
-  // triangle exactly once. Paged views stage both endpoints' neighborhoods —
-  // one sequential pass over the adjacency per wedge root, so the count is
-  // I/O-feasible without residency.
+  // triangle exactly once.
   const VertexID n = view.NumVertices();
   uint64_t triangles = 0;
-  std::vector<VertexID> staged_u;
-  std::vector<VertexID> staged_v;
-  const bool paged = !view.contiguous();
-  if (paged) {
-    staged_u.resize(view.MaxDegree());
-    staged_v.resize(view.MaxDegree());
-  }
   for (VertexID u = 0; u < n; ++u) {
-    std::span<const VertexID> nu;
-    if (paged) {
-      const uint32_t du = view.CopyNeighbors(u, staged_u.data());
-      nu = {staged_u.data(), du};
-    } else {
-      nu = view.Neighbors(u);
-    }
+    const std::span<const VertexID> nu = view.Neighbors(u);
     auto u_hi = std::upper_bound(nu.begin(), nu.end(), u);
     for (auto it = u_hi; it != nu.end(); ++it) {
       const VertexID v = *it;
-      std::span<const VertexID> nv;
-      if (paged) {
-        const uint32_t dv = view.CopyNeighbors(v, staged_v.data());
-        nv = {staged_v.data(), dv};
-      } else {
-        nv = view.Neighbors(v);
-      }
+      const std::span<const VertexID> nv = view.Neighbors(v);
       auto a = std::upper_bound(nu.begin(), nu.end(), v);
       auto b = std::upper_bound(nv.begin(), nv.end(), v);
       while (a != nu.end() && b != nv.end()) {

@@ -31,16 +31,14 @@ struct GraphStats {
   std::string ToString() const;
 };
 
-/// Computes statistics over any GraphView (degree moments read the resident
-/// offsets; paged views never touch adjacency unless triangles are
-/// requested). Triangle counting costs roughly sum_v d(v)^2 / 2
-/// intersections and is optional.
+/// Computes statistics over any GraphView (degree moments read the offsets
+/// only). Triangle counting costs roughly sum_v d(v)^2 / 2 intersections
+/// and is optional.
 GraphStats ComputeGraphStats(const GraphView& view,
                              bool count_triangles = false);
 GraphStats ComputeGraphStats(const Graph& graph, bool count_triangles = false);
 
-/// Exact triangle count via forward adjacency intersection. Paged views
-/// stage each endpoint's neighborhood through CopyNeighbors.
+/// Exact triangle count via forward adjacency intersection.
 uint64_t CountTriangles(const GraphView& view);
 uint64_t CountTriangles(const Graph& graph);
 

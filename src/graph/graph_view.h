@@ -3,38 +3,21 @@
 
 /// GraphView: the one neighbor-access seam every engine entry point takes.
 ///
-/// A view is a cheap value (two pointers + dimensions) over CSR data owned
-/// elsewhere — a heap Graph, an mmap'd .lcsr2 section, or a paged store
-/// whose adjacency lives on disk and faults in through a BufferPool. The
-/// first two are *contiguous*: Neighbors() returns a span into the resident
-/// array and the whole engine fast path (bitmap router included) runs
-/// unchanged. The paged mode has no resident adjacency; only the offsets
-/// stay in memory (Silvestri's I/O framing, arXiv:1402.3444) and neighbor
-/// lists are staged via CopyNeighbors into caller-owned buffers.
+/// A view is a cheap value (two pointers + dimensions) over a resident CSR
+/// owned elsewhere — a heap Graph or an mmap'd .lcsr2 section borrowed by
+/// a GraphStore. Neighbors() always returns a span into the resident array,
+/// so the whole engine fast path (bitmap router included) runs unchanged in
+/// every store mode.
 ///
 /// Implicit construction from `const Graph&` keeps every existing call site
-/// compiling; storage/graph_store.h builds the mmap and paged flavors.
+/// compiling; storage/graph_store.h hands out views of its backing Graph.
 
 #include <cstdint>
 #include <span>
 
-#include "common/check.h"
 #include "graph/graph.h"
 
 namespace light {
-
-/// Copy-out adjacency source for stores whose neighbor array is not memory
-/// resident. Implemented by GraphStore's paged mode; lives in the graph
-/// layer so the engine does not depend on storage. Implementations must be
-/// safe for concurrent calls from many worker threads.
-class PagedNeighborSource {
- public:
-  virtual ~PagedNeighborSource() = default;
-
-  /// Copies N(v) into out (caller guarantees room for Degree(v) entries)
-  /// and returns the count.
-  virtual uint32_t CopyNeighbors(VertexID v, VertexID* out) const = 0;
-};
 
 class GraphView {
  public:
@@ -46,27 +29,7 @@ class GraphView {
         neighbors_(graph.NeighborsSpan().data()),
         n_(graph.NumVertices()),
         slots_(graph.NeighborsSpan().size()),
-        max_degree_(graph.MaxDegree()),
-        graph_(&graph) {}
-
-  /// Contiguous view over raw sections (mmap mode).
-  GraphView(const EdgeID* offsets, const VertexID* neighbors, VertexID n,
-            EdgeID slots, uint32_t max_degree, const Graph* graph)
-      : offsets_(offsets),
-        neighbors_(neighbors),
-        n_(n),
-        slots_(slots),
-        max_degree_(max_degree),
-        graph_(graph) {}
-
-  /// Paged view: offsets resident, adjacency behind `paged`.
-  GraphView(const EdgeID* offsets, VertexID n, EdgeID slots,
-            uint32_t max_degree, const PagedNeighborSource* paged)
-      : offsets_(offsets),
-        n_(n),
-        slots_(slots),
-        max_degree_(max_degree),
-        paged_(paged) {}
+        max_degree_(graph.MaxDegree()) {}
 
   VertexID NumVertices() const { return n_; }
   EdgeID NumEdges() const { return slots_ / 2; }
@@ -76,21 +39,14 @@ class GraphView {
     return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
-  /// True when the adjacency array is memory resident (heap or mmap): the
-  /// engine may hold Neighbors() spans and run its zero-copy fast path.
-  bool contiguous() const { return neighbors_ != nullptr || slots_ == 0; }
-
-  /// Sorted neighbor set N(v). Contiguous views only.
+  /// Sorted neighbor set N(v).
   std::span<const VertexID> Neighbors(VertexID v) const {
-    LIGHT_DCHECK(contiguous());
     return {neighbors_ + offsets_[v],
             static_cast<size_t>(offsets_[v + 1] - offsets_[v])};
   }
 
-  /// Edge membership test; contiguous views only (the paged engine path
-  /// checks staged adjacency instead).
+  /// Edge membership test: binary search over the smaller-degree endpoint.
   bool HasEdge(VertexID u, VertexID v) const {
-    LIGHT_DCHECK(contiguous());
     if (u >= n_ || v >= n_) return false;
     if (Degree(u) > Degree(v)) {
       const VertexID t = u;
@@ -111,33 +67,12 @@ class GraphView {
     return lo < nbrs.size() && nbrs[lo] == v;
   }
 
-  /// Copies N(v) into out (room for Degree(v) entries); works in every
-  /// mode. The contiguous path is a memcpy, the paged path faults pages
-  /// through the store's BufferPool.
-  uint32_t CopyNeighbors(VertexID v, VertexID* out) const {
-    if (paged_ != nullptr) return paged_->CopyNeighbors(v, out);
-    const std::span<const VertexID> nbrs = Neighbors(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) out[i] = nbrs[i];
-    return static_cast<uint32_t>(nbrs.size());
-  }
-
-  const EdgeID* offsets_data() const { return offsets_; }
-
-  /// The backing heap/facade Graph when one exists (heap and mmap modes);
-  /// nullptr for paged views. Plan builders that sample raw arrays use
-  /// this and fall back to analytic estimation when absent.
-  const Graph* graph() const { return graph_; }
-
-  const PagedNeighborSource* paged_source() const { return paged_; }
-
  private:
-  const EdgeID* offsets_ = nullptr;      // size N+1, always resident
-  const VertexID* neighbors_ = nullptr;  // resident adjacency, or nullptr
+  const EdgeID* offsets_ = nullptr;      // size N+1
+  const VertexID* neighbors_ = nullptr;  // size slots
   VertexID n_ = 0;
   EdgeID slots_ = 0;
   uint32_t max_degree_ = 0;
-  const PagedNeighborSource* paged_ = nullptr;
-  const Graph* graph_ = nullptr;
 };
 
 }  // namespace light

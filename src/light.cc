@@ -49,88 +49,7 @@ void FillReportContext(const GraphView& graph, const ExecutionPlan& plan,
   obs::SnapshotCounters(report);
 }
 
-// The deprecated flat shims are folded here, the one place allowed to
-// read them during their sunset release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-/// The plan options a RunOptions resolves to: each engaged flat shim wins
-/// over the corresponding plan_options field, and unique_subgraphs is
-/// authoritative for symmetry breaking.
-PlanOptions FoldPlanOptions(const RunOptions& opts) {
-  PlanOptions out = opts.plan_options;
-  if (opts.lazy_materialization) {
-    out.lazy_materialization = *opts.lazy_materialization;
-  }
-  if (opts.minimum_set_cover) out.minimum_set_cover = *opts.minimum_set_cover;
-  if (opts.induced) out.induced = *opts.induced;
-  if (opts.kernel) out.kernel = *opts.kernel;
-  if (opts.auto_kernel) out.auto_kernel = *opts.auto_kernel;
-  if (opts.bitmap_min_degree) out.bitmap_min_degree = *opts.bitmap_min_degree;
-  if (opts.bitmap_density) out.bitmap_density = *opts.bitmap_density;
-  if (opts.bitmap_max_bytes) out.bitmap_max_bytes = *opts.bitmap_max_bytes;
-  out.symmetry_breaking = opts.unique_subgraphs;
-  return out;
-}
-
-void ClearPlanOptionShims(RunOptions* opts) {
-  opts->lazy_materialization.reset();
-  opts->minimum_set_cover.reset();
-  opts->induced.reset();
-  opts->kernel.reset();
-  opts->auto_kernel.reset();
-  opts->bitmap_min_degree.reset();
-  opts->bitmap_density.reset();
-  opts->bitmap_max_bytes.reset();
-}
-
-PlanOptions FoldSessionPlanOptions(const SessionOptions& opts) {
-  PlanOptions out = opts.plan_options;
-  if (opts.bitmap_min_degree) out.bitmap_min_degree = *opts.bitmap_min_degree;
-  if (opts.bitmap_density) out.bitmap_density = *opts.bitmap_density;
-  if (opts.bitmap_max_bytes) out.bitmap_max_bytes = *opts.bitmap_max_bytes;
-  return out;
-}
-
-void ClearSessionPlanOptionShims(SessionOptions* opts) {
-  opts->bitmap_min_degree.reset();
-  opts->bitmap_density.reset();
-  opts->bitmap_max_bytes.reset();
-}
-
-#pragma GCC diagnostic pop
-
-/// The session plan builder: samples the resident graph when one exists,
-/// else (paged stores) the pure analytic model over the same stats.
-ExecutionPlan BuildSessionPlan(const Graph* graph, const GraphStats& stats,
-                               const Pattern& pattern,
-                               const RunOptions& options) {
-  const RunOptions opts = options.Normalized();
-  if (graph != nullptr) {
-    return BuildPlan(pattern, *graph, stats, opts.plan_options);
-  }
-  return BuildPlan(pattern, stats, opts.plan_options);
-}
-
 }  // namespace
-
-// Out-of-line defaulted special members (see light.h): keeps the
-// deprecated-shim warnings out of every copy/move site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-RunOptions::RunOptions() = default;
-RunOptions::RunOptions(const RunOptions&) = default;
-RunOptions::RunOptions(RunOptions&&) noexcept = default;
-RunOptions& RunOptions::operator=(const RunOptions&) = default;
-RunOptions& RunOptions::operator=(RunOptions&&) noexcept = default;
-RunOptions::~RunOptions() = default;
-SessionOptions::SessionOptions() = default;
-SessionOptions::SessionOptions(const SessionOptions&) = default;
-SessionOptions::SessionOptions(SessionOptions&&) noexcept = default;
-SessionOptions& SessionOptions::operator=(const SessionOptions&) = default;
-SessionOptions& SessionOptions::operator=(SessionOptions&&) noexcept = default;
-SessionOptions::~SessionOptions() = default;
-#pragma GCC diagnostic pop
 
 Status RunOptions::Validate() const {
   if (threads < 0) {
@@ -145,7 +64,7 @@ Status RunOptions::Validate() const {
         "streaming visitor requires threads <= 1: parallel enumeration "
         "with a visitor is unsupported");
   }
-  return FoldPlanOptions(*this).Validate();
+  return plan_options.Validate();
 }
 
 RunOptions RunOptions::Normalized() const {
@@ -157,15 +76,14 @@ RunOptions RunOptions::Normalized() const {
   if (std::isnan(o.time_limit_seconds) || o.time_limit_seconds < 0) {
     o.time_limit_seconds = 0;
   }
-  o.plan_options = FoldPlanOptions(o).Normalized();
-  ClearPlanOptionShims(&o);
+  o.plan_options.symmetry_breaking = o.unique_subgraphs;
+  o.plan_options = o.plan_options.Normalized();
   return o;
 }
 
 SessionOptions SessionOptions::Normalized() const {
   SessionOptions o = *this;
-  o.plan_options = FoldSessionPlanOptions(o).Normalized();
-  ClearSessionPlanOptionShims(&o);
+  o.plan_options = o.plan_options.Normalized();
   return o;
 }
 
@@ -492,7 +410,7 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
     const GraphStats& stats = EnsureStats();
     auto plan = std::make_shared<ExecutionPlan>([&] {
       obs::TraceSpan span("build_plan");
-      return BuildSessionPlan(graph_ptr_, stats, pattern, opts);
+      return BuildRunPlan(*graph_ptr_, stats, pattern, opts);
     }());
     if (opts.lint_plan && !lint(pattern, *plan, &stats)) return nullptr;
     return plan;
@@ -556,7 +474,7 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
   const GraphStats& stats = EnsureStats();
   auto built = std::make_shared<ExecutionPlan>([&] {
     obs::TraceSpan span("build_plan");
-    return BuildSessionPlan(graph_ptr_, stats, pattern, opts);
+    return BuildRunPlan(*graph_ptr_, stats, pattern, opts);
   }());
   if (opts.lint_plan && !lint(pattern, *built, &stats)) return nullptr;
 
@@ -836,7 +754,7 @@ std::shared_ptr<const ExecutionPlan> Session::ResolveIepTermPlan(
   const GraphStats& stats = EnsureStats();
   const auto build = [&] {
     obs::TraceSpan span("build_plan");
-    return BuildIepTermPlan(term, stats, graph_ptr_, opts.plan_options);
+    return BuildIepTermPlan(term, *graph_ptr_, stats, opts.plan_options);
   };
 
   if (options_.plan_cache_capacity == 0) {
@@ -1091,7 +1009,6 @@ SessionStats Session::stats() const {
   if (store_ != nullptr) {
     out.store_mode = GraphStore::ModeName(store_->mode());
     out.store_bytes_mapped = store_->bytes_mapped();
-    out.store_page_faults_estimated = store_->pool_stats().misses;
   }
   return out;
 }
@@ -1320,7 +1237,6 @@ void Session::FillSessionReport(obs::SessionReport* out) const {
   const SessionStats s = stats();
   out->store_mode = s.store_mode;
   out->store_bytes_mapped = s.store_bytes_mapped;
-  out->store_page_faults_estimated = s.store_page_faults_estimated;
   out->pool_threads = s.pool_threads;
   out->queries_submitted = s.queries_submitted;
   out->queries_completed = s.queries_completed;
@@ -1359,7 +1275,7 @@ RunResult Run(const Graph& graph, const Pattern& pattern,
     return result;
   }
   // One-query session: the bitmap knobs map onto the session (through the
-  // shim-folded plan options), the plan cache is disabled (nothing to
+  // normalized plan options), the plan cache is disabled (nothing to
   // amortize across a single call), and the pool — for parallel requests —
   // is sized to the request. Serial requests run inline and never start a
   // pool, so one-shot latency is unchanged.

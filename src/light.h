@@ -17,19 +17,19 @@
 /// below amortizes what Run rebuilds per call (worker threads, plans,
 /// bitmap index, per-worker scratch).
 ///
-/// The pre-Run CountSubgraphs / EnumerateSubgraphs wrappers are GONE (see
-/// README "Migration"): use light::Run, passing the visitor through
-/// RunOptions::visitor. The flat plan-shaping RunOptions fields of earlier
-/// releases (lazy_materialization, minimum_set_cover, kernel, auto_kernel,
-/// induced, bitmap_*) remain for one release as deprecated std::optional
-/// shims that Normalized() folds into plan_options.
+/// The pre-Run CountSubgraphs / EnumerateSubgraphs wrappers and the flat
+/// plan-shaping RunOptions/SessionOptions fields of earlier releases
+/// (lazy_materialization, minimum_set_cover, kernel, auto_kernel, induced,
+/// bitmap_*) are GONE (see README "Migration"): use light::Run, passing the
+/// visitor through RunOptions::visitor and every plan-shaping knob through
+/// RunOptions::plan_options (SessionOptions::plan_options for the bitmap
+/// thresholds).
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -109,28 +109,6 @@ struct RunOptions {
   /// plan-shaping fields of plan_options are ignored.
   const ExecutionPlan* plan = nullptr;
 
-  // --- Deprecated flat plan-shaping shims (one release) ---
-  // The pre-PlanOptions spellings. A set optional wins over the
-  // corresponding plan_options field: Normalized() folds each engaged shim
-  // into plan_options and disengages it. New code sets plan_options
-  // directly.
-  [[deprecated("use plan_options.lazy_materialization")]]
-  std::optional<bool> lazy_materialization;
-  [[deprecated("use plan_options.minimum_set_cover")]]
-  std::optional<bool> minimum_set_cover;
-  [[deprecated("use plan_options.induced")]]
-  std::optional<bool> induced;
-  [[deprecated("use plan_options.kernel")]]
-  std::optional<IntersectKernel> kernel;
-  [[deprecated("use plan_options.auto_kernel")]]
-  std::optional<bool> auto_kernel;
-  [[deprecated("use plan_options.bitmap_min_degree")]]
-  std::optional<uint32_t> bitmap_min_degree;
-  [[deprecated("use plan_options.bitmap_density")]]
-  std::optional<double> bitmap_density;
-  [[deprecated("use plan_options.bitmap_max_bytes")]]
-  std::optional<size_t> bitmap_max_bytes;
-
   // --- Static plan verification ---
   /// Lint the execution plan before running it (analysis/plan_linter.h):
   /// order connectivity, symmetry-breaking consistency with the
@@ -155,33 +133,23 @@ struct RunOptions {
   /// adds no hot-path cost beyond the counters the engine already keeps.
   obs::RunReport* report = nullptr;
 
-  // Copy/move are defaulted out-of-line (light.cc): the deprecated shims
-  // above would otherwise trip -Wdeprecated-declarations inside every
-  // implicitly-defined special member at each use site.
-  RunOptions();
-  RunOptions(const RunOptions&);
-  RunOptions(RunOptions&&) noexcept;
-  RunOptions& operator=(const RunOptions&);
-  RunOptions& operator=(RunOptions&&) noexcept;
-  ~RunOptions();
-
   /// Rejects configurations outside the documented domain: negative
   /// threads, NaN or negative time limits, a visitor combined with
   /// threads > 1 (streaming is serial; parallel enumeration with a visitor
   /// is unsupported, not silently serialized), plus everything
-  /// PlanOptions::Validate rejects on the shim-folded plan options
-  /// (out-of-range bitmap density, an unavailable pinned kernel, a
-  /// malformed order override). Callers that surface user input (CLI, fuzz
-  /// harness, services) should Validate and report; light::Run validates
-  /// internally and returns the message in RunResult::error.
+  /// PlanOptions::Validate rejects on plan_options (out-of-range bitmap
+  /// density, an unavailable pinned kernel, a malformed order override).
+  /// Callers that surface user input (CLI, fuzz harness, services) should
+  /// Validate and report; light::Run validates internally and returns the
+  /// message in RunResult::error.
   Status Validate() const;
 
   /// Returns a copy with every field forced into its valid domain:
   /// threads < 0 clamps to 0 (and, with a visitor, 0 resolves to 1),
-  /// NaN/negative time limits become unlimited, each engaged deprecated
-  /// shim folded into plan_options (then disengaged),
-  /// plan_options.symmetry_breaking overwritten from unique_subgraphs, and
-  /// plan_options itself normalized (kernel resolution, density clamp).
+  /// NaN/negative time limits become unlimited,
+  /// plan_options.symmetry_breaking is overwritten from unique_subgraphs,
+  /// and plan_options itself is normalized (kernel resolution, density
+  /// clamp).
   RunOptions Normalized() const;
 };
 
@@ -264,27 +232,7 @@ struct SessionOptions {
   /// RunOptions::plan_options.
   PlanOptions plan_options;
 
-  // --- Deprecated flat bitmap shims (one release) ---
-  // Folded into plan_options by Normalized(), exactly as in RunOptions.
-  [[deprecated("use plan_options.bitmap_min_degree")]]
-  std::optional<uint32_t> bitmap_min_degree;
-  [[deprecated("use plan_options.bitmap_density")]]
-  std::optional<double> bitmap_density;
-  [[deprecated("use plan_options.bitmap_max_bytes")]]
-  std::optional<size_t> bitmap_max_bytes;
-
-  // Copy/move defaulted out-of-line (light.cc), as in RunOptions, so the
-  // deprecated shims do not trip -Wdeprecated-declarations in the
-  // implicitly-defined special members.
-  SessionOptions();
-  SessionOptions(const SessionOptions&);
-  SessionOptions(SessionOptions&&) noexcept;
-  SessionOptions& operator=(const SessionOptions&);
-  SessionOptions& operator=(SessionOptions&&) noexcept;
-  ~SessionOptions();
-
-  /// Copy with the deprecated shims folded into plan_options and the
-  /// plan options normalized.
+  /// Copy with the plan options normalized.
   SessionOptions Normalized() const;
 
   /// Plan-cache entries kept (LRU evicted beyond this); 0 disables caching
@@ -343,12 +291,10 @@ struct SessionStats {
   uint64_t cancelled = 0;
 
   /// Storage-engine attribution for store-backed sessions: the open mode
-  /// ("heap" | "mmap" | "paged"; empty for a caller-owned graph), bytes of
-  /// the snapshot mapped into this process (mmap mode), and the paged
-  /// pool's miss count — an estimate of the page faults enumeration caused.
+  /// ("heap" | "mmap"; empty for a caller-owned graph) and the bytes of the
+  /// snapshot mapped into this process (mmap mode).
   std::string store_mode;
   uint64_t store_bytes_mapped = 0;
-  uint64_t store_page_faults_estimated = 0;
 };
 
 namespace detail {
@@ -417,11 +363,10 @@ class Session {
   explicit Session(const Graph& graph, const SessionOptions& options = {});
 
   /// Store-backed session: serves queries against a GraphStore snapshot in
-  /// whatever mode it was opened (heap, mmap, paged). Multiple Sessions —
-  /// across threads — may share one store; they see one mapping and one
+  /// whatever mode it was opened (heap or mmap). Multiple Sessions — across
+  /// threads — may share one store; they see one mapping and one
   /// lazily-built BitmapIndex per bitmap configuration
-  /// (GraphStore::SharedBitmap). Paged stores have no resident adjacency,
-  /// so plans fall back to the analytic cardinality model.
+  /// (GraphStore::SharedBitmap).
   explicit Session(std::shared_ptr<const GraphStore> store,
                    const SessionOptions& options = {});
   ~Session();
@@ -485,8 +430,7 @@ class Session {
   const std::shared_ptr<const GraphStore>& store() const { return store_; }
 
   /// Resident-adjacency Graph behind the view (the caller's graph, a heap
-  /// store's copy, or an mmap store's borrowing facade); nullptr for paged
-  /// stores.
+  /// store's copy, or an mmap store's borrowing facade). Never null.
   const Graph* graph() const { return graph_ptr_; }
 
  private:
@@ -573,8 +517,7 @@ class Session {
 
   // Data-graph identity, fixed at construction. Graph-reference sessions
   // have a null store_ and point graph_ptr_/view_ at the caller's graph;
-  // store-backed sessions co-own the store and take its view (graph_ptr_
-  // is null for paged stores — plan builders then use the analytic model).
+  // store-backed sessions co-own the store and point at its Graph.
   const std::shared_ptr<const GraphStore> store_;
   const Graph* const graph_ptr_;
   const GraphView view_;

@@ -340,7 +340,6 @@ std::string SessionReport::ToJson() const {
     w.BeginObject();
     w.KV("mode", store_mode);
     w.KV("bytes_mapped", store_bytes_mapped);
-    w.KV("page_faults_estimated", store_page_faults_estimated);
     w.EndObject();
   }
 
@@ -427,10 +426,11 @@ Status SessionReport::FromJson(const std::string& json, SessionReport* out) {
   out->graph_edges = root["graph"]["edges"].AsUint();
 
   // Optional storage-engine block (additive; absent in pre-store documents).
+  // Older documents also carry store.page_faults_estimated, which is
+  // ignored.
   const JsonValue& store = root["store"];
   out->store_mode = store["mode"].string_value;
   out->store_bytes_mapped = store["bytes_mapped"].AsUint();
-  out->store_page_faults_estimated = store["page_faults_estimated"].AsUint();
 
   const JsonValue& pool = root["pool"];
   out->pool_threads = static_cast<int>(pool["threads"].AsUint());

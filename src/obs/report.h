@@ -174,12 +174,9 @@ struct SessionReport {
   uint64_t graph_edges = 0;
 
   // Storage engine (empty/zero when the session wraps a plain in-memory
-  // Graph rather than a GraphStore). store_mode is "heap" | "mmap" |
-  // "paged"; page_faults_estimated is the paged buffer pool's miss count
-  // (0 for heap/mmap, where the OS page cache does the faulting).
+  // Graph rather than a GraphStore). store_mode is "heap" | "mmap".
   std::string store_mode;
   uint64_t store_bytes_mapped = 0;
-  uint64_t store_page_faults_estimated = 0;
 
   int pool_threads = 0;
   uint64_t queries_submitted = 0;

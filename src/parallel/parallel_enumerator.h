@@ -82,9 +82,8 @@ struct ParallelResult {
 /// constructor (optional; must outlive the call). `bitmap_index` (optional;
 /// must outlive the call) is shared read-only across workers, each of which
 /// attaches it with its own word scratch (Enumerator::SetBitmapIndex).
-/// Takes any GraphView (heap, mmap, or paged store) — `const Graph&` call
-/// sites convert implicitly; paged views must be backed by a thread-safe
-/// PagedNeighborSource (GraphStore's pool is).
+/// Takes any GraphView (heap or mmap store) — `const Graph&` call sites
+/// convert implicitly.
 ParallelResult ParallelCount(GraphView graph, const ExecutionPlan& plan,
                              const ParallelOptions& options = {},
                              const std::vector<uint32_t>* data_labels =

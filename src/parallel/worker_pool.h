@@ -48,9 +48,7 @@ class WorkerPool {
   /// shared plan (e.g. a session's cached plan) alive for the query's
   /// lifetime; `plan` may point into it.
   struct QuerySpec {
-    /// Data graph as a view; `const Graph&` converts implicitly. Paged
-    /// views fan out across workers, so their neighbor source must be
-    /// thread-safe (GraphStore's is).
+    /// Data graph as a view; `const Graph&` converts implicitly.
     GraphView graph;
     const ExecutionPlan* plan = nullptr;
     const std::vector<uint32_t>* data_labels = nullptr;

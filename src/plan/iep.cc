@@ -175,8 +175,8 @@ IepDecomposition BuildIepDecomposition(const Pattern& pattern, int max_tail) {
   return out;
 }
 
-ExecutionPlan BuildIepTermPlan(const IepTerm& term, const GraphStats& stats,
-                               const Graph* graph,
+ExecutionPlan BuildIepTermPlan(const IepTerm& term, const Graph& graph,
+                               const GraphStats& stats,
                                const PlanOptions& options) {
   const int n = term.pattern.NumVertices();
   const int m = static_cast<int>(term.counted_tail.size());
@@ -205,10 +205,8 @@ ExecutionPlan BuildIepTermPlan(const IepTerm& term, const GraphStats& stats,
   if (k == 1) {
     // Single-vertex kernel (stars): trivial order, skip the optimizer.
     plan = BuildPlanWithOrder(kernel_pattern, {0}, kernel_options);
-  } else if (graph != nullptr) {
-    plan = BuildPlan(kernel_pattern, *graph, stats, kernel_options);
   } else {
-    plan = BuildPlan(kernel_pattern, stats, kernel_options);
+    plan = BuildPlan(kernel_pattern, graph, stats, kernel_options);
   }
 
   // Graft the merged vertices: appended to pi, trailing COMP ops, K1

@@ -72,11 +72,11 @@ IepDecomposition BuildIepDecomposition(const Pattern& pattern,
 /// Compiles one term into an executable counted-tail plan: the kernel
 /// sub-plan is cost-optimized as usual but with symmetry breaking OFF (IEP
 /// needs every kernel embedding), then the merged vertices are appended to
-/// pi with trailing COMP ops and counted_tail set. `graph` selects the
-/// sampling cardinality estimator when non-null, matching BuildPlan's two
-/// overloads.
-ExecutionPlan BuildIepTermPlan(const IepTerm& term, const GraphStats& stats,
-                               const Graph* graph,
+/// pi with trailing COMP ops and counted_tail set. The kernel order is
+/// chosen with the sampling cardinality estimator over `graph`, as in
+/// BuildPlan.
+ExecutionPlan BuildIepTermPlan(const IepTerm& term, const Graph& graph,
+                               const GraphStats& stats,
                                const PlanOptions& options);
 
 }  // namespace light

@@ -1,7 +1,6 @@
 #include "storage/graph_store.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
@@ -14,7 +13,7 @@ namespace {
 /// Validates the resident offsets array against the header: monotone,
 /// starts at zero, ends at `slots`, and no degree exceeds the header's
 /// max_degree. O(N) over resident data; adjacency is never touched, so
-/// opening an mmap/paged store stays independent of |E|.
+/// opening an mmap store stays independent of |E|.
 Status ValidateOffsets(const EdgeID* offsets, uint64_t n, uint64_t slots,
                        uint32_t max_degree, const std::string& origin) {
   if (offsets[0] != 0) {
@@ -41,31 +40,6 @@ Status ValidateOffsets(const EdgeID* offsets, uint64_t n, uint64_t slots,
                                    ", offsets say " +
                                    std::to_string(seen_max) + ")");
   }
-  return Status::OK();
-}
-
-/// Reads only the resident sections of a paged open: offsets and (when
-/// present) labels. The adjacency section is deliberately left on disk.
-Status ReadResidentSections(const std::string& path,
-                            const Lcsr2Header& header,
-                            std::vector<EdgeID>* offsets,
-                            std::vector<uint32_t>* labels) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  offsets->assign(header.n + 1, 0);
-  bool ok =
-      std::fseek(f, static_cast<long>(header.offsets_off), SEEK_SET) == 0 &&
-      std::fread(offsets->data(), sizeof(EdgeID), header.n + 1, f) ==
-          header.n + 1;
-  labels->clear();
-  if (ok && (header.flags & kLcsr2FlagLabels) != 0 && header.n > 0) {
-    labels->resize(header.n);
-    ok = std::fseek(f, static_cast<long>(header.labels_off), SEEK_SET) == 0 &&
-         std::fread(labels->data(), sizeof(uint32_t), header.n, f) ==
-             header.n;
-  }
-  std::fclose(f);
-  if (!ok) return Status::IOError("truncated resident sections in " + path);
   return Status::OK();
 }
 
@@ -104,71 +78,39 @@ Status GraphStore::Open(const std::string& path, const OpenOptions& options,
     }
     store->graph_ = std::move(graph);
     store->labels_ = store->owned_labels_;
-    store->num_vertices_ = store->graph_.NumVertices();
-    store->num_slots_ = store->graph_.NeighborsSpan().size();
-    store->max_degree_ = store->graph_.MaxDegree();
     *out = std::move(store);
     PublishOpenCounters(**out);
     return Status::OK();
   }
 
-  // mmap and paged modes require the v2 layout (aligned, mappable
-  // sections).
-  if (options.mode == Mode::kMmap) {
-    std::unique_ptr<MmapRegion> region;
-    LIGHT_RETURN_IF_ERROR(MmapRegion::Open(path, &region));
-    Lcsr2Header header;
-    LIGHT_RETURN_IF_ERROR(
-        ParseLcsr2Header(region->data(), region->size(), path, &header));
-    const EdgeID* offsets =
-        reinterpret_cast<const EdgeID*>(region->data() + header.offsets_off);
-    const VertexID* neighbors = reinterpret_cast<const VertexID*>(
-        region->data() + header.neighbors_off);
-    // Offsets stay resident (willneed); adjacency faults in on demand with
-    // random-access locality.
-    region->AdviseWillNeed(header.offsets_off,
-                           (header.n + 1) * sizeof(EdgeID));
-    region->AdviseRandom(header.neighbors_off,
-                         header.slots * sizeof(VertexID));
-    LIGHT_RETURN_IF_ERROR(ValidateOffsets(offsets, header.n, header.slots,
-                                          header.max_degree, path));
-    store->region_ = std::move(region);
-    store->graph_ = Graph::External(
-        offsets, header.slots > 0 ? neighbors : nullptr,
-        static_cast<VertexID>(header.n), header.slots, header.max_degree);
-    if ((header.flags & kLcsr2FlagLabels) != 0) {
-      store->labels_ = {reinterpret_cast<const uint32_t*>(
-                            store->region_->data() + header.labels_off),
-                        static_cast<size_t>(header.n)};
-    }
-    store->num_vertices_ = static_cast<VertexID>(header.n);
-    store->num_slots_ = header.slots;
-    store->max_degree_ = header.max_degree;
-    *out = std::move(store);
-    PublishOpenCounters(**out);
-    return Status::OK();
-  }
-
-  LIGHT_CHECK(options.mode == Mode::kPaged);
+  // mmap mode requires the v2 layout (aligned, mappable sections).
+  LIGHT_CHECK(options.mode == Mode::kMmap);
+  std::unique_ptr<MmapRegion> region;
+  LIGHT_RETURN_IF_ERROR(MmapRegion::Open(path, &region));
   Lcsr2Header header;
-  LIGHT_RETURN_IF_ERROR(ReadLcsr2Header(path, &header));
-  // Offsets (and labels, if any) stay resident; adjacency never loads —
-  // that is the point of paged mode, so the sections are read directly
-  // rather than through LoadStoreFile (which would pull in all of E).
-  LIGHT_RETURN_IF_ERROR(ReadResidentSections(path, header, &store->offsets_,
-                                             &store->owned_labels_));
-  LIGHT_RETURN_IF_ERROR(ValidateOffsets(store->offsets_.data(), header.n,
-                                        header.slots, header.max_degree,
-                                        path));
-  const size_t max_pages = std::max<size_t>(
-      1, options.pool_bytes / std::max<size_t>(1, options.page_bytes));
-  LIGHT_RETURN_IF_ERROR(BufferPool::Open(
-      path, header.neighbors_off, header.slots * sizeof(VertexID),
-      options.page_bytes, max_pages, &store->pool_));
-  store->labels_ = store->owned_labels_;
-  store->num_vertices_ = static_cast<VertexID>(header.n);
-  store->num_slots_ = header.slots;
-  store->max_degree_ = header.max_degree;
+  LIGHT_RETURN_IF_ERROR(
+      ParseLcsr2Header(region->data(), region->size(), path, &header));
+  const EdgeID* offsets =
+      reinterpret_cast<const EdgeID*>(region->data() + header.offsets_off);
+  const VertexID* neighbors = reinterpret_cast<const VertexID*>(
+      region->data() + header.neighbors_off);
+  // Offsets stay resident (willneed); adjacency faults in on demand with
+  // random-access locality.
+  region->AdviseWillNeed(header.offsets_off,
+                         (header.n + 1) * sizeof(EdgeID));
+  region->AdviseRandom(header.neighbors_off,
+                       header.slots * sizeof(VertexID));
+  LIGHT_RETURN_IF_ERROR(ValidateOffsets(offsets, header.n, header.slots,
+                                        header.max_degree, path));
+  store->region_ = std::move(region);
+  store->graph_ = Graph::External(
+      offsets, header.slots > 0 ? neighbors : nullptr,
+      static_cast<VertexID>(header.n), header.slots, header.max_degree);
+  if ((header.flags & kLcsr2FlagLabels) != 0) {
+    store->labels_ = {reinterpret_cast<const uint32_t*>(
+                          store->region_->data() + header.labels_off),
+                      static_cast<size_t>(header.n)};
+  }
   *out = std::move(store);
   PublishOpenCounters(**out);
   return Status::OK();
@@ -179,18 +121,7 @@ std::shared_ptr<const GraphStore> GraphStore::FromGraph(Graph graph) {
   store->mode_ = Mode::kHeap;
   store->path_ = "<memory>";
   store->graph_ = std::move(graph);
-  store->num_vertices_ = store->graph_.NumVertices();
-  store->num_slots_ = store->graph_.NeighborsSpan().size();
-  store->max_degree_ = store->graph_.MaxDegree();
   return store;
-}
-
-GraphView GraphStore::view() const {
-  if (mode_ == Mode::kPaged) {
-    return GraphView(offsets_.data(), num_vertices_, num_slots_, max_degree_,
-                     this);
-  }
-  return GraphView(graph_);
 }
 
 std::shared_ptr<const BitmapIndex> GraphStore::SharedBitmap(
@@ -201,8 +132,7 @@ std::shared_ptr<const BitmapIndex> GraphStore::SharedBitmap(
   auto it = bitmap_cache_.find(key);
   if (it != bitmap_cache_.end()) return it->second;
   // Built under the lock: concurrent Sessions asking for the same options
-  // wait for (and then share) one build instead of racing duplicates. A
-  // paged build faults adjacency through the pool — legal, 54 < 55.
+  // wait for (and then share) one build instead of racing duplicates.
   auto index = std::make_shared<BitmapIndex>(BitmapIndex::Build(view(),
                                                                 options));
   bitmap_cache_.emplace(key, index);
@@ -214,26 +144,12 @@ size_t GraphStore::bitmap_cache_size() const {
   return bitmap_cache_.size();
 }
 
-uint32_t GraphStore::CopyNeighbors(VertexID v, VertexID* out) const {
-  LIGHT_CHECK(mode_ == Mode::kPaged);
-  const EdgeID begin = offsets_[v];
-  const uint32_t degree = static_cast<uint32_t>(offsets_[v + 1] - begin);
-  if (degree == 0) return 0;
-  const bool ok = pool_->CopyRange(begin * sizeof(VertexID),
-                                   uint64_t{degree} * sizeof(VertexID),
-                                   reinterpret_cast<uint8_t*>(out));
-  LIGHT_CHECK(ok);
-  return degree;
-}
-
 const char* GraphStore::ModeName(Mode mode) {
   switch (mode) {
     case Mode::kHeap:
       return "heap";
     case Mode::kMmap:
       return "mmap";
-    case Mode::kPaged:
-      return "paged";
   }
   return "unknown";
 }
@@ -245,10 +161,6 @@ bool GraphStore::ParseMode(const std::string& name, Mode* out) {
   }
   if (name == "mmap") {
     *out = Mode::kMmap;
-    return true;
-  }
-  if (name == "paged") {
-    *out = Mode::kPaged;
     return true;
   }
   return false;

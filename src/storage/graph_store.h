@@ -3,7 +3,7 @@
 
 /// GraphStore: the one storage engine behind the serving seam. A store is
 /// an immutable CSR snapshot (graph/graph_io.h's .lcsr2 format) opened in
-/// one of three modes:
+/// one of two modes:
 ///
 ///   kHeap  — fully loaded into today's owning Graph. Highest throughput,
 ///            O(file) open cost, private memory per process.
@@ -11,17 +11,16 @@
 ///            place: open is instant (only the offsets array is touched for
 ///            validation), adjacency faults in on demand, and every Session
 ///            and process serving the same snapshot shares one copy in the
-///            page cache.
-///   kPaged — out-of-core: offsets stay resident, adjacency lives behind a
-///            fixed-budget LRU BufferPool (Silvestri's I/O framing,
-///            arXiv:1402.3444 — index resident, data faulted). For graphs
-///            bigger than memory; neighbor access is copy-out.
+///            page cache. For graphs bigger than memory the kernel page
+///            cache does the out-of-core work (Silvestri's I/O framing,
+///            arXiv:1402.3444 — index resident, data faulted).
 ///
-/// All three surface the same GraphView, so the engine, bitmap index, fuzz
-/// oracles, and serving stack are mode-blind. Stores are shared immutable
-/// objects (std::shared_ptr<const GraphStore>); they are non-copyable and
-/// non-movable by design — the DiskGraph defaulted-move bug (null pool
-/// dereference on the moved-from object) is structurally impossible here.
+/// Both hand the engine a resident CSR through the same Graph/GraphView, so
+/// the engine, bitmap index, fuzz oracles, and serving stack are mode-blind.
+/// Stores are shared immutable objects (std::shared_ptr<const GraphStore>);
+/// they are non-copyable and non-movable by design — the DiskGraph
+/// defaulted-move bug (null pool dereference on the moved-from object) is
+/// structurally impossible here.
 
 #include <cstdint>
 #include <map>
@@ -37,25 +36,21 @@
 #include "graph/bitmap_index.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
-#include "storage/buffer_pool.h"
 #include "storage/mmap_region.h"
 
 namespace light {
 
-class GraphStore : public PagedNeighborSource {
+class GraphStore {
  public:
-  enum class Mode { kHeap, kMmap, kPaged };
+  enum class Mode { kHeap, kMmap };
 
   struct OpenOptions {
     Mode mode = Mode::kMmap;
-    /// Paged mode only: total frame budget and page size for the pool.
-    size_t pool_bytes = 64ull << 20;
-    size_t page_bytes = 64ull << 10;
   };
 
-  /// Opens a snapshot. kMmap/kPaged require an .lcsr2 file; kHeap accepts
-  /// anything LoadAuto can sniff (edge list, LCSR v1, .lcsr2), so every
-  /// tool can take one --graph-store flag regardless of mode.
+  /// Opens a snapshot. kMmap requires an .lcsr2 file; kHeap accepts
+  /// anything LoadAuto can sniff (edge list or .lcsr2), so every tool can
+  /// take one --graph-store flag regardless of mode.
   static Status Open(const std::string& path, const OpenOptions& options,
                      std::shared_ptr<const GraphStore>* out);
 
@@ -63,7 +58,7 @@ class GraphStore : public PagedNeighborSource {
   /// For callers composing a Session around a generated graph.
   static std::shared_ptr<const GraphStore> FromGraph(Graph graph);
 
-  ~GraphStore() override = default;
+  ~GraphStore() = default;
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
@@ -71,18 +66,15 @@ class GraphStore : public PagedNeighborSource {
   const std::string& path() const { return path_; }
 
   /// The mode-blind engine seam.
-  GraphView view() const;
+  GraphView view() const { return GraphView(graph_); }
 
-  /// The backing Graph for modes with resident adjacency (heap: owning;
-  /// mmap: borrowing the mapping). nullptr in paged mode — plan builders
-  /// fall back to analytic estimation there.
-  const Graph* graph() const {
-    return mode_ == Mode::kPaged ? nullptr : &graph_;
-  }
+  /// The backing Graph (heap: owning; mmap: borrowing the mapping). Never
+  /// null.
+  const Graph* graph() const { return &graph_; }
 
-  VertexID NumVertices() const { return num_vertices_; }
-  EdgeID NumEdges() const { return num_slots_ / 2; }
-  uint32_t MaxDegree() const { return max_degree_; }
+  VertexID NumVertices() const { return graph_.NumVertices(); }
+  EdgeID NumEdges() const { return graph_.NumEdges(); }
+  uint32_t MaxDegree() const { return graph_.MaxDegree(); }
 
   /// Per-vertex labels from the snapshot (empty when the file has none).
   std::span<const uint32_t> labels() const { return labels_; }
@@ -91,13 +83,6 @@ class GraphStore : public PagedNeighborSource {
   /// otherwise) — the store.bytes_mapped counter.
   uint64_t bytes_mapped() const {
     return region_ != nullptr ? region_->size() : 0;
-  }
-
-  /// Pool counters (all-zero outside paged mode). misses estimates page
-  /// faults the enumeration caused — the store.page_faults_estimated
-  /// counter.
-  BufferPoolStats pool_stats() const {
-    return pool_ != nullptr ? pool_->stats() : BufferPoolStats();
   }
 
   /// Lazily builds (once per distinct options) and shares a BitmapIndex
@@ -111,13 +96,8 @@ class GraphStore : public PagedNeighborSource {
   /// by checking this stays 1 across Sessions).
   size_t bitmap_cache_size() const LIGHT_EXCLUDES(bitmap_mutex_);
 
-  /// PagedNeighborSource: copy-out adjacency for the paged view. Aborts on
-  /// a mid-run IO error (the file opened and validated; losing it under a
-  /// running query is unrecoverable).
-  uint32_t CopyNeighbors(VertexID v, VertexID* out) const override;
-
   static const char* ModeName(Mode mode);
-  /// Parses "heap" | "mmap" | "paged" (tool flags).
+  /// Parses "heap" | "mmap" (tool flags); anything else returns false.
   static bool ParseMode(const std::string& name, Mode* out);
 
  private:
@@ -125,27 +105,18 @@ class GraphStore : public PagedNeighborSource {
 
   Mode mode_ = Mode::kHeap;
   std::string path_;
-  VertexID num_vertices_ = 0;
-  EdgeID num_slots_ = 0;
-  uint32_t max_degree_ = 0;
 
-  // kHeap: owning graph. kMmap: borrowed graph over region_. kPaged: unused
-  // (default-constructed).
+  // kHeap: owning graph. kMmap: borrowed graph over region_.
   Graph graph_;
   std::unique_ptr<MmapRegion> region_;  // kMmap only
 
-  // kPaged: resident offsets + the shared page pool over the adjacency
-  // section.
-  std::vector<EdgeID> offsets_;
-  std::unique_ptr<BufferPool> pool_;
-
-  // Labels: owned in heap/paged mode, a view into the mapping in mmap mode.
+  // Labels: owned in heap mode, a view into the mapping in mmap mode.
   std::vector<uint32_t> owned_labels_;
   std::span<const uint32_t> labels_;
 
-  // Shared bitmap cache, keyed by the build options. Rank 54 sits between
-  // the task queue (50) and the pool (55): a paged bitmap build faults
-  // adjacency through the pool while holding this mutex.
+  // Shared bitmap cache, keyed by the build options. Rank 54 sits above
+  // the task queue (50) and below the obs registries (70) the bitmap build
+  // publishes into.
   mutable Mutex bitmap_mutex_{lockrank::kStoreBitmap,
                               "GraphStore::bitmap_mutex_"};
   mutable std::map<std::pair<uint32_t, uint64_t>,

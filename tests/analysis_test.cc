@@ -35,9 +35,14 @@ bool HasRule(const LintReport& report, const std::string& rule_id) {
   return CountRule(report, rule_id) > 0;
 }
 
+const Graph& TestGraph() {
+  static const Graph graph = ErdosRenyi(/*n=*/256, /*m=*/2048, /*seed=*/7);
+  return graph;
+}
+
 GraphStats TestStats() {
-  static const GraphStats stats = ComputeGraphStats(
-      ErdosRenyi(/*n=*/256, /*m=*/2048, /*seed=*/7), /*count_triangles=*/true);
+  static const GraphStats stats =
+      ComputeGraphStats(TestGraph(), /*count_triangles=*/true);
   return stats;
 }
 
@@ -364,7 +369,7 @@ ExecutionPlan TwoTailTermPlan(IepDecomposition* dec_out = nullptr) {
   for (const IepTerm& term : dec.terms) {
     if (term.counted_tail.size() == 2) {
       if (dec_out != nullptr) *dec_out = dec;
-      return BuildIepTermPlan(term, TestStats(), nullptr,
+      return BuildIepTermPlan(term, TestGraph(), TestStats(),
                               PlanOptions::Light());
     }
   }
@@ -384,7 +389,7 @@ TEST(AnalysisTest, IepTermPlansAndDecompositionsLintClean) {
         << entry.name << ":\n" << dec_report.ToString();
     for (const IepTerm& term : dec.terms) {
       const ExecutionPlan plan =
-          BuildIepTermPlan(term, stats, nullptr, PlanOptions::Light());
+          BuildIepTermPlan(term, TestGraph(), stats, PlanOptions::Light());
       const LintReport report = LintPlan(term.pattern, plan, TestOptions());
       EXPECT_TRUE(report.empty())
           << entry.name << ":\n" << report.ToString();

@@ -141,47 +141,6 @@ TEST(FacadeTest, EnumerateHonorsTimeLimitAndReport) {
   EXPECT_EQ(report.tool, "light::Run");
 }
 
-// -------------------------------------------------------------------------
-// Deprecated flat-shim back-compat coverage. The shims carry [[deprecated]]
-// so new in-repo callers fail under -Werror; this section deliberately
-// keeps exercising them until removal.
-// -------------------------------------------------------------------------
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(FacadeTest, DeprecatedShimsFoldIntoPlanOptions) {
-  const Graph g = TestGraph();
-  Pattern square;
-  ASSERT_TRUE(FindPattern("square", &square).ok());
-
-  // An engaged flat shim must behave exactly like the nested field...
-  RunOptions via_shim;
-  via_shim.threads = 1;
-  via_shim.induced = true;
-  via_shim.lazy_materialization = false;
-  RunOptions via_nested;
-  via_nested.threads = 1;
-  via_nested.plan_options.induced = true;
-  via_nested.plan_options.lazy_materialization = false;
-  EXPECT_EQ(light::Run(g, square, via_shim).num_matches,
-            light::Run(g, square, via_nested).num_matches);
-
-  // ...and win over a conflicting nested value, then disengage.
-  RunOptions conflict;
-  conflict.plan_options.induced = false;
-  conflict.induced = true;
-  const RunOptions folded = conflict.Normalized();
-  EXPECT_TRUE(folded.plan_options.induced);
-  EXPECT_FALSE(folded.induced.has_value());
-
-  SessionOptions session_conflict;
-  session_conflict.plan_options.bitmap_min_degree = 7;
-  session_conflict.bitmap_min_degree = 3;
-  EXPECT_EQ(session_conflict.Normalized().plan_options.bitmap_min_degree, 3u);
-}
-
-#pragma GCC diagnostic pop
-
 TEST(FacadeTest, UniqueSubgraphsOverridesNestedSymmetryBreaking) {
   // unique_subgraphs is authoritative: Normalized() overwrites the nested
   // field from it, so a stale plan_options.symmetry_breaking cannot leak.

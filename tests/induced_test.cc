@@ -85,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(Patterns, InducedAgreementTest,
                            return i.param;
                          });
 
-TEST(InducedTest, ParallelAndPagedStoreAgree) {
+TEST(InducedTest, ParallelAndMmapStoreAgree) {
   const Graph g = RelabelByDegree(BarabasiAlbertClustered(600, 3, 0.4, 19));
   const GraphStats stats = ComputeGraphStats(g, true);
   Pattern p1;
@@ -103,13 +103,12 @@ TEST(InducedTest, ParallelAndPagedStoreAgree) {
   const std::string path = ::testing::TempDir() + "/induced.lcsr2";
   ASSERT_TRUE(SaveStoreFile(g, path).ok());
   GraphStore::OpenOptions store_opts;
-  store_opts.mode = GraphStore::Mode::kPaged;
-  store_opts.pool_bytes = 32 * 1024;
-  store_opts.page_bytes = 4 * 1024;
+  store_opts.mode = GraphStore::Mode::kMmap;
   std::shared_ptr<const GraphStore> store;
   ASSERT_TRUE(GraphStore::Open(path, store_opts, &store).ok());
-  Enumerator paged_engine(store->view(), plan);
-  EXPECT_EQ(paged_engine.Count(), expected);
+  Enumerator mmap_engine(store->view(), plan);
+  EXPECT_EQ(mmap_engine.Count(), expected);
+  EXPECT_EQ(ParallelCount(store->view(), plan, popts).num_matches, expected);
   std::remove(path.c_str());
 }
 

@@ -637,6 +637,23 @@ TEST(SessionReportTest, SchemaGuardKeepsRunReportV1Compatible) {
   EXPECT_FALSE(obs::RunReport::FromJson(session_report.ToJson(), &cross).ok());
 }
 
+TEST(SessionReportTest, AcceptsOlderStoreBlockWithPageFaults) {
+  // Documents written while the store had a paged mode carry
+  // store.page_faults_estimated; the key is ignored, the rest parses.
+  const std::string old_json =
+      "{\"schema\": \"light.session_report.v1\", \"tool\": \"old\", "
+      "\"store\": {\"mode\": \"mmap\", \"bytes_mapped\": 4096, "
+      "\"page_faults_estimated\": 0}}";
+  obs::SessionReport parsed;
+  ASSERT_TRUE(obs::SessionReport::FromJson(old_json, &parsed).ok());
+  EXPECT_EQ(parsed.tool, "old");
+  EXPECT_EQ(parsed.store_mode, "mmap");
+  EXPECT_EQ(parsed.store_bytes_mapped, 4096u);
+
+  // A freshly written report no longer emits the key.
+  EXPECT_EQ(parsed.ToJson().find("page_faults_estimated"), std::string::npos);
+}
+
 TEST(RunReportTest, EngineTraceProducesValidChromeTrace) {
   const Graph g = RelabelByDegree(BarabasiAlbert(800, 5, /*seed=*/11));
   Pattern p1;

@@ -34,13 +34,12 @@ void Usage() {
 
   --dataset NAME     synthetic catalog graph (yt_s eu_s lj_s ot_s uk_s fs_s)
   --scale S          scale factor for --dataset (default 1.0)
-  --graph PATH       load a graph file instead of a catalog graph (edge list,
-                     LCSR binary, or .lcsr2 snapshot — format is sniffed)
+  --graph PATH       load a graph file instead of a catalog graph (edge list
+                     or .lcsr2 snapshot — format is sniffed)
   --graph-store PATH query a CSR snapshot through the storage engine
-                     (.lcsr2 for mmap/paged; heap mode accepts any format;
+                     (.lcsr2 for mmap; heap mode also accepts edge lists;
                      light/se/lm/msc only)
-  --store-mode MODE  heap | mmap (default) | paged — how --graph-store opens
-  --pool-mb MB       paged mode: buffer-pool budget in MiB (default 64)
+  --store-mode MODE  heap | mmap (default) — how --graph-store opens
   --save-store PATH  write the loaded graph as an .lcsr2 snapshot and exit
                      (unless a pattern/batch is also requested)
   --pattern NAME     pattern (P1..P7, triangle, k4, k5, house, ... )
@@ -224,7 +223,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Data source: either a GraphStore (one snapshot, three open modes) or a
+  // Data source: either a GraphStore (one snapshot, two open modes) or a
   // plain in-memory graph. The GraphView seam keeps the rest of the CLI
   // mode-blind.
   std::shared_ptr<const GraphStore> store;
@@ -234,12 +233,12 @@ int main(int argc, char** argv) {
     GraphStore::OpenOptions store_options;
     if (const char* v = FlagValue(argc, argv, "--store-mode")) {
       if (!GraphStore::ParseMode(v, &store_options.mode)) {
-        std::fprintf(stderr, "error: unknown --store-mode '%s'\n", v);
+        std::fprintf(stderr,
+                     "error: unknown --store-mode '%s' (expected heap or "
+                     "mmap)\n",
+                     v);
         return 1;
       }
-    }
-    if (const char* v = FlagValue(argc, argv, "--pool-mb")) {
-      store_options.pool_bytes = static_cast<size_t>(std::atof(v) * 1048576.0);
     }
     if (Status s = GraphStore::Open(store_path, store_options, &store);
         !s.ok()) {
@@ -261,15 +260,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The resident CSR every LIGHT-family path plans and saves from.
+  const Graph& data_graph = store != nullptr ? *store->graph() : graph;
+
   if (save_store_path != nullptr) {
-    const Graph* source = store != nullptr ? store->graph() : &graph;
-    if (source == nullptr) {
-      std::fprintf(stderr,
-                   "error: --save-store cannot re-export a paged store "
-                   "(open it with --store-mode heap or mmap)\n");
-      return 1;
-    }
-    if (Status s = SaveStoreFile(*source, save_store_path); !s.ok()) {
+    if (Status s = SaveStoreFile(data_graph, save_store_path); !s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
@@ -672,32 +667,16 @@ int main(int argc, char** argv) {
   // Build the plan once (reusing the stats computed above) and hand it to
   // Run as an override; cfl uses its own plan builder. An IEP-eligible run
   // keeps the override empty: the facade must be free to decompose the
-  // pattern instead of executing one monolithic plan. A paged store has no
-  // resident Graph, so the session resolves its own (analytic) plan there.
-  ExecutionPlan plan;
-  bool have_plan = false;
-  if (algo == "cfl") {
-    plan = BuildCflLikePlan(pattern, symmetry);
-    have_plan = true;
-  } else {
-    const Graph* plan_graph = store != nullptr ? store->graph() : &graph;
-    if (plan_graph != nullptr) {
-      plan = BuildRunPlan(*plan_graph, stats, pattern, run_options);
-      have_plan = true;
-    }
-  }
-  if (have_plan &&
-      run_options.plan_options.count_strategy == CountStrategy::kEnumerate) {
+  // pattern instead of executing one monolithic plan.
+  const ExecutionPlan plan =
+      algo == "cfl"
+          ? BuildCflLikePlan(pattern, symmetry)
+          : BuildRunPlan(data_graph, stats, pattern, run_options);
+  if (run_options.plan_options.count_strategy == CountStrategy::kEnumerate) {
     run_options.plan = &plan;
   }
   if (FlagSet(argc, argv, "--show-plan")) {
-    if (have_plan) {
-      std::printf("%s", plan.ToString().c_str());
-    } else {
-      std::fprintf(stderr,
-                   "warning: --show-plan is unavailable for paged stores "
-                   "(plan is resolved inside the session)\n");
-    }
+    std::printf("%s", plan.ToString().c_str());
   }
 
   // Report sink: always attached so the result line can print the routing

@@ -30,9 +30,8 @@ void Usage() {
   --scale S          scale factor for --dataset (default 1.0)
   --graph PATH       load an edge-list file instead of a catalog graph
   --graph-store PATH serve a CSR snapshot through the storage engine
-                     (.lcsr2 for mmap/paged; heap mode accepts any format)
-  --store-mode MODE  heap | mmap (default) | paged — how --graph-store opens
-  --pool-mb MB       paged mode: buffer-pool budget in MiB (default 64)
+                     (.lcsr2 for mmap; heap mode also accepts edge lists)
+  --store-mode MODE  heap | mmap (default) — how --graph-store opens
   --host ADDR        bind address (default 127.0.0.1)
   --port P           TCP port; 0 (default) binds an ephemeral port
   --threads K        session worker threads (default: all cores)
@@ -90,8 +89,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Either a GraphStore (the storage engine: heap/mmap/paged over one
-  // snapshot format) or a plain in-memory graph. Both end up behind the
+  // Either a GraphStore (the storage engine: heap/mmap over one snapshot
+  // format) or a plain in-memory graph. Both end up behind the
   // same Session seam.
   std::shared_ptr<const GraphStore> store;
   Graph graph;
@@ -99,12 +98,12 @@ int main(int argc, char** argv) {
     GraphStore::OpenOptions store_options;
     if (const char* v = FlagValue(argc, argv, "--store-mode")) {
       if (!GraphStore::ParseMode(v, &store_options.mode)) {
-        std::fprintf(stderr, "error: unknown --store-mode '%s'\n", v);
+        std::fprintf(stderr,
+                     "error: unknown --store-mode '%s' (expected heap or "
+                     "mmap)\n",
+                     v);
         return 1;
       }
-    }
-    if (const char* v = FlagValue(argc, argv, "--pool-mb")) {
-      store_options.pool_bytes = static_cast<size_t>(std::atof(v) * 1048576.0);
     }
     if (Status s = GraphStore::Open(store_path, store_options, &store);
         !s.ok()) {
@@ -194,10 +193,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(st.plan_cache_hits),
       static_cast<unsigned long long>(st.plan_cache_misses));
   if (!st.store_mode.empty()) {
-    std::printf("store: mode=%s bytes_mapped=%llu page_faults_estimated=%llu\n",
-                st.store_mode.c_str(),
-                static_cast<unsigned long long>(st.store_bytes_mapped),
-                static_cast<unsigned long long>(st.store_page_faults_estimated));
+    std::printf("store: mode=%s bytes_mapped=%llu\n", st.store_mode.c_str(),
+                static_cast<unsigned long long>(st.store_bytes_mapped));
   }
 
   if (const char* path = FlagValue(argc, argv, "--session-report")) {
