@@ -201,7 +201,7 @@ print(f"server smoke OK: {fixed['queries']} fixed queries "
 EOF
 
 if [[ "$skip_tsan" -eq 0 ]]; then
-  echo "==> TSan: parallel + obs + session + net + concurrency tests"
+  echo "==> TSan: parallel + obs + session + facade + net + concurrency tests"
   # LIGHT_LOCK_RANKS=ON arms the lock-rank checker under TSan too, so the
   # sweep validates both data-race freedom and acquisition order.
   cmake -B build-tsan -S . \
@@ -210,11 +210,13 @@ if [[ "$skip_tsan" -eq 0 ]]; then
     -DLIGHT_BUILD_BENCHMARKS=OFF \
     -DLIGHT_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
-    --target parallel_test obs_test session_test net_test concurrency_test \
-    storage_test light_server light_client
+    --target parallel_test obs_test session_test facade_test net_test \
+    concurrency_test storage_test light_server light_client
   ./build-tsan/tests/parallel_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/session_test
+  # Parallel IEP: the term plans of one query run as concurrent pool parts.
+  ./build-tsan/tests/facade_test
   ./build-tsan/tests/net_test
   ./build-tsan/tests/concurrency_test
   # Multi-threaded ParallelCount over one shared mmap store, and two
@@ -223,7 +225,7 @@ if [[ "$skip_tsan" -eq 0 ]]; then
 
   echo "==> TSan: light_server/light_client loopback soak"
   # The full serving path (event loop, session callbacks, pool workers,
-  # deadline/watchdog threads) under ThreadSanitizer: saturate over
+  # session timer thread) under ThreadSanitizer: saturate over
   # loopback for ~2s, then SIGTERM and require a clean zero-leak exit.
   tsan_server_log="build-tsan/soak_server.log"
   ./build-tsan/tools/light_server --dataset yt_s --scale 0.02 --threads 4 \

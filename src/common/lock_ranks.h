@@ -17,9 +17,7 @@
 //   | 10   | detail::SessionQueryState::mutex   | 35, 36, 37, 38, 60           |
 //   | 20   | Session::init_mutex_               | 70, 71                       |
 //   | 25   | Session::cache_mutex_              | (leaf)                       |
-//   | 30   | Session::deadline_mutex_           | (leaf; timer thread drops it |
-//   |      |                                    |  before taking init 20)      |
-//   | 31   | Session::watchdog_mutex_           | (leaf; watchdog drops it     |
+//   | 30   | Session::timer_mutex_              | (leaf; timer thread drops it |
 //   |      |                                    |  before taking init 20)      |
 //   | 35   | Session::cancel_mutex_             | (leaf)                       |
 //   | 36   | Session::inflight_mutex_           | (leaf)                       |
@@ -37,7 +35,7 @@
 //   | 71   | obs::Tracer::mutex_                | (leaf)                       |
 //
 // Key chains this encodes:
-//   - SessionQueryState::mutex (10) is held across FinalizeFromPool, which
+//   - SessionQueryState::mutex (10) is held across Finalize, which
 //     records completion under cancel/inflight/stats/log (35-38) and may run
 //     the user callback, which in net::Server enqueues under
 //     completions_mutex_ (60).
@@ -45,9 +43,9 @@
 //     graph stats, which touch obs registries (70, 71).
 //   - PoolQueryState::abort_mutex (40) is held in WorkerPool::Cancel while
 //     calling MultiQueryQueue::Abort (50).
-//   - The deadline-timer (30) and watchdog (31) threads must NOT hold their
-//     wait mutex when they call back into the session (init 20); the checker
-//     turns a regression there into an immediate abort.
+//   - The session timer thread (30) must NOT hold its wait mutex when it
+//     fires a deadline or scans for stuck queries (init 20 and below); the
+//     checker turns a regression there into an immediate abort.
 //   - Session::EnsureBitmap under init 20 may call
 //     GraphStore::SharedBitmap, which builds and caches under bitmap_mutex_
 //     (54). It sits above the queue rank (50) and below the obs registries
@@ -59,8 +57,7 @@ namespace lockrank {
 inline constexpr int kSessionQueryState = 10;
 inline constexpr int kSessionInit = 20;
 inline constexpr int kSessionCache = 25;
-inline constexpr int kSessionDeadline = 30;
-inline constexpr int kSessionWatchdog = 31;
+inline constexpr int kSessionTimer = 30;
 inline constexpr int kSessionCancel = 35;
 inline constexpr int kSessionInflight = 36;
 inline constexpr int kSessionStats = 37;

@@ -2,9 +2,19 @@
 #define LIGHT_COMMON_TIMER_H_
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 namespace light {
+
+/// Steady-clock nanoseconds: the one lifecycle clock behind session admit
+/// times, deadlines, and the worker pool's queue-wait/execute records.
+inline uint64_t MonotonicNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Wall-clock stopwatch used by the benchmark harness and the engines' time
 /// budgets (OOT simulation).

@@ -115,7 +115,8 @@ struct OracleOutcome {
   /// cross-checked against the GK-restriction pivot.
   bool restriction_checked = false;
   /// True when the IEP leg ran: the pattern admitted an inclusion–exclusion
-  /// decomposition (plan/iep.h) and light::Run with count_strategy=kIep was
+  /// decomposition (plan/iep.h) and count_strategy=kIep — serial and
+  /// parallel light::Run, plus a caching Session::RunSync run twice — was
   /// cross-checked against the enumerated pivot.
   bool iep_checked = false;
   /// True when the storage-engine leg ran: the case graph was written as an

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -166,8 +167,6 @@ OracleOutcome RunOracles(const FuzzCase& c) {
         outcome.lint_text += "iep_decomposition:\n" + report.ToString();
       }
     }
-    EngineCount e;
-    e.name = "iep";
     RunOptions iep_options;
     iep_options.threads = 1;
     iep_options.unique_subgraphs = c.symmetry_breaking;
@@ -177,14 +176,32 @@ OracleOutcome RunOracles(const FuzzCase& c) {
     iep_options.plan_options.auto_kernel = false;
     iep_options.plan_options.bitmap_min_degree = c.bitmap_min_degree;
     iep_options.plan_options.count_strategy = CountStrategy::kIep;
-    const RunResult result = Run(graph, c.pattern, iep_options);
-    if (result.ok()) {
-      e.count = result.num_matches;
-    } else {
-      e.count = std::numeric_limits<uint64_t>::max();
-      e.note = result.error;
+    // The same count with the terms as pool parts of one query (a hostile
+    // negative thread count means "whole pool" here), and twice through a
+    // caching session: the repeat serves every term plan from the cache.
+    RunOptions parallel_options = iep_options;
+    parallel_options.threads = std::max(0, c.parallel.num_threads);
+    SessionOptions session_options;
+    session_options.threads = 2;
+    session_options.plan_options.bitmap_min_degree = c.bitmap_min_degree;
+    Session session(graph, session_options);
+    const std::pair<const char*, RunResult> legs[] = {
+        {"iep", Run(graph, c.pattern, iep_options)},
+        {"iep_parallel", Run(graph, c.pattern, parallel_options)},
+        {"iep_session", session.RunSync(c.pattern, parallel_options)},
+        {"iep_session_cached", session.RunSync(c.pattern, parallel_options)},
+    };
+    for (const auto& [name, result] : legs) {
+      EngineCount e;
+      e.name = name;
+      if (result.ok()) {
+        e.count = result.num_matches;
+      } else {
+        e.count = std::numeric_limits<uint64_t>::max();
+        e.note = result.error;
+      }
+      outcome.engines.push_back(std::move(e));
     }
-    outcome.engines.push_back(std::move(e));
     outcome.iep_checked = true;
   }
 

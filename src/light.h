@@ -99,10 +99,10 @@ struct RunOptions {
   /// thresholds. Shared verbatim with SessionOptions; the session plan
   /// cache keys on PlanOptions::CacheKey().
   ///
-  /// count_strategy is honored by Run/RunSync (kIep/kAuto route counting
-  /// queries through the inclusion–exclusion driver, which itself uses the
-  /// pool when threads != 1); Submit/SubmitAsync/RunBatch tickets always
-  /// enumerate.
+  /// count_strategy is honored by Run/RunSync (kIep/kAuto count through an
+  /// inclusion–exclusion decomposition whose term plans run as parts of
+  /// the one query: in turn inline when threads == 1, else concurrently on
+  /// the pool); Submit/SubmitAsync/RunBatch tickets always enumerate.
   PlanOptions plan_options;
   /// Precompiled plan override (e.g. from BuildRunPlan or a baseline plan
   /// builder); must outlive the call and match `pattern`. When set, the
@@ -250,9 +250,10 @@ struct SessionOptions {
   /// their canonical pattern, plan summary, and progress snapshot. 0 (the
   /// default) disables the log.
   double slow_query_threshold_seconds = 0;
-  /// Watchdog window: a background thread snapshots queue progress every
-  /// window and records queries whose lease count did not advance across a
-  /// full window as "stuck". 0 (the default) disables the watchdog.
+  /// Watchdog window: the session timer thread snapshots queue progress
+  /// every window and records queries whose lease count did not advance
+  /// across a full window as "stuck". 0 (the default) disables the
+  /// watchdog.
   double stuck_query_window_seconds = 0;
   /// Per-query lifecycle records retained for session reports (oldest
   /// evicted beyond this).
@@ -315,7 +316,17 @@ uint64_t LiveQueryStates();
 /// samples, per-worker scratch arenas, and a plan cache keyed by canonical
 /// pattern form (isomorphic patterns share one linted plan — counting is
 /// invariant under vertex renumbering). Heavy shared state is built lazily:
-/// a session that only ever runs serial queries never starts the pool.
+/// a session that only ever runs serial queries never starts the pool, and
+/// the one background thread — the session timer, which fires deadlines
+/// and runs the stuck-query watchdog — starts with the first pool query
+/// that needs it.
+///
+/// Every query, whatever the entry point, follows one lifecycle: admit
+/// (validate, normalize, stamp id and admit time, count the submission),
+/// resolve its plans through the one plan cache, execute them — inline on
+/// the caller for serial RunSync, else on the pool — and deliver one
+/// RunResult that is counted and logged once. An inclusion–exclusion count
+/// is one such query whose K term plans are its parts.
 ///
 /// Thread safety: Submit/RunSync/RunBatch/stats may be called concurrently
 /// from any number of caller threads. The graph (and any data_labels /
@@ -452,67 +463,76 @@ class Session {
     uint64_t last_used = 0;
   };
 
-  /// Resolves the execution plan for a query: cache lookup by canonical
-  /// key, build + lint-at-insert on miss, LRU eviction. On lint failure
-  /// returns null with `error` set. With caching disabled (capacity 0)
-  /// builds a fresh plan for `pattern` itself, bypassing canonicalization.
+  // The query lifecycle every entry point shares: Admit, then Launch
+  // (resolve each part's plan, Execute each part), then delivery through
+  // SessionQueryState::Finalize, which calls RecordQueryDone.
+
+  /// Validates and normalizes the options, stamps the query id and admit
+  /// time, and counts the submission. A validation failure is kept on the
+  /// state and delivered like any other result.
+  std::shared_ptr<detail::SessionQueryState> Admit(
+      const Pattern& pattern, const RunOptions& options, const char* tool,
+      std::function<void(const RunResult&)> callback)
+      LIGHT_EXCLUDES(stats_mutex_);
+  /// Resolves the plans of an admitted query — one per IEP term when
+  /// `allow_iep` and the count strategy pick inclusion–exclusion, else one
+  /// — and executes them: inline on the caller thread, or as pool queries
+  /// sharing the query's id and admit time (then registered for Cancel and
+  /// the timer).
+  void Launch(const std::shared_ptr<detail::SessionQueryState>& s,
+              bool on_pool, bool allow_iep);
+  /// The one plan resolver: a caller-supplied RunOptions::plan (linted,
+  /// never cached), else a cache lookup keyed by canonical form (pattern
+  /// plans) or exact structure ("iep-term:" keys, when `term` is set), or
+  /// no key when caching is off or a visitor is attached; build + lint on
+  /// miss, LRU eviction at insert. On lint failure returns null with
+  /// `error` set.
   std::shared_ptr<const ExecutionPlan> ResolvePlan(const Pattern& pattern,
+                                                   const IepTerm* term,
                                                    const RunOptions& opts,
                                                    std::string* error,
                                                    bool* cache_hit)
-      LIGHT_EXCLUDES(cache_mutex_);
+      LIGHT_EXCLUDES(cache_mutex_, stats_mutex_);
+  /// Plan linter gate (plus the session's bitmap config); `stats` adds the
+  /// cardinality rules. False with `error` set on any error finding.
+  bool Lint(const Pattern& pattern, const ExecutionPlan& plan,
+            const GraphStats* stats, std::string* error) const;
+  /// The one executor: runs part `i` of `s` inline (budget anchored at the
+  /// query's admit) or submits it to the pool.
+  void Execute(const std::shared_ptr<detail::SessionQueryState>& s, size_t i);
+  /// Aborts every pool part of `s`; true when an abort was delivered.
+  bool Kill(detail::SessionQueryState& s, int reason)
+      LIGHT_EXCLUDES(init_mutex_);
 
   Ticket SubmitInternal(const Pattern& pattern, const RunOptions& options,
                         const char* tool,
                         std::function<void(const RunResult&)> callback);
   RunResult RunSyncWithTool(const Pattern& pattern, const RunOptions& options,
                             const char* tool);
-  RunResult RunSerial(const Pattern& pattern, const RunOptions& opts,
-                      const char* tool);
-  /// Inclusion–exclusion counting driver (plan/iep.h): resolves one
-  /// counted-tail plan per term through the plan cache, counts each term
-  /// (inline when opts.threads == 1, else as plan-override pool queries),
-  /// and combines the signed term counts; emb(P) / |Aut(P)| when
-  /// opts.unique_subgraphs. `opts` is normalized and IEP-eligible (no
-  /// visitor, not induced, no plan override) and `dec` is valid.
-  RunResult RunIep(const Pattern& pattern, const IepDecomposition& dec,
-                   const RunOptions& opts, const char* tool);
-  /// ResolvePlan's counterpart for IEP term plans: cache key =
-  /// "iep-term:" + exact term structure (term sharing requires identical
-  /// submitter numbering — canonical-form sharing would mix decompositions
-  /// of different numberings).
-  std::shared_ptr<const ExecutionPlan> ResolveIepTermPlan(
-      const IepTerm& term, const RunOptions& opts, const std::string& base_key,
-      std::string* error) LIGHT_EXCLUDES(cache_mutex_);
   const GraphStats& EnsureStats() LIGHT_EXCLUDES(init_mutex_);
   const BitmapIndex& EnsureBitmap() LIGHT_EXCLUDES(init_mutex_);
   WorkerPool& EnsurePool() LIGHT_EXCLUDES(init_mutex_);
-  void OnResultDelivered() LIGHT_EXCLUDES(stats_mutex_);
 
-  /// Completion hook: observes the lifecycle histograms, appends the query
-  /// log record, applies the slow-query threshold, and retires the
-  /// query's watchdog registration. `plan` may be null (error results).
+  /// Delivery hook: counts the completion and its outcome; for queries that
+  /// ran (`plan` non-null) also observes the lifecycle histograms, appends
+  /// the query log record, applies the slow-query threshold, and retires
+  /// the cancel and watchdog registrations.
   void RecordQueryDone(const RunResult& result, const Pattern& pattern,
                        const ExecutionPlan* plan)
       LIGHT_EXCLUDES(cancel_mutex_, inflight_mutex_, stats_mutex_, log_mutex_);
-  void WatchdogMain() LIGHT_EXCLUDES(watchdog_mutex_);
-  void RecordStuckQueries(
-      const std::vector<MultiQueryQueue::QueryProgress>& stuck)
+
+  /// The session timer: one thread, started lazily by the first pool query
+  /// with a deadline or a watchdog window. It pops a min-heap of {fire
+  /// time, query} into Kill (WorkerPool::Cancel -> MultiQueryQueue::Abort)
+  /// and, every stuck_query_window_seconds, records queries whose lease
+  /// count did not advance across the window.
+  void ArmTimer(const std::shared_ptr<detail::SessionQueryState>& s)
+      LIGHT_EXCLUDES(timer_mutex_);
+  void TimerMain() LIGHT_EXCLUDES(timer_mutex_);
+  void ScanStuckQueries(std::vector<MultiQueryQueue::QueryProgress>* prev)
       LIGHT_EXCLUDES(inflight_mutex_, log_mutex_, stats_mutex_);
 
-  /// Deadline machinery: a dedicated timer thread (same cv-timed loop
-  /// shape as the watchdog, started lazily on the first finite-deadline
-  /// submission) pops a min-heap of {fire time, query} and maps expiries
-  /// onto WorkerPool::Cancel → MultiQueryQueue::Abort.
-  void RegisterDeadline(uint64_t fire_ns,
-                        const std::shared_ptr<detail::SessionQueryState>& s)
-      LIGHT_EXCLUDES(deadline_mutex_);
-  void DeadlineTimerMain() LIGHT_EXCLUDES(deadline_mutex_);
-  void FireDeadline(const std::shared_ptr<detail::SessionQueryState>& s)
-      LIGHT_EXCLUDES(deadline_mutex_);
-  void UnregisterQuery(uint64_t query_id) LIGHT_EXCLUDES(cancel_mutex_);
-
-  /// Shared constructor tail: obs counter resolution + watchdog start.
+  /// Shared constructor tail: obs counter resolution.
   void InitCommon();
 
   // Data-graph identity, fixed at construction. Graph-reference sessions
@@ -580,15 +600,10 @@ class Session {
   std::unordered_map<uint64_t, InflightQuery> inflight_
       LIGHT_GUARDED_BY(inflight_mutex_);
 
-  std::thread watchdog_;
-  mutable Mutex watchdog_mutex_{lockrank::kSessionWatchdog,
-                                "Session::watchdog_mutex_"};
-  CondVar watchdog_cv_;
-  bool watchdog_stop_ LIGHT_GUARDED_BY(watchdog_mutex_) = false;
-
-  // Deadline timer (lazy thread; heap ordered by fire time). Expired
-  // entries whose query already finished resolve to a dead weak_ptr or a
-  // no-op Cancel, so completion never has to search the heap.
+  // Session timer (lazy thread): deadlines on a heap ordered by fire time,
+  // plus the watchdog scan. Expired entries whose query already finished
+  // resolve to a dead weak_ptr or a no-op Cancel, so completion never has
+  // to search the heap.
   struct DeadlineEntry {
     uint64_t fire_ns = 0;
     std::weak_ptr<detail::SessionQueryState> state;
@@ -598,14 +613,13 @@ class Session {
       return a.fire_ns > b.fire_ns;
     }
   };
-  std::thread deadline_thread_;
-  mutable Mutex deadline_mutex_{lockrank::kSessionDeadline,
-                                "Session::deadline_mutex_"};
-  CondVar deadline_cv_;
-  bool deadline_stop_ LIGHT_GUARDED_BY(deadline_mutex_) = false;
+  std::thread timer_thread_;
+  mutable Mutex timer_mutex_{lockrank::kSessionTimer, "Session::timer_mutex_"};
+  CondVar timer_cv_;
+  bool timer_stop_ LIGHT_GUARDED_BY(timer_mutex_) = false;
   std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
                       DeadlineLater>
-      deadline_heap_ LIGHT_GUARDED_BY(deadline_mutex_);
+      timer_heap_ LIGHT_GUARDED_BY(timer_mutex_);
 
   // Cancel index: query id -> live submitted query (pool path only;
   // entries retire when the result is recorded).

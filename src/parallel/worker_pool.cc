@@ -1,7 +1,6 @@
 #include "parallel/worker_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -19,13 +18,6 @@
 
 namespace light {
 namespace {
-
-uint64_t MonotonicNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// The per-worker candidate-buffer footprint the Enumerator constructor
 /// will report for this (graph, plan) pair — computed analytically so the

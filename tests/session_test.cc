@@ -364,6 +364,65 @@ TEST(SessionTest, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.plan_cache_misses, 3u);
 }
 
+TEST(SessionTest, IepQueryIsOneQueryOnEveryPath) {
+  // An inclusion-exclusion count runs its K term plans as parts of ONE
+  // query, inline and on the pool alike: one submit, one delivery, one
+  // query-log record, term plans counted as plan-cache lookups, and
+  // deadline counters that agree with the delivered outcome.
+  const Graph g = TestGraph();
+  const Graph big = RelabelByDegree(BarabasiAlbert(20000, 8, /*seed=*/5));
+  const Pattern star = Named("star4");
+  const IepDecomposition dec = BuildIepDecomposition(star);
+  ASSERT_TRUE(dec.valid());
+  const uint64_t terms = dec.terms.size();
+  RunOptions enumerate;
+  enumerate.threads = 1;
+  const uint64_t expected = light::Run(g, star, enumerate).num_matches;
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SessionOptions so;
+    so.threads = 4;
+    Session session(g, so);
+    RunOptions iep;
+    iep.threads = threads;
+    iep.plan_options.count_strategy = CountStrategy::kIep;
+    const RunResult first = session.RunSync(star, iep);
+    ASSERT_TRUE(first.ok()) << first.error;
+    EXPECT_EQ(first.num_matches, expected);
+    SessionStats stats = session.stats();
+    EXPECT_EQ(stats.queries_submitted, 1u);
+    EXPECT_EQ(stats.queries_completed, 1u);
+    EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, terms);
+    obs::SessionReport report;
+    session.FillSessionReport(&report);
+    EXPECT_EQ(report.queries.size(), 1u);
+
+    // The same query again: every term plan is a cache hit.
+    const uint64_t hits_before = stats.plan_cache_hits;
+    EXPECT_EQ(session.RunSync(star, iep).num_matches, expected);
+    stats = session.stats();
+    EXPECT_EQ(stats.plan_cache_hits, hits_before + terms);
+    EXPECT_EQ(stats.queries_submitted, 2u);
+    EXPECT_EQ(stats.queries_completed, 2u);
+
+    // A budget far below the run time, anchored at the query's admit.
+    Session slow(big, so);
+    RunOptions tight = iep;
+    tight.time_limit_seconds = 0.02;
+    const RunResult r = slow.RunSync(Named("book4"), tight);
+    EXPECT_TRUE(r.ok() || r.outcome == QueryOutcome::kDeadlineExceeded)
+        << r.error;
+    const SessionStats slow_stats = slow.stats();
+    EXPECT_EQ(slow_stats.queries_submitted, 1u);
+    EXPECT_EQ(slow_stats.queries_completed, 1u);
+    EXPECT_EQ(slow_stats.deadline_exceeded,
+              r.outcome == QueryOutcome::kDeadlineExceeded ? 1u : 0u);
+    slow.FillSessionReport(&report);
+    EXPECT_EQ(report.queries.size(), 1u);
+  }
+}
+
 TEST(SessionObsTest, TicketCarriesQueryLifecycleStats) {
   const Graph g = TestGraph();
   const Pattern triangle = Named("triangle");
