@@ -359,6 +359,14 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke exercised no store-parity cases" >&2
     exit 1
   fi
+  # Labeled cases are the differential oracle for label filtering in COMP
+  # and MAT (the MAT loop trusts COMP's filtered candidate sets); zero
+  # means the labeled leg went dark.
+  labeled_cases="$(sed -n 's/.*labeled_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
+  if [[ -z "$labeled_cases" || "$labeled_cases" -lt 1 ]]; then
+    echo "==> fuzz smoke exercised no labeled cases" >&2
+    exit 1
+  fi
   # This build arms the lock-rank checker (LIGHT_LOCK_RANKS=ON above); a
   # zero counter means the checker silently went dark and the whole sweep
   # proved nothing about acquisition order.

@@ -232,10 +232,6 @@ void Enumerator::RunRootImpl(VertexID v) {
   if (stop_) return;
   const int first = plan_.FirstVertex();
   if (!LabelMatches(first, v)) return;
-  if (allowed_ != nullptr) {
-    const auto& list = (*allowed_)[static_cast<size_t>(first)];
-    if (!std::binary_search(list.begin(), list.end(), v)) return;
-  }
   ++stats_.mat_counts[static_cast<size_t>(first)];
   ++stats_.num_partial_results;
   mapping_[static_cast<size_t>(first)] = v;
@@ -291,15 +287,6 @@ void Enumerator::RunCompute(size_t op_index) {
   const int u = plan_.sigma[op_index].vertex;
   ScopedOpSpan span(trace_root_, "COMP", u);
   if (universal_[static_cast<size_t>(u)]) {
-    if (allowed_ != nullptr) {
-      // No backward neighbors, but the candidate space bounds u directly.
-      const auto& list = (*allowed_)[static_cast<size_t>(u)];
-      ++stats_.comp_counts[static_cast<size_t>(u)];
-      cand_data_[static_cast<size_t>(u)] = list.data();
-      cand_size_[static_cast<size_t>(u)] = static_cast<uint32_t>(list.size());
-      if (!list.empty()) Run(op_index + 1);
-      return;
-    }
     // Candidate set is V(G); nothing to compute (it is never empty; labels
     // are checked during materialization).
     Run(op_index + 1);
@@ -326,13 +313,8 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
     sets[k++] = SetView({cand_data_[static_cast<size_t>(y)],
                          cand_size_[static_cast<size_t>(y)]});
   }
-  // NOTE: the candidate-space restriction (allowed_) is deliberately NOT an
-  // intersection operand here: stored candidate sets are reused through K2
-  // by later vertices with different allowed lists, so baking u's
-  // restriction in would over-prune them. Membership is checked at
-  // materialization instead. (Labels are safe to bake in because the
-  // set-cover construction only reuses C(u') with an identical or weaker
-  // label filter.)
+  // Labels are safe to bake into the stored set: the set-cover construction
+  // only reuses C(u') through K2 with an identical or weaker label filter.
   ++stats_.comp_counts[static_cast<size_t>(u)];
   auto& buffer = cand_buffer_[static_cast<size_t>(u)];
   const bool filter =
@@ -397,21 +379,10 @@ void Enumerator::RunMaterialize(size_t op_index) {
 
   const bool last_op = op_index + 1 == num_ops_;
   const bool counting_leaf = last_op && visitor_ == nullptr;
-  // Universal vertices with a candidate space iterate the allowed list
-  // itself (COMP pointed cand_data_ at it), so no membership check needed.
-  const bool check_allowed =
-      allowed_ != nullptr && !universal_[static_cast<size_t>(u)];
-  const std::vector<VertexID>* allowed_list =
-      check_allowed ? &(*allowed_)[static_cast<size_t>(u)] : nullptr;
 
+  // Labels are already checked: non-universal candidate sets went through
+  // FilterByLabel in COMP, and the universal loop below checks them itself.
   auto try_vertex = [&](VertexID v) {
-    if (allowed_list != nullptr &&
-        !std::binary_search(allowed_list->begin(), allowed_list->end(), v)) {
-      return;
-    }
-    // Redundant for label-filtered candidate buffers (cheap: wildcard
-    // short-circuits), load-bearing for allowed lists built without labels.
-    if (!LabelMatches(u, v)) return;
     // Injectivity: skip data vertices already bound (Algorithm 1 line 12).
     for (VertexID b : bound_values_) {
       if (b == v) return;
@@ -439,7 +410,7 @@ void Enumerator::RunMaterialize(size_t op_index) {
     mapping_[static_cast<size_t>(u)] = kInvalidVertex;
   };
 
-  if (universal_[static_cast<size_t>(u)] && allowed_ == nullptr) {
+  if (universal_[static_cast<size_t>(u)]) {
     for (VertexID v = lo; v < hi && !stop_; ++v) {
       if (CheckDeadline()) return;
       if (!LabelMatches(u, v)) continue;

@@ -91,14 +91,6 @@ class Enumerator {
   /// Sets the visitor for subsequent RunRoot calls (null = counting only).
   void SetVisitor(MatchVisitor* visitor) { visitor_ = visitor; }
 
-  /// Restricts pattern vertex u to allowed[u] (sorted candidate lists, e.g.
-  /// from filter/candidate_space.h). Computed candidate sets are
-  /// intersected against the lists; root bindings outside allowed[pi[1]]
-  /// are skipped. Null disables. Must outlive the enumerator.
-  void SetAllowedCandidates(const std::vector<std::vector<VertexID>>* allowed) {
-    allowed_ = allowed;
-  }
-
   /// Attaches a per-graph bitmap index (graph/bitmap_index.h): candidate
   /// computation then routes intersections over indexed neighborhoods to the
   /// bitmap kernels per the cost model. Null or empty detaches — the engine
@@ -159,7 +151,6 @@ class Enumerator {
   const ExecutionPlan& plan_;
   const std::vector<uint32_t>* data_labels_;
   ScratchArena* arena_ = nullptr;
-  const std::vector<std::vector<VertexID>>* allowed_ = nullptr;
   const BitmapIndex* bitmap_index_ = nullptr;
   std::vector<uint64_t> word_scratch_;  // BitmapWords(|V|) when index attached
   IntersectKernel kernel_;

@@ -25,6 +25,7 @@ Status RunFuzz(const FuzzOptions& options, FuzzSummary* summary) {
     if (outcome.restriction_checked) ++summary->restriction_cases;
     if (outcome.iep_checked) ++summary->iep_cases;
     if (outcome.store_checked) ++summary->store_cases;
+    if (!c.labels.empty()) ++summary->labeled_cases;
     if (outcome.session_checked) {
       ++summary->session_cases;
       session_latency.Observe(outcome.session_latency_ns);

@@ -197,6 +197,9 @@ struct FuzzSummary {
   /// Cases the storage-engine parity leg ran on (CI asserts the smoke run
   /// exercises the mmap store path).
   uint64_t store_cases = 0;
+  /// Cases with a labeled pattern and data graph (CI asserts the smoke run
+  /// exercises label filtering in COMP and MAT).
+  uint64_t labeled_cases = 0;
   /// Per-case session-query latency quantiles (nanoseconds), read off the
   /// histogram the driver fills from OracleOutcome::session_latency_ns.
   uint64_t session_latency_p50_ns = 0;

@@ -412,6 +412,12 @@ std::shared_ptr<detail::SessionQueryState> Session::Admit(
   if (obs::MetricsEnabled()) obs_queries_started_->Inc();
   if (const Status status = options.Validate(); !status.ok()) {
     s->error = status.ToString();
+  } else if (!pattern.IsConnected()) {
+    // The planner requires a connected pattern; one bad query must come
+    // back as an error, not abort a process that serves other queries.
+    s->error = Status::InvalidArgument("pattern must be connected (got " +
+                                       FormatPattern(pattern) + ")")
+                   .ToString();
   } else {
     s->opts = options.Normalized();
   }

@@ -9,10 +9,16 @@ namespace light {
 namespace {
 
 // Parses a non-negative integer at *pos, advancing it. Returns -1 on error.
+// std::isdigit needs an unsigned char value: bytes >= 0x80 are negative as
+// plain char, which is undefined behaviour.
 int64_t ParseInt(const std::string& text, size_t* pos) {
-  if (*pos >= text.size() || !std::isdigit(text[*pos])) return -1;
+  const auto digit_at = [&](size_t i) {
+    return i < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[i])) != 0;
+  };
+  if (!digit_at(*pos)) return -1;
   int64_t value = 0;
-  while (*pos < text.size() && std::isdigit(text[*pos])) {
+  while (digit_at(*pos)) {
     value = value * 10 + (text[*pos] - '0');
     if (value > 1'000'000) return -1;
     ++(*pos);

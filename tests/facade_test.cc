@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "gen/generators.h"
+#include "pattern/parse.h"
 #include "pattern/symmetry_breaking.h"
-#include "results/match_writer.h"
 
 namespace light {
 namespace {
@@ -104,6 +102,13 @@ TEST(FacadeTest, EnumerateStreamsToVisitor) {
   const RunResult r = light::Run(g, triangle, options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.num_matches, visitor.matches().size());
+
+  // A visitor returning false stops the run after exactly that match.
+  CollectingVisitor limited(/*limit=*/7);
+  options.visitor = &limited;
+  ASSERT_GT(r.num_matches, 7u);
+  light::Run(g, triangle, options);
+  EXPECT_EQ(limited.matches().size(), 7u);
 }
 
 TEST(FacadeTest, EnumerateRejectsParallelVisitor) {
@@ -226,56 +231,17 @@ TEST(FacadeTest, CoOptimizedRestrictionsMatchDefaultPlan) {
   }
 }
 
-TEST(MatchWriterTest, WritesMatchesToFile) {
+TEST(FacadeTest, DisconnectedPatternIsAnError) {
+  // Two components, and an index gap that leaves vertex 1 isolated: both
+  // are rejected at admission instead of reaching the planner.
   const Graph g = TestGraph();
-  Pattern triangle;
-  ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
-  const std::string path = ::testing::TempDir() + "/matches.txt";
-  std::unique_ptr<MatchFileWriter> writer;
-  ASSERT_TRUE(MatchFileWriter::Open(path, /*limit=*/0, &writer).ok());
-  RunOptions options;
-  options.visitor = writer.get();
-  const RunResult r = light::Run(g, triangle, options);
-  ASSERT_TRUE(writer->Close().ok());
-  EXPECT_EQ(writer->matches_written(), r.num_matches);
-
-  // Count lines and spot-check the format.
-  FILE* f = fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  uint64_t lines = 0;
-  unsigned a = 0;
-  unsigned b = 0;
-  unsigned c = 0;
-  while (fscanf(f, "%u %u %u", &a, &b, &c) == 3) {
-    ++lines;
-    EXPECT_TRUE(g.HasEdge(a, b));
-    EXPECT_TRUE(g.HasEdge(b, c));
-    EXPECT_TRUE(g.HasEdge(a, c));
+  for (const char* edges : {"0-1,2-3", "0-2"}) {
+    Pattern pattern;
+    ASSERT_TRUE(ParsePattern(edges, &pattern).ok()) << edges;
+    const RunResult r = light::Run(g, pattern, RunOptions());
+    EXPECT_EQ(r.outcome, QueryOutcome::kError) << edges;
+    EXPECT_NE(r.error.find("connected"), std::string::npos) << r.error;
   }
-  fclose(f);
-  EXPECT_EQ(lines, r.num_matches);
-  std::remove(path.c_str());
-}
-
-TEST(MatchWriterTest, LimitStopsEnumeration) {
-  const Graph g = TestGraph();
-  Pattern triangle;
-  ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
-  const std::string path = ::testing::TempDir() + "/limited.txt";
-  std::unique_ptr<MatchFileWriter> writer;
-  ASSERT_TRUE(MatchFileWriter::Open(path, /*limit=*/7, &writer).ok());
-  RunOptions options;
-  options.visitor = writer.get();
-  light::Run(g, triangle, options);
-  ASSERT_TRUE(writer->Close().ok());
-  EXPECT_EQ(writer->matches_written(), 7u);
-  std::remove(path.c_str());
-}
-
-TEST(MatchWriterTest, OpenFailsOnBadPath) {
-  std::unique_ptr<MatchFileWriter> writer;
-  EXPECT_EQ(MatchFileWriter::Open("/no/such/dir/x.txt", 0, &writer).code(),
-            Status::Code::kIOError);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "graph/reorder.h"
+#include "light.h"
 
 namespace light {
 namespace {
@@ -169,6 +170,17 @@ TEST(GraphStatsTest, TriangleCountMatchesKnownGraphs) {
   EXPECT_EQ(CountTriangles(GraphBuilder::FromEdges(
                 {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 0}})),
             2u);  // triangle 0-1-2 and triangle 0-2-3
+
+  // A large degree-ordered graph, checked against the engine's count.
+  const Graph g = RelabelByDegree(BarabasiAlbertClustered(2000, 4, 0.5, 7));
+  Pattern triangle;
+  ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
+  RunOptions serial;
+  serial.threads = 1;
+  const RunResult engine = light::Run(g, triangle, serial);
+  ASSERT_TRUE(engine.ok()) << engine.error;
+  EXPECT_GT(engine.num_matches, 0u);
+  EXPECT_EQ(CountTriangles(g), engine.num_matches);
 }
 
 }  // namespace

@@ -237,6 +237,38 @@ TEST(ServerTest, BadRequestGetsErrorResponseAndConnectionSurvives) {
   server.Shutdown();
 }
 
+TEST(ServerTest, DisconnectedPatternGetsErrorAndServerKeepsServing) {
+  const Graph g = RelabelByDegree(BarabasiAlbertClustered(400, 4, 0.4, 78));
+  RunOptions serial;
+  serial.threads = 1;
+  Pattern triangle;
+  ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
+  const uint64_t expected = light::Run(g, triangle, serial).num_matches;
+
+  Session session(g, {});
+  Server server(&session, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  Request disconnected;
+  disconnected.id = 11;
+  disconnected.edges = {0, 1, 2, 3};  // two components
+  client.Send(disconnected);
+  Response resp;
+  ASSERT_TRUE(client.Recv(&resp));
+  EXPECT_EQ(resp.id, 11u);
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_NE(resp.error.find("connected"), std::string::npos) << resp.error;
+
+  client.Send(TriangleRequest(12));
+  ASSERT_TRUE(client.Recv(&resp));
+  EXPECT_EQ(resp.id, 12u);
+  EXPECT_EQ(resp.status, "ok");
+  EXPECT_EQ(resp.matches, expected);
+  server.Shutdown();
+}
+
 TEST(ServerTest, DeadlineAndOverloadSurfaceAsStatuses) {
   const Graph g = RelabelByDegree(BarabasiAlbert(20000, 8, /*seed=*/5));
   SessionOptions so;

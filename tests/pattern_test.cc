@@ -7,6 +7,7 @@
 
 #include "pattern/automorphism.h"
 #include "pattern/catalog.h"
+#include "pattern/parse.h"
 #include "pattern/symmetry_breaking.h"
 
 namespace light {
@@ -221,6 +222,43 @@ TEST(SymmetryBreakingTest, CliqueGetsTotalOrder) {
   // A clique needs a full chain; the Grochow-Kellis scheme emits orbit
   // constraints from each successive pivot: 3 + 2 + 1 = 6 pairs.
   EXPECT_EQ(constraints.size(), 6u);
+}
+
+TEST(PatternParseTest, RoundTrips) {
+  Pattern p;
+  ASSERT_TRUE(ParsePattern("0-1,1-2,0-2", &p).ok());
+  EXPECT_EQ(p.NumVertices(), 3);
+  EXPECT_EQ(p.NumEdges(), 3);
+  EXPECT_TRUE(p.HasEdge(0, 2));
+  EXPECT_EQ(FormatPattern(p), "0-1,0-2,1-2");
+
+  Pattern labeled;
+  ASSERT_TRUE(ParsePattern("0-1,1-2;0:5,2:7", &labeled).ok());
+  EXPECT_EQ(labeled.Label(0), 5u);
+  EXPECT_EQ(labeled.Label(1), 0u);
+  EXPECT_EQ(labeled.Label(2), 7u);
+  EXPECT_EQ(FormatPattern(labeled), "0-1,1-2;0:5,2:7");
+}
+
+TEST(PatternParseTest, RejectsMalformedInput) {
+  Pattern p;
+  EXPECT_FALSE(ParsePattern("", &p).ok());
+  EXPECT_FALSE(ParsePattern("0-", &p).ok());
+  EXPECT_FALSE(ParsePattern("0_1", &p).ok());
+  EXPECT_FALSE(ParsePattern("0-0", &p).ok());  // self loop
+  EXPECT_FALSE(ParsePattern("0-1,", &p).ok());
+  EXPECT_FALSE(ParsePattern("0-1;9:2", &p).ok());   // label on absent vertex
+  EXPECT_FALSE(ParsePattern("0-1;0-2", &p).ok());   // wrong label syntax
+  EXPECT_FALSE(ParsePattern("0-99", &p).ok());      // above kMaxPatternVertices
+  EXPECT_FALSE(ParsePattern("0-1,\xC3\xA9", &p).ok());  // non-ASCII bytes
+}
+
+TEST(PatternParseTest, ParsedPatternsEnumerate) {
+  Pattern p;
+  ASSERT_TRUE(ParsePattern("0-1,1-2,2-3,3-0,0-2", &p).ok());  // diamond
+  Pattern p2;
+  ASSERT_TRUE(FindPattern("P2", &p2).ok());
+  EXPECT_EQ(p, p2);
 }
 
 }  // namespace

@@ -213,6 +213,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
+    // Run rejects disconnected patterns too, but the CLI builds its own
+    // plan override before it calls Run, and BuildPlan requires one.
     if (!pattern.IsConnected()) {
       std::fprintf(stderr, "error: pattern must be connected\n");
       return 1;

@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
   std::printf(
       "light_fuzz: seed=%llu cases=%llu divergences=%llu bitmap_cases=%llu "
       "lint_violations=%llu session_cases=%llu deadline_cases=%llu "
-      "restriction_cases=%llu iep_cases=%llu store_cases=%llu time=%.1fs\n",
+      "restriction_cases=%llu iep_cases=%llu store_cases=%llu "
+      "labeled_cases=%llu time=%.1fs\n",
       static_cast<unsigned long long>(options.seed),
       static_cast<unsigned long long>(summary.cases_run),
       static_cast<unsigned long long>(summary.divergences),
@@ -132,6 +133,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(summary.restriction_cases),
       static_cast<unsigned long long>(summary.iep_cases),
       static_cast<unsigned long long>(summary.store_cases),
+      static_cast<unsigned long long>(summary.labeled_cases),
       summary.elapsed_seconds);
   if (summary.session_cases > 0) {
     std::printf(

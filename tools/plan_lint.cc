@@ -289,6 +289,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  for (const auto& [name, pattern] : patterns) {
+    if (!pattern.IsConnected()) {
+      std::fprintf(stderr, "error: pattern %s must be connected\n",
+                   name.c_str());
+      return 1;
+    }
+  }
+
   size_t failures = 0;
   size_t total = 0;
   for (const auto& [name, pattern] : patterns) {
