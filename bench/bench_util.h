@@ -75,7 +75,7 @@ inline BenchGraph LoadBenchGraph(const std::string& name, double scale) {
                  status.ToString().c_str());
     std::exit(1);
   }
-  bg.stats = ComputeGraphStats(bg.graph, /*count_triangles=*/true);
+  bg.stats = ComputeGraphStats(bg.graph);
   return bg;
 }
 

@@ -262,16 +262,20 @@ if [[ "$skip_tsan" -eq 0 ]]; then
 fi
 
 if [[ "$skip_asan" -eq 0 ]]; then
-  echo "==> ASan: allocation-heavy tests (engine, planner, analysis, facade)"
+  echo "==> ASan: allocation-heavy tests (engine, planner, estimator, analysis, facade)"
   cmake -B build-asan -S . \
     -DLIGHT_SANITIZE=address \
     -DLIGHT_BUILD_BENCHMARKS=OFF \
     -DLIGHT_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-asan -j "$(nproc)" \
-    --target engine_test plan_test analysis_test facade_test storage_test
+    --target engine_test plan_test estimator_test analysis_test facade_test \
+    storage_test
   export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
   ./build-asan/tests/engine_test
   ./build-asan/tests/plan_test
+  # The sampling estimator walks its sample population and MaxDegree-sized
+  # intersection buffers through raw pointers.
+  ./build-asan/tests/estimator_test
   ./build-asan/tests/analysis_test
   ./build-asan/tests/facade_test
   # mmap lifetime + header parsing on hostile files: the leg most likely to

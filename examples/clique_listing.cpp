@@ -59,7 +59,7 @@ class TopDegreeCliques : public light::MatchVisitor {
 int main() {
   using namespace light;
   const Graph graph = RelabelByDegree(BarabasiAlbert(30000, 5, /*seed=*/99));
-  const GraphStats stats = ComputeGraphStats(graph, true);
+  const GraphStats stats = ComputeGraphStats(graph);
   std::printf("data graph: %s\n", stats.ToString().c_str());
 
   Pattern k4;

@@ -40,7 +40,7 @@ std::vector<std::pair<const char*, Pattern>> Graphlets() {
 
 std::vector<double> GraphletVector(const light::Graph& graph) {
   using namespace light;
-  const GraphStats stats = ComputeGraphStats(graph, true);
+  const GraphStats stats = ComputeGraphStats(graph);
   PlanOptions options = PlanOptions::Light();
   if (!KernelAvailable(options.kernel)) {
     options.kernel = IntersectKernel::kHybrid;

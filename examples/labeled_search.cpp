@@ -63,7 +63,7 @@ int main() {
     labels[old_to_new[old_id]] = label;
   }
 
-  const GraphStats stats = ComputeGraphStats(graph, true);
+  const GraphStats stats = ComputeGraphStats(graph);
   std::printf("network: %s\n", stats.ToString().c_str());
 
   // The typed query: u0,u2 researchers; u1 paper; u3 venue.

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
   const Graph graph =
       RelabelByDegree(BarabasiAlbert(n, /*edges_per_vertex=*/3, /*seed=*/7));
-  const GraphStats stats = ComputeGraphStats(graph, /*count_triangles=*/true);
+  const GraphStats stats = ComputeGraphStats(graph);
   std::printf("data graph: %s\n\n", stats.ToString().c_str());
 
   PlanOptions options = PlanOptions::Light();

@@ -27,7 +27,7 @@ int main() {
   //    symmetry-breaking ID comparisons of Section II-A apply.
   const Graph graph = RelabelByDegree(BarabasiAlbert(
       /*n=*/20000, /*edges_per_vertex=*/4, /*seed=*/42));
-  const GraphStats stats = ComputeGraphStats(graph, /*count_triangles=*/true);
+  const GraphStats stats = ComputeGraphStats(graph);
   std::printf("data graph: %s\n", stats.ToString().c_str());
 
   // 2. Pattern: the chordal square from the paper's running example.

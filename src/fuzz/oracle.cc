@@ -81,7 +81,7 @@ std::string OracleOutcome::Describe() const {
 
 OracleOutcome RunOracles(const FuzzCase& c) {
   const Graph graph = c.BuildGraph();
-  const GraphStats stats = ComputeGraphStats(graph, /*count_triangles=*/true);
+  const GraphStats stats = ComputeGraphStats(graph);
 
   PlanOptions light_options = PlanOptions::Light();
   light_options.kernel = c.kernel;

@@ -51,13 +51,10 @@ GraphStats ComputeGraphStats(const GraphView& view, bool count_triangles) {
 
   double sum_d = 0.0;
   double sum_d2 = 0.0;
-  uint64_t wedges = 0;
   for (VertexID v = 0; v < view.NumVertices(); ++v) {
     const double d = view.Degree(v);
     sum_d += d;
     sum_d2 += d * d;
-    const uint64_t dv = view.Degree(v);
-    if (dv >= 2) wedges += dv * (dv - 1) / 2;
   }
   stats.avg_degree = sum_d / static_cast<double>(stats.num_vertices);
   stats.degree_second_moment =
@@ -65,14 +62,7 @@ GraphStats ComputeGraphStats(const GraphView& view, bool count_triangles) {
   stats.avg_neighbor_degree =
       sum_d > 0 ? sum_d2 / sum_d : 0.0;
 
-  if (count_triangles) {
-    stats.num_triangles = CountTriangles(view);
-    if (wedges > 0) {
-      stats.closing_probability =
-          3.0 * static_cast<double>(stats.num_triangles) /
-          static_cast<double>(wedges);
-    }
-  }
+  if (count_triangles) stats.num_triangles = CountTriangles(view);
   return stats;
 }
 

@@ -9,9 +9,9 @@
 namespace light {
 
 /// Summary statistics of a data graph. Used for Table II reporting and as
-/// input to the SEED-style cardinality estimator (Section VI): the expand
-/// factors are derived from the first two degree moments and the measured
-/// closing (triangle) density.
+/// input to the SEED-style cardinality estimator (Section VI), which reads
+/// |V|, |E| and the first two degree moments (the planner measures wedge
+/// closing by sampling, so it never needs the triangle count).
 struct GraphStats {
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;  // undirected
@@ -22,18 +22,15 @@ struct GraphStats {
   /// E[d^2] / E[d]. In skewed graphs this greatly exceeds avg_degree and is
   /// the right expansion factor for edge-biased walks.
   double avg_neighbor_degree = 0.0;
-  uint64_t num_triangles = 0;       // only if requested
-  /// Probability that a random wedge closes into a triangle
-  /// (3 * #triangles / #wedges); 0 when triangles were not counted.
-  double closing_probability = 0.0;
+  uint64_t num_triangles = 0;       // only if requested (reporting)
   size_t memory_bytes = 0;
 
   std::string ToString() const;
 };
 
 /// Computes statistics over any GraphView (degree moments read the offsets
-/// only). Triangle counting costs roughly sum_v d(v)^2 / 2 intersections
-/// and is optional.
+/// only, O(|V|)). Triangle counting costs roughly sum_v d(v)^2 / 2
+/// intersections; it is for reporting only, and no planner input needs it.
 GraphStats ComputeGraphStats(const GraphView& view,
                              bool count_triangles = false);
 GraphStats ComputeGraphStats(const Graph& graph, bool count_triangles = false);

@@ -175,6 +175,9 @@ struct SessionQueryState {
     // Pre-execution failures carry no parts (Launch clears them).
     const ExecutionPlan* plan =
         parts.empty() ? nullptr : parts.front().plan.get();
+    // Every result carries its query id, so a caller can match even a
+    // pre-execution error to its submission.
+    result.query_stats.query_id = query_id;
     if (!error.empty()) {
       result.error = error;
       result.outcome = QueryOutcome::kError;
@@ -210,7 +213,6 @@ struct SessionQueryState {
         q.busy_ns += lc.busy_ns;
         q.park_ns += lc.park_ns;
       }
-      q.query_id = query_id;
       q.plan_ns = plan_ns;
       q.plan_cache_hit = plan_cache_hit;
       // The signed sum is exact for complete runs; a timeout leaves a
@@ -347,16 +349,6 @@ Session::~Session() {
     pool = std::move(pool_);
   }
   pool.reset();
-}
-
-const GraphStats& Session::EnsureStats() {
-  MutexLock lock(init_mutex_);
-  if (graph_stats_ == nullptr) {
-    obs::TraceSpan span("graph_stats");
-    graph_stats_ = std::make_unique<GraphStats>(
-        ComputeGraphStats(view_, /*count_triangles=*/true));
-  }
-  return *graph_stats_;
 }
 
 const BitmapIndex& Session::EnsureBitmap() {
@@ -496,7 +488,8 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
       if (opts.lint_plan && !linted) {
         // Inserted by a lint-off query; this query wants the gate. Lint now
         // and remember so the check runs at most once per entry.
-        if (!Lint(cached_pattern, *cached, &EnsureStats(), error)) {
+        const GraphStats stats = ComputeGraphStats(view_);
+        if (!Lint(cached_pattern, *cached, &stats, error)) {
           return nullptr;
         }
         MutexLock lock(cache_mutex_);
@@ -513,8 +506,9 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
   // would produce — not the canonical form: plan quality is numbering-
   // sensitive (symmetry-breaking constraint placement), while the count is
   // isomorphism-invariant, so the first submitter's plan safely serves
-  // every later renumbering that hits this key.
-  const GraphStats& stats = EnsureStats();
+  // every later renumbering that hits this key. The degree stats are one
+  // O(|V|) pass over the offsets; the sampling planner reads nothing else.
+  const GraphStats stats = ComputeGraphStats(view_);
   auto built = std::make_shared<const ExecutionPlan>([&] {
     obs::TraceSpan span("build_plan");
     return term != nullptr

@@ -206,7 +206,8 @@ RunResult Run(const Graph& graph, const Pattern& pattern,
 
 /// Builds the execution plan light::Run would use — for --show-plan style
 /// tooling and for reusing one plan across several Run calls via
-/// RunOptions::plan. `stats` as from ComputeGraphStats(graph, true).
+/// RunOptions::plan. `stats` as from ComputeGraphStats(graph): the
+/// planner reads the vertex/edge counts and degree moments only.
 ExecutionPlan BuildRunPlan(const Graph& graph, const GraphStats& stats,
                            const Pattern& pattern, const RunOptions& options);
 
@@ -509,7 +510,6 @@ class Session {
                         std::function<void(const RunResult&)> callback);
   RunResult RunSyncWithTool(const Pattern& pattern, const RunOptions& options,
                             const char* tool);
-  const GraphStats& EnsureStats() LIGHT_EXCLUDES(init_mutex_);
   const BitmapIndex& EnsureBitmap() LIGHT_EXCLUDES(init_mutex_);
   WorkerPool& EnsurePool() LIGHT_EXCLUDES(init_mutex_);
 
@@ -549,7 +549,6 @@ class Session {
   // The bitmap is a shared_ptr because store-backed sessions borrow it from
   // the store's cross-session cache (GraphStore::SharedBitmap).
   mutable Mutex init_mutex_{lockrank::kSessionInit, "Session::init_mutex_"};
-  std::unique_ptr<GraphStats> graph_stats_ LIGHT_GUARDED_BY(init_mutex_);
   std::shared_ptr<const BitmapIndex> bitmap_index_
       LIGHT_GUARDED_BY(init_mutex_);
   std::unique_ptr<WorkerPool> pool_ LIGHT_GUARDED_BY(init_mutex_);

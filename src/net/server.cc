@@ -321,10 +321,11 @@ bool Server::HandleFrame(uint64_t conn_id, Conn* conn,
     for (size_t i = 0; i + 1 < req.edges.size(); i += 2) {
       const uint32_t u = req.edges[i];
       const uint32_t v = req.edges[i + 1];
-      if (u == v || u >= static_cast<uint32_t>(kMaxPatternVertices) ||
-          v >= static_cast<uint32_t>(kMaxPatternVertices)) {
+      if (u == v || u >= static_cast<uint32_t>(kMaxRequestPatternVertices) ||
+          v >= static_cast<uint32_t>(kMaxRequestPatternVertices)) {
         reject = "bad request: edge (" + std::to_string(u) + "," +
-                 std::to_string(v) + ") out of domain";
+                 std::to_string(v) + ") out of domain (patterns have at most " +
+                 std::to_string(kMaxRequestPatternVertices) + " vertices)";
         break;
       }
     }
@@ -369,7 +370,8 @@ bool Server::HandleFrame(uint64_t conn_id, Conn* conn,
       pattern, opts, [this, conn_id, req_id](const RunResult& result) {
         {
           MutexLock lock(completions_mutex_);
-          completions_.emplace_back(conn_id, MakeResponse(req_id, result));
+          completions_.push_back({conn_id, result.query_stats.query_id,
+                                  MakeResponse(req_id, result)});
         }
         Wake();
       });
@@ -378,14 +380,14 @@ bool Server::HandleFrame(uint64_t conn_id, Conn* conn,
 }
 
 void Server::DrainCompletions() {
-  std::vector<std::pair<uint64_t, Response>> batch;
+  std::vector<Completion> batch;
   {
     MutexLock lock(completions_mutex_);
     batch.swap(completions_);
   }
   if (batch.empty()) return;
   std::vector<uint64_t> to_drop;
-  for (auto& [conn_id, resp] : batch) {
+  for (auto& [conn_id, query_id, resp] : batch) {
     {
       MutexLock lock(stats_mutex_);
       --stats_.inflight;
@@ -393,15 +395,8 @@ void Server::DrainCompletions() {
     const auto it = conns_.find(conn_id);
     if (it == conns_.end()) continue;  // peer already gone
     Conn* const conn = it->second.get();
-    // Retire the inflight entry by echoed request id (the completion
-    // callback does not carry the session query id).
-    for (auto qit = conn->inflight.begin(); qit != conn->inflight.end();
-         ++qit) {
-      if (qit->second == resp.id) {
-        conn->inflight.erase(qit);
-        break;
-      }
-    }
+    // Request ids are the client's and may repeat; query ids are unique.
+    conn->inflight.erase(query_id);
     AppendFrame(resp.Encode(), &conn->out);
     {
       MutexLock lock(stats_mutex_);

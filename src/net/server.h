@@ -26,6 +26,15 @@
 
 namespace light::net {
 
+/// Largest pattern a request may carry, in vertices (ids 0..8). Planning
+/// runs on the event loop, outside any query deadline, and its cost grows
+/// factorially with the pattern's symmetry: on a 500-vertex graph and a
+/// 4-vCPU Xeon VM, a 10-vertex clique plans in ~0.7 s and an 11-vertex
+/// star in ~0.8 s, about 10x per added vertex (9 vertices: <0.1 s). Larger
+/// patterns get a `bad request: ... out of domain` error.
+constexpr int kMaxRequestPatternVertices = 9;
+static_assert(kMaxRequestPatternVertices <= kMaxPatternVertices);
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
@@ -104,8 +113,12 @@ class Server {
   /// held, so the session side must be acquirable first.
   Mutex completions_mutex_{lockrank::kNetCompletions,
                            "net::Server::completions_mutex_"};
-  std::vector<std::pair<uint64_t, Response>> completions_
-      LIGHT_GUARDED_BY(completions_mutex_);  // conn_id, resp
+  struct Completion {
+    uint64_t conn_id;
+    uint64_t query_id;  // the session query id keying Conn::inflight
+    Response resp;
+  };
+  std::vector<Completion> completions_ LIGHT_GUARDED_BY(completions_mutex_);
 
   mutable Mutex stats_mutex_{lockrank::kNetStats,
                              "net::Server::stats_mutex_"};

@@ -32,9 +32,7 @@ CardinalityEstimator::CardinalityEstimator(const GraphStats& stats)
   const double d_avg = std::max(stats.avg_degree, 1e-9);
   const double d_nbr = std::max(stats.avg_neighbor_degree, d_avg);
   extend_ = std::sqrt(d_avg * d_nbr);
-  close_ = stats.closing_probability > 0.0
-               ? stats.closing_probability
-               : std::min(1.0, d_avg / std::max(n_, 1.0));
+  close_ = std::min(1.0, d_avg / std::max(n_, 1.0));
 }
 
 CardinalityEstimator::CardinalityEstimator(const Graph& graph,

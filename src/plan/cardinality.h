@@ -25,9 +25,10 @@ namespace light {
 ///   factors. Sampling captures the degree correlations that analytic
 ///   models miss on skewed graphs.
 ///
-/// * Analytic (fallback without a graph): first edge contributes 2M;
-///   extensions multiply by sqrt(d_avg * E[d^2]/E[d]); closing edges by the
-///   measured wedge-closing probability.
+/// * Analytic (deterministic; the plan linter's cardinality oracle and
+///   bench_ablation_plan's comparison column): first edge contributes 2M;
+///   extensions multiply by sqrt(d_avg * E[d^2]/E[d]); closing edges by
+///   the degree-based density min(1, d_avg / N).
 ///
 /// Estimates are memoized per (pattern, mask); the order optimizer probes
 /// the same masks across many candidate orders.
@@ -50,7 +51,6 @@ class CardinalityEstimator {
   /// as the maximum expand factor; this returns the analytic extension
   /// factor which upper-bounds the per-step factors.
   double ExtensionFactor() const { return extend_; }
-  double ClosingProbability() const { return close_; }
 
  private:
   double AnalyticEstimate(const Pattern& pattern, uint32_t mask) const;

@@ -163,11 +163,8 @@ ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
 
 }  // namespace
 
-namespace {
-
-ExecutionPlan BuildPlanWithEstimator(const Pattern& pattern,
-                                     const CardinalityEstimator& estimator,
-                                     const PlanOptions& options) {
+ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
+                        const GraphStats& stats, const PlanOptions& options) {
   LIGHT_CHECK(pattern.IsConnected());
   if (!options.order_override.empty()) {
     LIGHT_CHECK(static_cast<int>(options.order_override.size()) ==
@@ -182,6 +179,7 @@ ExecutionPlan BuildPlanWithEstimator(const Pattern& pattern,
     return Assemble(pattern, options.order_override, options,
                     std::move(partial_order));
   }
+  const CardinalityEstimator estimator(graph, stats);
   // Classic path: restrictions first (fixed GK pivots), then the order.
   PartialOrder gk_order =
       options.symmetry_breaking ? ComputeSymmetryBreaking(pattern)
@@ -211,20 +209,6 @@ ExecutionPlan BuildPlanWithEstimator(const Pattern& pattern,
     }
   }
   return Assemble(pattern, choice.pi, options, std::move(choice.restrictions));
-}
-
-}  // namespace
-
-ExecutionPlan BuildPlan(const Pattern& pattern, const GraphStats& stats,
-                        const PlanOptions& options) {
-  const CardinalityEstimator estimator(stats);
-  return BuildPlanWithEstimator(pattern, estimator, options);
-}
-
-ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
-                        const GraphStats& stats, const PlanOptions& options) {
-  const CardinalityEstimator estimator(graph, stats);
-  return BuildPlanWithEstimator(pattern, estimator, options);
 }
 
 ExecutionPlan BuildPlanWithOrder(const Pattern& pattern,

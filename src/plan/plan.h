@@ -167,15 +167,10 @@ struct ExecutionPlan {
   std::string ToString() const;
 };
 
-/// Full Section-VI pipeline: symmetry breaking, order optimization against
-/// the data-graph statistics (analytic cardinality model), sigma generation,
-/// operand generation.
-ExecutionPlan BuildPlan(const Pattern& pattern, const GraphStats& stats,
-                        const PlanOptions& options);
-
-/// Same pipeline, but the order optimizer uses the SEED-style sampling
-/// estimator over the data graph (Section VI) — more faithful on skewed
-/// graphs; preferred whenever the graph is at hand.
+/// Full Section-VI pipeline: symmetry breaking, order optimization with the
+/// SEED-style sampling estimator over the data graph (`stats` as from
+/// ComputeGraphStats(graph); the triangle count is not read), sigma
+/// generation, operand generation.
 ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
                         const GraphStats& stats, const PlanOptions& options);
 

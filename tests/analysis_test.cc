@@ -41,8 +41,7 @@ const Graph& TestGraph() {
 }
 
 GraphStats TestStats() {
-  static const GraphStats stats =
-      ComputeGraphStats(TestGraph(), /*count_triangles=*/true);
+  static const GraphStats stats = ComputeGraphStats(TestGraph());
   return stats;
 }
 
@@ -71,7 +70,8 @@ TEST(AnalysisTest, CatalogPlansLintCleanAcrossAllVariants) {
   };
   for (const PatternEntry& entry : PatternCatalog()) {
     for (const auto& [name, plan_options] : variants) {
-      const ExecutionPlan plan = BuildPlan(entry.pattern, stats, plan_options);
+      const ExecutionPlan plan =
+          BuildPlan(entry.pattern, TestGraph(), stats, plan_options);
       const LintReport report = LintPlan(entry.pattern, plan, options);
       EXPECT_TRUE(report.empty())
           << entry.name << " (" << name << "):\n" << report.ToString();
@@ -87,7 +87,8 @@ TEST(AnalysisTest, InducedAndUnbrokenPlansLintClean) {
     PlanOptions no_sb = PlanOptions::Light();
     no_sb.symmetry_breaking = false;
     for (const PlanOptions& plan_options : {induced, no_sb}) {
-      const ExecutionPlan plan = BuildPlan(entry.pattern, stats, plan_options);
+      const ExecutionPlan plan =
+          BuildPlan(entry.pattern, TestGraph(), stats, plan_options);
       const LintReport report = LintPlan(entry.pattern, plan, TestOptions());
       EXPECT_TRUE(report.empty())
           << entry.name << ":\n" << report.ToString();

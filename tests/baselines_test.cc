@@ -16,7 +16,7 @@ namespace {
 
 uint64_t LightCount(const Graph& g, const Pattern& p) {
   const ExecutionPlan plan =
-      BuildPlan(p, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator enumerator(g, plan);
   return enumerator.Count();
 }
@@ -81,7 +81,7 @@ TEST(EhLikeTest, DisconnectedOrderCostsMoreIntersections) {
 
   PlanOptions se = PlanOptions::Se();
   const ExecutionPlan se_plan =
-      BuildPlan(p2, ComputeGraphStats(g, true), se);
+      BuildPlan(p2, g, ComputeGraphStats(g), se);
   Enumerator se_enum(g, se_plan);
   se_enum.Count();
 

@@ -311,7 +311,7 @@ TEST(EngineBitmapTest, IndexNeverChangesCounts) {
   const Graph clique = Complete(40);
   const char* patterns[] = {"triangle", "square", "k4"};
   for (const Graph* g : {&dense, &clique}) {
-    const GraphStats stats = ComputeGraphStats(*g, /*count_triangles=*/true);
+    const GraphStats stats = ComputeGraphStats(*g);
     for (const char* pname : patterns) {
       Pattern pattern;
       ASSERT_TRUE(FindPattern(pname, &pattern).ok());

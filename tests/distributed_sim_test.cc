@@ -28,7 +28,7 @@ TEST(DistributedSimTest, PartitionsCoverVertexSetExactlyOnce) {
 TEST(DistributedSimTest, BothSchemesCountAllMatches) {
   const Graph g =
       RelabelByDegree(BarabasiAlbertClustered(800, 4, 0.4, /*seed=*/5));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan = BuildPlan(p2, g, stats, PlanOptions::Light());
@@ -49,7 +49,7 @@ TEST(DistributedSimTest, ImbalanceMetricsSane) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan =
-      BuildPlan(p2, g, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p2, g, ComputeGraphStats(g), PlanOptions::Light());
   const DistributedSimResult r = SimulateNaiveDistributed(g, plan, 8);
   EXPECT_EQ(r.machine_seconds.size(), 8u);
   EXPECT_GE(r.Imbalance(), 1.0);

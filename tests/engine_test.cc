@@ -27,7 +27,7 @@ Graph SmallTestGraph() {
 
 ExecutionPlan PlanFor(const Pattern& pattern, const Graph& graph,
                       PlanOptions options) {
-  return BuildPlan(pattern, ComputeGraphStats(graph, true), options);
+  return BuildPlan(pattern, graph, ComputeGraphStats(graph), options);
 }
 
 TEST(EnumeratorTest, TriangleCountOnSmallGraph) {

@@ -20,7 +20,7 @@ using ::light::testing::BruteForceCountMatches;
 
 TEST(SamplingEstimatorTest, DeterministicAcrossCalls) {
   const Graph g = RelabelByDegree(BarabasiAlbert(2000, 4, /*seed=*/3));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const CardinalityEstimator a(g, stats, 128, /*seed=*/5);
@@ -32,7 +32,7 @@ TEST(SamplingEstimatorTest, DeterministicAcrossCalls) {
 
 TEST(SamplingEstimatorTest, ExactOnSingleVertexAndEdge) {
   const Graph g = RelabelByDegree(ErdosRenyi(500, 2500, /*seed=*/9));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const CardinalityEstimator est(g, stats);
   Pattern edge = Pattern::FromEdges(2, {{0, 1}});
   EXPECT_DOUBLE_EQ(est.EstimateMatches(edge, 0b01), 500.0);
@@ -42,7 +42,7 @@ TEST(SamplingEstimatorTest, ExactOnSingleVertexAndEdge) {
 TEST(SamplingEstimatorTest, WedgeCountWithinFactorTwoOnErdosRenyi) {
   // ER graphs have no degree correlation, so sampling should be accurate.
   const Graph g = RelabelByDegree(ErdosRenyi(800, 4800, /*seed=*/13));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const CardinalityEstimator est(g, stats, 512, /*seed=*/17);
   const Pattern wedge = Pattern::FromEdges(3, {{0, 1}, {1, 2}});
   const double actual =
@@ -54,7 +54,7 @@ TEST(SamplingEstimatorTest, WedgeCountWithinFactorTwoOnErdosRenyi) {
 
 TEST(SamplingEstimatorTest, TriangleCountWithinFactorFour) {
   const Graph g = RelabelByDegree(ErdosRenyi(400, 6000, /*seed=*/19));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const CardinalityEstimator est(g, stats, 512, /*seed=*/23);
   Pattern triangle;
   ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
@@ -69,7 +69,7 @@ TEST(SamplingEstimatorTest, TriangleCountWithinFactorFour) {
 TEST(SamplingEstimatorTest, ZeroForImpossiblePatterns) {
   // A triangle-free graph: K5 estimate must be 0 (all samples die).
   const Graph g = RelabelByDegree(Cycle(100));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const CardinalityEstimator est(g, stats, 64, /*seed=*/29);
   Pattern k5;
   ASSERT_TRUE(FindPattern("k5", &k5).ok());
@@ -78,7 +78,7 @@ TEST(SamplingEstimatorTest, ZeroForImpossiblePatterns) {
 
 TEST(SamplingEstimatorTest, DisconnectedMaskMultipliesComponents) {
   const Graph g = RelabelByDegree(ErdosRenyi(300, 1200, /*seed=*/31));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const CardinalityEstimator est(g, stats);
   // Pattern: edge (0,1) plus isolated vertex 2 in the mask.
   const Pattern p = Pattern::FromEdges(3, {{0, 1}});
@@ -88,17 +88,17 @@ TEST(SamplingEstimatorTest, DisconnectedMaskMultipliesComponents) {
 
 TEST(AnalyticEstimatorTest, MatchesClosedFormsOnSimplePatterns) {
   const Graph g = RelabelByDegree(ErdosRenyi(1000, 8000, /*seed=*/37));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const CardinalityEstimator est(stats);  // analytic mode
   const Pattern wedge = Pattern::FromEdges(3, {{0, 1}, {1, 2}});
   // 2M * extension factor.
   EXPECT_DOUBLE_EQ(est.EstimateMatches(wedge),
                    2.0 * 8000.0 * est.ExtensionFactor());
+  // A closing edge multiplies by the degree-based density d_avg / N.
   Pattern triangle;
   ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
-  EXPECT_DOUBLE_EQ(
-      est.EstimateMatches(triangle),
-      2.0 * 8000.0 * est.ExtensionFactor() * est.ClosingProbability());
+  EXPECT_DOUBLE_EQ(est.EstimateMatches(triangle),
+                   2.0 * 8000.0 * est.ExtensionFactor() * (16.0 / 1000.0));
 }
 
 }  // namespace

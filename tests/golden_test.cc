@@ -21,7 +21,7 @@ uint64_t CountOn(const Graph& g, const char* pattern_name) {
   Pattern pattern;
   EXPECT_TRUE(FindPattern(pattern_name, &pattern).ok());
   const ExecutionPlan plan = BuildPlan(
-      pattern, g, ComputeGraphStats(g, true), PlanOptions::Light());
+      pattern, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator enumerator(g, plan);
   return enumerator.Count();
 }

@@ -154,14 +154,12 @@ TEST(GraphStatsTest, CompleteGraphStats) {
   EXPECT_DOUBLE_EQ(stats.avg_degree, 7.0);
   EXPECT_DOUBLE_EQ(stats.degree_second_moment, 49.0);
   EXPECT_EQ(stats.num_triangles, 56u);  // C(8,3)
-  EXPECT_DOUBLE_EQ(stats.closing_probability, 1.0);
 }
 
 TEST(GraphStatsTest, TriangleFreeGraph) {
   const Graph g = Cycle(10);
   const GraphStats stats = ComputeGraphStats(g, /*count_triangles=*/true);
   EXPECT_EQ(stats.num_triangles, 0u);
-  EXPECT_DOUBLE_EQ(stats.closing_probability, 0.0);
 }
 
 TEST(GraphStatsTest, TriangleCountMatchesKnownGraphs) {

@@ -27,7 +27,7 @@ TEST(InducedTest, SquareInK4) {
   const Graph g = Complete(4);
   Pattern square;
   ASSERT_TRUE(FindPattern("square", &square).ok());
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   PlanOptions non_induced = PlanOptions::Light();
   PlanOptions induced = PlanOptions::Light();
   induced.induced = true;
@@ -42,7 +42,7 @@ TEST(InducedTest, SquareInK4) {
 TEST(InducedTest, CliquesUnaffected) {
   // Cliques have no non-edges, so both semantics agree.
   const Graph g = RelabelByDegree(BarabasiAlbertClustered(500, 4, 0.5, 3));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern k4;
   ASSERT_TRUE(FindPattern("k4", &k4).ok());
   PlanOptions induced = PlanOptions::Light();
@@ -60,7 +60,7 @@ TEST_P(InducedAgreementTest, MatchesBruteForceAndBoundsNonInduced) {
   Pattern pattern;
   ASSERT_TRUE(FindPattern(GetParam(), &pattern).ok());
   const Graph g = RelabelByDegree(ErdosRenyi(40, 200, /*seed=*/17));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const PartialOrder constraints = ComputeSymmetryBreaking(pattern);
   const uint64_t expected =
       BruteForceCountMatches(pattern, g, constraints, /*induced=*/true);
@@ -87,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Patterns, InducedAgreementTest,
 
 TEST(InducedTest, ParallelAndMmapStoreAgree) {
   const Graph g = RelabelByDegree(BarabasiAlbertClustered(600, 3, 0.4, 19));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p1;
   ASSERT_TRUE(FindPattern("P1", &p1).ok());
   PlanOptions options = PlanOptions::Light();
@@ -114,7 +114,7 @@ TEST(InducedTest, ParallelAndMmapStoreAgree) {
 
 TEST(InducedTest, SymmetryBreakingInvariantHoldsUnderInducedSemantics) {
   const Graph g = RelabelByDegree(ErdosRenyi(36, 160, /*seed=*/23));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   for (const char* name : {"P1", "P2", "square", "c5"}) {
     Pattern pattern;
     ASSERT_TRUE(FindPattern(name, &pattern).ok());

@@ -226,7 +226,7 @@ TEST_P(BspAgreementTest, SeedAndCrystalMatchLight) {
   ASSERT_TRUE(FindPattern(name, &p).ok());
   const Graph g = RelabelByDegree(BarabasiAlbert(300, 4, /*seed=*/41));
   const ExecutionPlan plan =
-      BuildPlan(p, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator light(g, plan);
   const uint64_t expected = light.Count();
 

@@ -95,7 +95,7 @@ TEST(LabeledEngineTest, WildcardLabelsMatchUnlabeledCounts) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan = BuildPlan(
-      p2, g, ComputeGraphStats(g, true), PlanOptions::Light());
+      p2, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator unlabeled(g, plan);
   Enumerator wildcard(g, plan, &labels);  // all pattern labels are 0
   EXPECT_EQ(unlabeled.Count(), wildcard.Count());
@@ -127,7 +127,7 @@ TEST_P(LabeledAgreementTest, AllVariantsMatchLabeledBruteForce) {
   const PartialOrder constraints = ComputeSymmetryBreaking(pattern);
   const uint64_t expected = BruteForceLabeled(pattern, g, labels, constraints);
 
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   for (PlanOptions options : {PlanOptions::Se(), PlanOptions::Lm(),
                               PlanOptions::Msc(), PlanOptions::Light()}) {
     const ExecutionPlan plan = BuildPlan(pattern, g, stats, options);
@@ -154,7 +154,7 @@ TEST(LabeledEngineTest, ImpossibleLabelYieldsZero) {
   ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
   triangle.SetLabel(0, 99);  // no data vertex carries label 99
   const ExecutionPlan plan = BuildPlan(
-      triangle, g, ComputeGraphStats(g, true), PlanOptions::Light());
+      triangle, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator enumerator(g, plan, &labels);
   EXPECT_EQ(enumerator.Count(), 0u);
 }

@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/generators.h"
@@ -141,9 +143,13 @@ class TestClient {
 
   bool connected() const { return connected_; }
 
-  void Send(const Request& req) {
+  void Send(const Request& req) { SendAll({req}); }
+
+  /// Frames every request into one buffer and writes it in one go, so the
+  /// server usually reads them in a single poll round.
+  void SendAll(const std::vector<Request>& reqs) {
     std::string framed;
-    AppendFrame(req.Encode(), &framed);
+    for (const Request& req : reqs) AppendFrame(req.Encode(), &framed);
     size_t off = 0;
     while (off < framed.size()) {
       const ssize_t n = write(fd_, framed.data() + off, framed.size() - off);
@@ -235,6 +241,39 @@ TEST(ServerTest, BadRequestGetsErrorResponseAndConnectionSurvives) {
   EXPECT_EQ(resp.id, 8u);
   EXPECT_EQ(resp.status, "ok");
   server.Shutdown();
+}
+
+TEST(ServerTest, OversizedPatternIsRejectedAndConnectionSurvives) {
+  const Graph g = RelabelByDegree(BarabasiAlbertClustered(400, 4, 0.4, 78));
+  Session session(g, {});
+  Server server(&session, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  // An 11-vertex star: planning alone would hold the event loop for about
+  // a second, and counting it here would outlast the budget.
+  Request star;
+  star.id = 21;
+  star.time_limit_seconds = 2.0;
+  for (uint32_t leaf = 1; leaf <= 10; ++leaf) {
+    star.edges.push_back(0);
+    star.edges.push_back(leaf);
+  }
+  client.Send(star);
+  Response resp;
+  ASSERT_TRUE(client.Recv(&resp));
+  EXPECT_EQ(resp.id, 21u);
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_EQ(resp.error.rfind("bad request:", 0), 0u) << resp.error;
+  EXPECT_NE(resp.error.find("out of domain"), std::string::npos) << resp.error;
+
+  client.Send(TriangleRequest(22));
+  ASSERT_TRUE(client.Recv(&resp));
+  EXPECT_EQ(resp.id, 22u);
+  EXPECT_EQ(resp.status, "ok");
+  server.Shutdown();
+  EXPECT_EQ(session.stats().queries_submitted, 1u);
 }
 
 TEST(ServerTest, DisconnectedPatternGetsErrorAndServerKeepsServing) {
@@ -351,6 +390,55 @@ TEST(ServerTest, DisconnectCancelsInFlightQueries) {
   EXPECT_EQ(server.stats().inflight, 0u);
   const SessionStats st = session.stats();
   EXPECT_EQ(st.queries_submitted, st.queries_completed);
+}
+
+TEST(ServerTest, ReusedRequestIdsStillCancelEveryQueryOnDisconnect) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(20000, 8, /*seed=*/5));
+  SessionOptions so;
+  so.threads = 1;
+  Session session(g, so);
+  Server server(&session, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr uint64_t kLongQueries = 4;
+  {
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    // One request id for everything. The disconnected pattern fails
+    // before it runs; its completion must retire its own inflight entry,
+    // not one of the long queries' entries.
+    std::vector<Request> reqs;
+    Request bad;
+    bad.id = 5;
+    bad.edges = {0, 1, 2, 3};
+    reqs.push_back(bad);
+    Pattern p6;
+    ASSERT_TRUE(FindPattern("P6", &p6).ok());
+    Request slow;
+    slow.id = 5;
+    for (const auto& [u, v] : p6.Edges()) {
+      slow.edges.push_back(static_cast<uint32_t>(u));
+      slow.edges.push_back(static_cast<uint32_t>(v));
+    }
+    for (uint64_t i = 0; i < kLongQueries; ++i) reqs.push_back(slow);
+    client.SendAll(reqs);
+    Response resp;
+    ASSERT_TRUE(client.Recv(&resp));
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("connected"), std::string::npos) << resp.error;
+    // Destructor closes the socket with the long queries still in flight.
+  }
+  // The loop notices the hang-up on its own; Shutdown's cancellations do
+  // not count as disconnect cancellations.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (server.stats().cancelled_on_disconnect < kLongQueries &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.stats().cancelled_on_disconnect, kLongQueries);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().inflight, 0u);
 }
 
 }  // namespace

@@ -412,7 +412,7 @@ TEST(RunReportTest, RoundTripOnTriangleRun) {
   Pattern triangle;
   ASSERT_TRUE(FindPattern("triangle", &triangle).ok());
   const ExecutionPlan plan =
-      BuildPlan(triangle, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(triangle, g, ComputeGraphStats(g), PlanOptions::Light());
 
   obs::SetMetricsEnabled(true);
   obs::DefaultRegistry().ResetAll();
@@ -659,7 +659,7 @@ TEST(RunReportTest, EngineTraceProducesValidChromeTrace) {
   Pattern p1;
   ASSERT_TRUE(FindPattern("P1", &p1).ok());
   const ExecutionPlan plan =
-      BuildPlan(p1, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p1, g, ComputeGraphStats(g), PlanOptions::Light());
 
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.SetRootSampleMask(15);  // every 16th root

@@ -281,10 +281,10 @@ TEST(MultiQueryQueueTest, ShutdownWakesWaitersAfterDrain) {
 
 TEST(WorkerPoolTest, ServesQueriesAcrossSubmitsAndMatchesSerial) {
   const Graph g = RelabelByDegree(BarabasiAlbert(1500, 5, /*seed=*/41));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
-  const ExecutionPlan plan = BuildPlan(p2, stats, PlanOptions::Light());
+  const ExecutionPlan plan = BuildPlan(p2, g, stats, PlanOptions::Light());
   Enumerator serial(g, plan);
   const uint64_t expected = serial.Count();
 
@@ -307,13 +307,13 @@ TEST(WorkerPoolTest, ServesQueriesAcrossSubmitsAndMatchesSerial) {
 
 TEST(WorkerPoolTest, ConcurrentQueriesShareThePool) {
   const Graph g = RelabelByDegree(BarabasiAlbert(1200, 5, /*seed=*/43));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p1;
   Pattern p2;
   ASSERT_TRUE(FindPattern("P1", &p1).ok());
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
-  const ExecutionPlan plan1 = BuildPlan(p1, stats, PlanOptions::Light());
-  const ExecutionPlan plan2 = BuildPlan(p2, stats, PlanOptions::Light());
+  const ExecutionPlan plan1 = BuildPlan(p1, g, stats, PlanOptions::Light());
+  const ExecutionPlan plan2 = BuildPlan(p2, g, stats, PlanOptions::Light());
   Enumerator serial1(g, plan1);
   Enumerator serial2(g, plan2);
   const uint64_t expected1 = serial1.Count();
@@ -340,10 +340,10 @@ TEST(WorkerPoolTest, ConcurrentQueriesShareThePool) {
 
 TEST(WorkerPoolTest, HandleOutlivesWaitAndIsIdempotent) {
   const Graph g = RelabelByDegree(ErdosRenyi(300, 900, /*seed=*/7));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern tri;
   ASSERT_TRUE(FindPattern("triangle", &tri).ok());
-  const ExecutionPlan plan = BuildPlan(tri, stats, PlanOptions::Light());
+  const ExecutionPlan plan = BuildPlan(tri, g, stats, PlanOptions::Light());
   WorkerPool pool(2);
   WorkerPool::QuerySpec spec;
   spec.graph = GraphView(g);
@@ -359,10 +359,10 @@ TEST(WorkerPoolTest, HandleOutlivesWaitAndIsIdempotent) {
 TEST(WorkerPoolTest, EmptyGraphCompletesImmediately) {
   GraphBuilder builder(0);
   const Graph g = builder.Build();
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern tri;
   ASSERT_TRUE(FindPattern("triangle", &tri).ok());
-  const ExecutionPlan plan = BuildPlan(tri, stats, PlanOptions::Light());
+  const ExecutionPlan plan = BuildPlan(tri, g, stats, PlanOptions::Light());
   WorkerPool pool(2);
   WorkerPool::QuerySpec spec;
   spec.graph = GraphView(g);
@@ -377,10 +377,10 @@ TEST(WorkerPoolTest, CancelAbortsInFlightQuery) {
   // Big enough that the query is still running when Cancel lands; one
   // worker thread so ranges queue up behind a single consumer.
   const Graph g = RelabelByDegree(BarabasiAlbert(20000, 8, /*seed=*/29));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p6;
   ASSERT_TRUE(FindPattern("P6", &p6).ok());
-  const ExecutionPlan plan = BuildPlan(p6, stats, PlanOptions::Light());
+  const ExecutionPlan plan = BuildPlan(p6, g, stats, PlanOptions::Light());
   WorkerPool pool(1);
   WorkerPool::QuerySpec spec;
   spec.graph = GraphView(g);
@@ -402,10 +402,10 @@ TEST(WorkerPoolTest, CancelAbortsInFlightQuery) {
 
 TEST(WorkerPoolTest, AdmissionLimitRejectsSubmitImmediately) {
   const Graph g = RelabelByDegree(BarabasiAlbert(20000, 8, /*seed=*/31));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern p6;
   ASSERT_TRUE(FindPattern("P6", &p6).ok());
-  const ExecutionPlan plan = BuildPlan(p6, stats, PlanOptions::Light());
+  const ExecutionPlan plan = BuildPlan(p6, g, stats, PlanOptions::Light());
   WorkerPool pool(1);
   pool.SetMaxOpenQueries(1);
   WorkerPool::QuerySpec spec;
@@ -430,10 +430,10 @@ TEST(WorkerPoolTest, AdmissionLimitRejectsSubmitImmediately) {
 
 TEST(WorkerPoolTest, OnDoneCallbackFiresExactlyOnce) {
   const Graph g = RelabelByDegree(ErdosRenyi(300, 900, /*seed=*/7));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   Pattern tri;
   ASSERT_TRUE(FindPattern("triangle", &tri).ok());
-  const ExecutionPlan plan = BuildPlan(tri, stats, PlanOptions::Light());
+  const ExecutionPlan plan = BuildPlan(tri, g, stats, PlanOptions::Light());
   WorkerPool pool(2);
   WorkerPool::QuerySpec spec;
   spec.graph = GraphView(g);
@@ -456,11 +456,11 @@ class ParallelCountTest : public ::testing::TestWithParam<int> {};
 TEST_P(ParallelCountTest, MatchesSerialCount) {
   const int threads = GetParam();
   const Graph g = RelabelByDegree(BarabasiAlbert(3000, 5, /*seed=*/13));
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   for (const char* name : {"P1", "P2", "P3", "P5"}) {
     Pattern p;
     ASSERT_TRUE(FindPattern(name, &p).ok());
-    const ExecutionPlan plan = BuildPlan(p, stats, PlanOptions::Light());
+    const ExecutionPlan plan = BuildPlan(p, g, stats, PlanOptions::Light());
     Enumerator serial(g, plan);
     const uint64_t expected = serial.Count();
 
@@ -486,7 +486,7 @@ TEST(ParallelCountTest, StatsMergeAcrossWorkers) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan =
-      BuildPlan(p2, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p2, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator serial(g, plan);
   serial.Count();
 
@@ -509,7 +509,7 @@ TEST(ParallelCountTest, WorkerStatsAccountForAllRoots) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan =
-      BuildPlan(p2, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p2, g, ComputeGraphStats(g), PlanOptions::Light());
   ParallelOptions options;
   options.num_threads = 4;
   const ParallelResult result = ParallelCount(g, plan, options);
@@ -540,7 +540,7 @@ TEST(ParallelCountTest, TimeLimitAborts) {
   Pattern p5;
   ASSERT_TRUE(FindPattern("P5", &p5).ok());
   const ExecutionPlan plan =
-      BuildPlan(p5, ComputeGraphStats(g, true), PlanOptions::Se());
+      BuildPlan(p5, g, ComputeGraphStats(g), PlanOptions::Se());
   ParallelOptions options;
   options.num_threads = 2;
   options.time_limit_seconds = 1e-3;
@@ -553,7 +553,7 @@ TEST(ParallelCountTest, DefaultThreadsResolveToHardware) {
   Pattern tri;
   ASSERT_TRUE(FindPattern("triangle", &tri).ok());
   const ExecutionPlan plan =
-      BuildPlan(tri, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(tri, g, ComputeGraphStats(g), PlanOptions::Light());
   const ParallelResult result = ParallelCount(g, plan, {});
   EXPECT_GE(result.threads_used, 1);
 }
@@ -609,7 +609,7 @@ TEST(ParallelCountTest, ZeroDonationIntervalRegression) {
   Pattern tri;
   ASSERT_TRUE(FindPattern("triangle", &tri).ok());
   const ExecutionPlan plan =
-      BuildPlan(tri, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(tri, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator serial(g, plan);
   const uint64_t expected = serial.Count();
 

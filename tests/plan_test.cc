@@ -6,9 +6,12 @@
 
 #include "gen/generators.h"
 #include "graph/graph_stats.h"
+#include "graph/reorder.h"
+#include "light.h"
 #include "pattern/catalog.h"
 #include "plan/cardinality.h"
 #include "plan/execution_order.h"
+#include "plan/iep.h"
 #include "plan/order_optimizer.h"
 #include "plan/set_cover.h"
 
@@ -187,7 +190,7 @@ TEST(OperandsTest, PropositionV1CoverNeverWorse) {
 
 TEST(CardinalityTest, BasicMonotonicity) {
   const Graph g = BarabasiAlbert(2000, 5, /*seed=*/17);
-  const CardinalityEstimator est(ComputeGraphStats(g, true));
+  const CardinalityEstimator est(ComputeGraphStats(g));
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   // Single vertex ~ N; single edge ~ 2M; larger patterns grow.
@@ -204,7 +207,7 @@ TEST(CardinalityTest, BasicMonotonicity) {
 TEST(CardinalityTest, DenserSubpatternsEstimateSmaller) {
   // Adding a closing edge multiplies by a probability <= 1.
   const Graph g = ErdosRenyi(3000, 15000, /*seed=*/23);
-  const CardinalityEstimator est(ComputeGraphStats(g, true));
+  const CardinalityEstimator est(ComputeGraphStats(g));
   const Pattern path = Pattern::FromEdges(3, {{0, 1}, {1, 2}});
   const Pattern tri = Pattern::FromEdges(3, {{0, 1}, {1, 2}, {0, 2}});
   EXPECT_LT(est.EstimateMatches(tri), est.EstimateMatches(path));
@@ -237,7 +240,7 @@ TEST(OrderOptimizerTest, CostPrefersDenseAnchors) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const Graph g = BarabasiAlbert(2000, 5, /*seed=*/29);
-  const CardinalityEstimator est(ComputeGraphStats(g, true));
+  const CardinalityEstimator est(ComputeGraphStats(g));
   const auto pi = OptimizeEnumerationOrder(p2, est, {}, true, true);
   EXPECT_TRUE(IsConnectedOrder(p2, pi));
   const auto pi_again = OptimizeEnumerationOrder(p2, est, {}, true, true);
@@ -257,11 +260,11 @@ TEST(PlanTest, VariantFactoriesSetFlags) {
 
 TEST(PlanTest, BuildPlanProducesValidSigmaAndConstraints) {
   const Graph g = BarabasiAlbert(500, 4, /*seed=*/31);
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   for (const char* name : {"P1", "P2", "P3", "P4", "P5", "P6", "P7"}) {
     Pattern p;
     ASSERT_TRUE(FindPattern(name, &p).ok());
-    const ExecutionPlan plan = BuildPlan(p, stats, PlanOptions::Light());
+    const ExecutionPlan plan = BuildPlan(p, g, stats, PlanOptions::Light());
     EXPECT_TRUE(ValidateExecutionOrder(p, plan.pi, plan.sigma)) << name;
     // Every constraint endpoint pair must appear in exactly one direction.
     for (const auto& [a, b] : plan.partial_order) {
@@ -281,11 +284,53 @@ TEST(PlanTest, ToStringMentionsAllParts) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan =
-      BuildPlan(p2, ComputeGraphStats(g, true), PlanOptions::Light());
+      BuildPlan(p2, g, ComputeGraphStats(g), PlanOptions::Light());
   const std::string s = plan.ToString();
   EXPECT_NE(s.find("pi:"), std::string::npos);
   EXPECT_NE(s.find("sigma:"), std::string::npos);
   EXPECT_NE(s.find("operands"), std::string::npos);
+}
+
+// The planner reads |V|, |E| and the degree moments; the sampling
+// estimator measures wedge closing itself. Counting triangles must
+// therefore never change a plan.
+TEST(PlanStatsTest, PlansDoNotDependOnTriangleCount) {
+  const std::vector<std::pair<std::string, Graph>> graphs = [] {
+    std::vector<std::pair<std::string, Graph>> out;
+    out.emplace_back("clustered-ba", RelabelByDegree(BarabasiAlbertClustered(
+                                         2000, 4, 0.4, /*seed=*/61)));
+    out.emplace_back("rmat", RelabelByDegree(RMat(11, 8.0, 0.57, 0.19, 0.19,
+                                                  /*seed=*/62)));
+    return out;
+  }();
+  for (const auto& [graph_name, g] : graphs) {
+    const GraphStats with_triangles = ComputeGraphStats(g, true);
+    const GraphStats degrees_only = ComputeGraphStats(g);
+    ASSERT_GT(with_triangles.num_triangles, 0u) << graph_name;
+    for (const RestrictionMode mode :
+         {RestrictionMode::kGrochowKellis, RestrictionMode::kCoOptimized}) {
+      RunOptions options;
+      options.plan_options.restriction_mode = mode;
+      for (const std::string& name : ExperimentPatternNames()) {
+        Pattern p;
+        ASSERT_TRUE(FindPattern(name, &p).ok());
+        EXPECT_EQ(BuildRunPlan(g, with_triangles, p, options).ToString(),
+                  BuildRunPlan(g, degrees_only, p, options).ToString())
+            << graph_name << " " << name;
+      }
+    }
+    Pattern book;
+    ASSERT_TRUE(FindPattern("P5", &book).ok());
+    const IepDecomposition dec = BuildIepDecomposition(book);
+    ASSERT_TRUE(dec.valid());
+    for (const IepTerm& term : dec.terms) {
+      EXPECT_EQ(BuildIepTermPlan(term, g, with_triangles, PlanOptions::Light())
+                    .ToString(),
+                BuildIepTermPlan(term, g, degrees_only, PlanOptions::Light())
+                    .ToString())
+          << graph_name << " " << term.pattern.ToString();
+    }
+  }
 }
 
 }  // namespace

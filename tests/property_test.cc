@@ -64,7 +64,7 @@ TEST_P(RandomAgreementTest, AllEnginesMatchBruteForce) {
   const Pattern pattern = RandomConnectedPattern(n, extra, &rng);
   const Graph graph =
       RandomGraph(graph_kind, 1000 + static_cast<uint64_t>(pattern_seed));
-  const GraphStats stats = ComputeGraphStats(graph, true);
+  const GraphStats stats = ComputeGraphStats(graph);
 
   const PartialOrder constraints = ComputeSymmetryBreaking(pattern);
   const uint64_t expected = BruteForceCountMatches(pattern, graph, constraints);

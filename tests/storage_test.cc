@@ -53,7 +53,7 @@ uint64_t CountOn(GraphView view, const Graph& plan_graph,
                  const std::string& pattern_name) {
   Pattern pattern;
   EXPECT_TRUE(FindPattern(pattern_name, &pattern).ok());
-  const GraphStats stats = ComputeGraphStats(plan_graph, true);
+  const GraphStats stats = ComputeGraphStats(plan_graph);
   const ExecutionPlan plan =
       BuildPlan(pattern, plan_graph, stats, PlanOptions::Light());
   Enumerator enumerator(view, plan);
@@ -207,7 +207,7 @@ TEST(GraphStoreTest, MultiThreadedParallelCountOverMmapStore) {
 
   Pattern p1;
   ASSERT_TRUE(FindPattern("P1", &p1).ok());
-  const GraphStats stats = ComputeGraphStats(g, true);
+  const GraphStats stats = ComputeGraphStats(g);
   const ExecutionPlan plan = BuildPlan(p1, g, stats, PlanOptions::Light());
   Enumerator serial(g, plan);
   const uint64_t expected = serial.Count();

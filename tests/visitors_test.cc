@@ -57,7 +57,7 @@ TEST(VisitorIntegrationTest, EnumerateAndCountAgree) {
   Pattern p2;
   ASSERT_TRUE(FindPattern("P2", &p2).ok());
   const ExecutionPlan plan = BuildPlan(
-      p2, g, ComputeGraphStats(g, true), PlanOptions::Light());
+      p2, g, ComputeGraphStats(g), PlanOptions::Light());
   Enumerator counter(g, plan);
   const uint64_t count = counter.Count();
 

@@ -278,8 +278,8 @@ int main(int argc, char** argv) {
   }
 
   const GraphStats stats =
-      store != nullptr ? ComputeGraphStats(store->view(), true)
-                       : ComputeGraphStats(graph, /*count_triangles=*/true);
+      store != nullptr ? ComputeGraphStats(store->view())
+                       : ComputeGraphStats(graph);
   if (store != nullptr) {
     std::printf("graph: %s [store mode=%s] (opened in %s)\n",
                 stats.ToString().c_str(),

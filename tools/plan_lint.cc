@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   } else {
     graph = ErdosRenyi(/*n=*/256, /*m=*/2048, /*seed=*/0x11917);
   }
-  const GraphStats stats = ComputeGraphStats(graph, /*count_triangles=*/true);
+  const GraphStats stats = ComputeGraphStats(graph);
 
   // Collect the patterns to lint.
   std::vector<std::pair<std::string, Pattern>> patterns;
