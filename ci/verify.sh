@@ -45,9 +45,11 @@ cmake -B build -S . -DLIGHT_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> plan linter: catalog sweep (strict)"
+echo "==> plan linter: catalog sweep (strict, every restriction mode)"
 ./build/tools/plan_lint --all --strict
 ./build/tools/plan_lint --all --strict --algo se
+./build/tools/plan_lint --all --strict --restriction co-optimized
+./build/tools/plan_lint --all --strict --restriction auto
 
 if [[ "$skip_tsa" -eq 0 ]]; then
   if command -v clang++ >/dev/null 2>&1; then

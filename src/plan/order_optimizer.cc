@@ -58,6 +58,7 @@ int ConstrainedPositionScore(const std::vector<int>& pi,
 
 OrderCost EvaluateOrderCost(const Pattern& pattern, const std::vector<int>& pi,
                             const CardinalityEstimator& estimator,
+                            const PartialOrder& restrictions,
                             bool lazy_materialization,
                             bool minimum_set_cover) {
   const ExecutionOrder sigma =
@@ -76,14 +77,16 @@ OrderCost EvaluateOrderCost(const Pattern& pattern, const std::vector<int>& pi,
     if (w_u <= 0.0) continue;
     cost.computation +=
         alpha * w_u *
-        estimator.EstimateMatches(pattern, anchors[static_cast<size_t>(u)]);
+        estimator.EstimateMatches(pattern, anchors[static_cast<size_t>(u)],
+                                  restrictions);
   }
   // Materialization follows pi', the MAT sequence of sigma (Section VI).
   const std::vector<int> mat_order = MaterializationOrder(sigma);
   uint32_t mask = 0;
   for (int u : mat_order) {
     mask |= 1u << u;
-    cost.materialization += estimator.EstimateMatches(pattern, mask);
+    cost.materialization +=
+        estimator.EstimateMatches(pattern, mask, restrictions);
   }
   return cost;
 }
@@ -108,8 +111,8 @@ std::vector<int> OptimizeEnumerationOrder(const Pattern& pattern,
   int best_score = 0;
   for (const auto& pi : orders) {
     const double cost =
-        EvaluateOrderCost(pattern, pi, estimator, lazy_materialization,
-                          minimum_set_cover)
+        EvaluateOrderCost(pattern, pi, estimator, partial_order,
+                          lazy_materialization, minimum_set_cover)
             .Total();
     const int score = ConstrainedPositionScore(pi, partial_order);
     const bool better =

@@ -200,11 +200,13 @@ ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
     const std::vector<int> gk_pi = OptimizeEnumerationOrder(
         pattern, estimator, gk_order, options.lazy_materialization,
         options.minimum_set_cover);
-    const double gk_cost = RestrictionAdjustedCost(
-        pattern, gk_pi, gk_order, estimator, options.lazy_materialization,
-        options.minimum_set_cover);
+    const double gk_cost =
+        EvaluateOrderCost(pattern, gk_pi, estimator, gk_order,
+                          options.lazy_materialization,
+                          options.minimum_set_cover)
+            .Total();
     // Ties keep the classic plan: it is the better-tested default.
-    if (gk_cost <= choice.adjusted_cost * (1.0 + 1e-12)) {
+    if (gk_cost <= choice.cost * (1.0 + 1e-12)) {
       return Assemble(pattern, gk_pi, options, std::move(gk_order));
     }
   }

@@ -31,8 +31,8 @@ inline constexpr uint32_t kBitmapDegreeAuto = kBitmapDegreeNever - 1;
 ///   kCoOptimized    restriction sets generated per candidate matching
 ///                   order (pivot priority follows the order) and scored
 ///                   jointly with it, so the (order, restrictions) pair with
-///                   the best restriction-adjusted cost wins;
-///   kAuto           build both and keep the cheaper plan.
+///                   the lowest Equation-8 cost under its restrictions wins;
+///   kAuto           build both and keep the cheaper plan on that cost.
 enum class RestrictionMode : uint8_t {
   kGrochowKellis,
   kCoOptimized,

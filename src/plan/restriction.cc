@@ -82,46 +82,6 @@ PartialOrder ComputeRestrictionsForOrder(const Pattern& pattern,
   return RestrictionsFromGroup(FindAutomorphismGroup(pattern), n, priority);
 }
 
-double LinearExtensionFraction(const PartialOrder& constraints,
-                               int num_vertices) {
-  if (constraints.empty()) return 1.0;
-  if (num_vertices > 20) return 1.0;
-  const int n = num_vertices;
-  // succ[u]: vertices constrained to come after u. Adding elements from the
-  // back, u may close a prefix S only if none of its successors is in S.
-  std::vector<uint32_t> succ(static_cast<size_t>(n), 0);
-  for (const auto& [a, b] : constraints) {
-    succ[static_cast<size_t>(a)] |= 1u << b;
-  }
-  std::vector<double> extensions(size_t{1} << n, 0.0);
-  extensions[0] = 1.0;
-  for (uint32_t mask = 1; mask < (uint32_t{1} << n); ++mask) {
-    double total = 0.0;
-    for (int u = 0; u < n; ++u) {
-      if (!((mask >> u) & 1u)) continue;
-      if (succ[static_cast<size_t>(u)] & mask) continue;
-      total += extensions[mask & ~(1u << u)];
-    }
-    extensions[mask] = total;
-  }
-  double factorial = 1.0;
-  for (int k = 2; k <= n; ++k) factorial *= k;
-  return extensions[(size_t{1} << n) - 1] / factorial;
-}
-
-double RestrictionAdjustedCost(const Pattern& pattern,
-                               const std::vector<int>& pi,
-                               const PartialOrder& restrictions,
-                               const CardinalityEstimator& estimator,
-                               bool lazy_materialization,
-                               bool minimum_set_cover) {
-  const double base = EvaluateOrderCost(pattern, pi, estimator,
-                                        lazy_materialization,
-                                        minimum_set_cover)
-                          .Total();
-  return base * LinearExtensionFraction(restrictions, pattern.NumVertices());
-}
-
 RestrictedPlanChoice CoOptimizeOrderAndRestrictions(
     const Pattern& pattern, const CardinalityEstimator& estimator,
     bool lazy_materialization, bool minimum_set_cover) {
@@ -133,7 +93,7 @@ RestrictedPlanChoice CoOptimizeOrderAndRestrictions(
       EnumerateConnectedOrders(pattern, PartialOrder{});
   LIGHT_CHECK(!orders.empty());
   RestrictedPlanChoice best;
-  best.adjusted_cost = std::numeric_limits<double>::infinity();
+  best.cost = std::numeric_limits<double>::infinity();
   std::vector<int> priority(static_cast<size_t>(n), 0);
   for (const std::vector<int>& pi : orders) {
     for (int pos = 0; pos < n; ++pos) {
@@ -141,15 +101,15 @@ RestrictedPlanChoice CoOptimizeOrderAndRestrictions(
     }
     PartialOrder restrictions = RestrictionsFromGroup(group, n, priority);
     const double cost =
-        RestrictionAdjustedCost(pattern, pi, restrictions, estimator,
-                                lazy_materialization, minimum_set_cover);
+        EvaluateOrderCost(pattern, pi, estimator, restrictions,
+                          lazy_materialization, minimum_set_cover)
+            .Total();
     // Deterministic: strict improvement beyond tolerance wins; the first
     // candidate at a tied cost is kept (orders enumerate lexicographically).
-    if (cost < best.adjusted_cost * (1.0 - 1e-12) ||
-        best.pi.empty()) {
+    if (cost < best.cost * (1.0 - 1e-12) || best.pi.empty()) {
       best.pi = pi;
       best.restrictions = std::move(restrictions);
-      best.adjusted_cost = cost;
+      best.cost = cost;
     }
   }
   return best;

@@ -14,11 +14,14 @@
 /// matching order — pivoting on early-matched vertices first — and score the
 /// (order, restrictions) pair jointly.
 ///
-/// The joint score multiplies the Equation-8 cost of the order by the
-/// restriction selectivity: the fraction of the n! relative orderings of the
-/// pattern vertices that satisfy the constraints (= linear extensions of the
-/// constraint poset / n!), which is exactly the asymptotic fraction of
-/// partial embeddings the restrictions let through under a uniform-ID model.
+/// The joint score is the Equation-8 cost of the order estimated under its
+/// own restriction set (plan/cardinality.h samples partial matches that
+/// satisfy the constraints), the same cost the Grochow–Kellis path
+/// minimizes, so kAuto compares the two plans on one model. A uniform-ID
+/// selectivity (the fraction of vertex orderings the constraints admit)
+/// would not do: on a degree-ordered graph the constraints cut prefixes
+/// unevenly, e.g. the 4-cycle's wedge at its lowest vertex ~20x where the
+/// uniform model says 6x.
 
 #include <vector>
 
@@ -43,32 +46,17 @@ PartialOrder RestrictionsFromGroup(const AutomorphismGroup& group,
 PartialOrder ComputeRestrictionsForOrder(const Pattern& pattern,
                                          const std::vector<int>& pi);
 
-/// Fraction of the num_vertices! strict total orders satisfying every
-/// constraint: linear extensions of the poset / n!, by bitmask DP (O(2^n n)).
-/// 1.0 for an empty set; patterns beyond 20 vertices fall back to 1.0.
-double LinearExtensionFraction(const PartialOrder& constraints,
-                               int num_vertices);
-
-/// Equation-8 cost of pi scaled by the selectivity of `restrictions` — the
-/// joint objective of the co-optimization.
-double RestrictionAdjustedCost(const Pattern& pattern,
-                               const std::vector<int>& pi,
-                               const PartialOrder& restrictions,
-                               const CardinalityEstimator& estimator,
-                               bool lazy_materialization,
-                               bool minimum_set_cover);
-
 struct RestrictedPlanChoice {
   std::vector<int> pi;
   PartialOrder restrictions;
-  double adjusted_cost = 0.0;
+  double cost = 0.0;
 };
 
 /// GraphPi joint optimization: every connected matching order paired with
-/// its order-tailored restriction set, scored by RestrictionAdjustedCost;
-/// returns the minimum (deterministic tie-break toward the lexicographically
-/// smaller order). With a trivial automorphism group this degenerates to the
-/// plain Equation-8 order optimization.
+/// its order-tailored restriction set, scored by EvaluateOrderCost under
+/// that set; returns the minimum (deterministic tie-break toward the
+/// lexicographically smaller order). With a trivial automorphism group this
+/// degenerates to the plain Equation-8 order optimization.
 RestrictedPlanChoice CoOptimizeOrderAndRestrictions(
     const Pattern& pattern, const CardinalityEstimator& estimator,
     bool lazy_materialization, bool minimum_set_cover);

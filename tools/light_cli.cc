@@ -8,6 +8,7 @@
 //   light_cli --dataset yt_s --save-store yt.lcsr2
 //   light_cli --graph-store yt.lcsr2 --store-mode mmap --pattern P2
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include "gen/catalog.h"
 #include "join/bsp_engine.h"
 #include "light.h"
+#include "plan/cardinality.h"
 #include "storage/graph_store.h"
 
 namespace {
@@ -66,7 +68,8 @@ void Usage() {
                      disable; default: derive from --bitmap-density)
   --bitmap-density D relative threshold delta_b: index degree >= D*|V|
                      (default 0.1)
-  --show-plan        print the compiled execution plan
+  --show-plan        print the compiled execution plan, and after the run
+                     the planner's q-error at each MAT level
   --batch PATH       run every pattern listed in PATH (one per line: a
                      catalog name or pattern-edges syntax; '#' comments)
                      through one shared light::Session — plans are cached
@@ -750,6 +753,27 @@ int main(int argc, char** argv) {
         FormatSeconds(result.elapsed_seconds).c_str(),
         static_cast<unsigned long long>(isx.num_intersections),
         100.0 * isx.GallopingFraction(), 100.0 * isx.BitmapFraction());
+  }
+  if (FlagSet(argc, argv, "--show-plan") && run_options.plan == &plan &&
+      !result.timed_out) {
+    // The planner's model against the run: per MAT level, the restricted
+    // estimate of the materialized prefix and the partial matches the
+    // engine bound there; q = max(est/act, act/est), counts floored at 1.
+    const CardinalityEstimator estimator(data_graph, stats);
+    uint32_t prefix = 0;
+    for (const Operation& op : plan.sigma) {
+      if (op.type != OpType::kMaterialize) continue;
+      prefix |= 1u << op.vertex;
+      const double estimate = estimator.EstimateMatches(
+          plan.pattern, prefix, plan.partial_order);
+      const uint64_t actual =
+          report.engine.mat_counts[static_cast<size_t>(op.vertex)];
+      const double est = std::max(estimate, 1.0);
+      const double act = std::max(static_cast<double>(actual), 1.0);
+      std::printf("q-error MAT(u%d): est=%.4g actual=%llu q=%.2f\n",
+                  op.vertex, estimate, static_cast<unsigned long long>(actual),
+                  std::max(est / act, act / est));
+    }
   }
   if (result.timed_out) return 2;
   return sink_error ? 1 : 0;
