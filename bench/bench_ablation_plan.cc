@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       std::vector<std::pair<double, const std::vector<int>*>> measured;
       for (const auto& pi : orders) {
         PlanOptions options = PlanOptions::Light();
-        options.kernel = BestKernel();
+        options.kernel = BestAvailableKernel();
         const RunResult r =
             RunSerial(bg, pattern, options, args.time_limit_seconds, &pi);
         if (!r.oot) {
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
         const std::vector<int> pi =
             OptimizeEnumerationOrder(pattern, est, constraints, true, true);
         PlanOptions options = PlanOptions::Light();
-        options.kernel = BestKernel();
+        options.kernel = BestAvailableKernel();
         return RunSerial(bg, pattern, options, args.time_limit_seconds, &pi)
             .seconds;
       };

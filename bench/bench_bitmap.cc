@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       {"er_p05", ErdosRenyi(n, static_cast<EdgeID>(0.5 * er_base), 7)},
       {"complete", Complete(std::min<VertexID>(n, 2048))},
   };
-  const IntersectKernel kernel = BestKernel();
+  const IntersectKernel kernel = BestAvailableKernel();
 
   std::printf("micro: n=%u reps=%d pairs=256 kernel=%s\n", n, reps,
               KernelName(kernel).c_str());

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     for (const std::string& pname : args.patterns) {
       const Pattern pattern = LoadPattern(pname);
       PlanOptions options = PlanOptions::Light();
-      options.kernel = BestKernel();
+      options.kernel = BestAvailableKernel();
       const ExecutionPlan plan =
           BuildPlan(pattern, bg.graph, bg.stats, options);
       for (int machines : {4, 12}) {

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     for (const std::string& pname : args.patterns) {
       const Pattern pattern = LoadPattern(pname);
       PlanOptions options = PlanOptions::Light();
-      options.kernel = BestKernel();
+      options.kernel = BestAvailableKernel();
       std::printf("%-6s %-4s |", bg.name.c_str(), pname.c_str());
       double t1 = 0.0;
       double best = 0.0;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
       // LIGHT with full parallelization.
       PlanOptions light_options = PlanOptions::Light();
-      light_options.kernel = BestKernel();
+      light_options.kernel = BestAvailableKernel();
       const RunResult light = RunParallel(bg, pattern, light_options, threads,
                                           args.time_limit_seconds);
       RecordRun(args, "fig8_overall", dataset, pname, "light", threads, light);
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
       if (dualsim.oot) ++dualsim_fail;
 
       BspOptions bsp;
-      bsp.kernel = BestKernel();
+      bsp.kernel = BestAvailableKernel();
       bsp.memory_budget_bytes = kClusterBudget;
       bsp.time_limit_seconds = args.time_limit_seconds;
       const BspResult seed = RunSeedLike(bg.graph, pattern, bsp);

@@ -48,29 +48,11 @@ void BM_Intersect(benchmark::State& state, IntersectKernel kernel) {
 }
 
 void RegisterAll() {
-  struct KernelEntry {
-    const char* name;
-    IntersectKernel kernel;
-  };
-  const KernelEntry kernels[] = {
-      {"Merge", IntersectKernel::kMerge},
-      {"Galloping", IntersectKernel::kGalloping},
-      {"BinarySearch", IntersectKernel::kBinarySearch},
-      {"Hybrid", IntersectKernel::kHybrid},
-#if defined(LIGHT_HAVE_AVX2)
-      {"MergeAVX2", IntersectKernel::kMergeAvx2},
-      {"HybridAVX2", IntersectKernel::kHybridAvx2},
-#endif
-#if defined(LIGHT_HAVE_AVX512)
-      {"MergeAVX512", IntersectKernel::kMergeAvx512},
-      {"HybridAVX512", IntersectKernel::kHybridAvx512},
-#endif
-  };
-  for (const KernelEntry& entry : kernels) {
-    if (!light::KernelAvailable(entry.kernel)) continue;
-    const std::string name = std::string("BM_Intersect/") + entry.name;
+  for (const IntersectKernel kernel : light::kAllKernels) {
+    if (!light::KernelAvailable(kernel)) continue;
+    const std::string name = "BM_Intersect/" + light::KernelName(kernel);
     auto* bench = benchmark::RegisterBenchmark(
-        name.c_str(), [kernel = entry.kernel](benchmark::State& state) {
+        name.c_str(), [kernel](benchmark::State& state) {
           BM_Intersect(state, kernel);
         });
     // small size x skew ratio; skew 1 = balanced, 64/512 = cardinality skew.

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   const BenchGraph bg = LoadBenchGraph(args.datasets[0], args.scale);
   const Pattern pattern = LoadPattern(args.patterns[0]);
   PlanOptions options = PlanOptions::Light();
-  options.kernel = BestKernel();
+  options.kernel = BestAvailableKernel();
   const int threads = 4;
 
   // Warm-up (page in the graph, settle the frequency governor).

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     const BenchGraph bg = LoadBenchGraph(dataset, args.scale);
     const Pattern pattern = LoadPattern(args.patterns[0]);
     PlanOptions options = PlanOptions::Light();
-    options.kernel = BestKernel();
+    options.kernel = BestAvailableKernel();
     const ExecutionPlan plan = BuildPlan(pattern, bg.graph, bg.stats, options);
 
     const std::string path = "/tmp/light_bench_store_" + dataset + ".lcsr2";

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
       PlanOptions light_options = PlanOptions::Light();
       light_options.kernel = IntersectKernel::kMerge;
       PlanOptions light_p_options = PlanOptions::Light();
-      light_p_options.kernel = BestKernel();
+      light_p_options.kernel = BestAvailableKernel();
       PlanOptions se_p_options = PlanOptions::Se();
-      se_p_options.kernel = BestKernel();
+      se_p_options.kernel = BestAvailableKernel();
 
       const RunResult se =
           RunSerial(bg, pattern, se_options, args.time_limit_seconds);

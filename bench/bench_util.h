@@ -190,12 +190,6 @@ inline RunResult RunParallel(const BenchGraph& bg, const Pattern& pattern,
   return result;
 }
 
-inline IntersectKernel BestKernel() {
-  return KernelAvailable(IntersectKernel::kHybridAvx2)
-             ? IntersectKernel::kHybridAvx2
-             : IntersectKernel::kHybrid;
-}
-
 inline void PrintHeader(const char* title, const BenchArgs& args) {
   std::printf("==== %s ====\n", title);
   std::printf("scale=%.3g time_limit=%.3gs (override with --scale/--time-limit)\n\n",

@@ -8,7 +8,9 @@
 # rejection, clean drain on SIGTERM), and a UBSan leg that runs the
 # edge-case-heavy tests plus a 60-second differential fuzz smoke (which
 # also soaks the plan linter on every generated plan) under
-# -fsanitize=undefined.
+# -fsanitize=undefined. A scalar leg builds with -DLIGHT_ENABLE_AVX2=OFF
+# and runs the kernel, bitmap, facade and engine tests, so the portable
+# fallbacks (the Hybrid default, the non-SIMD dispatch arms) run somewhere.
 #
 # A clang thread-safety-analysis leg (-Wthread-safety -Werror) compiles the
 # annotated serving stack when clang++ is available, proving the
@@ -18,6 +20,7 @@
 #
 # Usage: ci/verify.sh [--skip-tsan] [--skip-ubsan] [--skip-asan]
 #                     [--skip-tidy] [--skip-bench] [--skip-tsa]
+#                     [--skip-scalar]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,6 +31,7 @@ skip_asan=0
 skip_tidy=0
 skip_bench=0
 skip_tsa=0
+skip_scalar=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) skip_tsan=1 ;;
@@ -36,6 +40,7 @@ for arg in "$@"; do
     --skip-tidy) skip_tidy=1 ;;
     --skip-bench) skip_bench=1 ;;
     --skip-tsa) skip_tsa=1 ;;
+    --skip-scalar) skip_scalar=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -144,6 +149,18 @@ for tool_args in "light_cli --pattern triangle" "light_server --port 0"; do
   fi
 done
 echo "store-mode smoke OK: --store-mode paged rejected by light_cli and light_server"
+# Likewise a deleted kernel: naming one is an unknown kernel.
+removed_kernel=hybrid_avx512
+rc=0
+./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
+  --pattern triangle --kernel "$removed_kernel" \
+  >/dev/null 2>build/verify_kernel.err || rc=$?
+if [[ "$rc" -ne 1 ]] || ! grep -q "unknown kernel" build/verify_kernel.err; then
+  echo "==> light_cli --kernel $removed_kernel: expected a usage error, got exit $rc" >&2
+  cat build/verify_kernel.err >&2
+  exit 1
+fi
+echo "kernel smoke OK: --kernel $removed_kernel rejected as an unknown kernel"
 server_log="build/verify_server.log"
 ./build/tools/light_server --graph-store build/verify_store.lcsr2 \
   --store-mode mmap --threads 4 \
@@ -201,6 +218,20 @@ print(f"server smoke OK: {fixed['queries']} fixed queries "
       f"{sat['overload_rejected']} overload-rejected under saturation, "
       f"clean shutdown with zero leaked queries")
 EOF
+
+if [[ "$skip_scalar" -eq 0 ]]; then
+  echo "==> scalar: AVX2 off (kernel, bitmap, facade, engine tests)"
+  cmake -B build-scalar -S . \
+    -DLIGHT_ENABLE_AVX2=OFF \
+    -DLIGHT_BUILD_BENCHMARKS=OFF \
+    -DLIGHT_BUILD_EXAMPLES=OFF >/dev/null
+  cmake --build build-scalar -j "$(nproc)" \
+    --target intersect_test bitmap_test facade_test engine_test
+  ./build-scalar/tests/intersect_test
+  ./build-scalar/tests/bitmap_test
+  ./build-scalar/tests/facade_test
+  ./build-scalar/tests/engine_test
+fi
 
 if [[ "$skip_tsan" -eq 0 ]]; then
   echo "==> TSan: parallel + obs + session + facade + net + concurrency tests"

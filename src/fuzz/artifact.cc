@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "pattern/parse.h"
@@ -20,22 +21,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-bool KernelFromName(const std::string& name, IntersectKernel* out) {
-  static const IntersectKernel kAll[] = {
-      IntersectKernel::kMerge,        IntersectKernel::kMergeAvx2,
-      IntersectKernel::kGalloping,    IntersectKernel::kBinarySearch,
-      IntersectKernel::kHybrid,       IntersectKernel::kHybridAvx2,
-      IntersectKernel::kMergeAvx512,  IntersectKernel::kHybridAvx512,
-  };
-  for (IntersectKernel k : kAll) {
-    if (KernelName(k) == name) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -123,9 +108,9 @@ Status ParseArtifact(const std::string& text, FuzzCase* out) {
     } else if (key == "kernel") {
       std::string name;
       fields >> name;
-      if (!KernelFromName(name, &out->kernel)) {
-        return Status::InvalidArgument("unknown kernel: " + name);
-      }
+      const std::optional<IntersectKernel> kernel = KernelFromName(name);
+      if (!kernel) return Status::InvalidArgument("unknown kernel: " + name);
+      out->kernel = *kernel;
     } else if (key == "symmetry") {
       int v = 1;
       fields >> v;

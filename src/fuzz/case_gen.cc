@@ -85,14 +85,8 @@ Pattern SamplePattern(Rng* rng, const CaseLimits& limits) {
 }
 
 IntersectKernel SampleKernel(Rng* rng) {
-  static const IntersectKernel kAll[] = {
-      IntersectKernel::kMerge,        IntersectKernel::kMergeAvx2,
-      IntersectKernel::kGalloping,    IntersectKernel::kBinarySearch,
-      IntersectKernel::kHybrid,       IntersectKernel::kHybridAvx2,
-      IntersectKernel::kMergeAvx512,  IntersectKernel::kHybridAvx512,
-  };
   std::vector<IntersectKernel> available;
-  for (IntersectKernel k : kAll) {
+  for (IntersectKernel k : kAllKernels) {
     if (KernelAvailable(k)) available.push_back(k);
   }
   return available[rng->NextBounded(available.size())];

@@ -1,6 +1,7 @@
 #include "intersect/set_intersection.h"
 
 #include <algorithm>
+#include <cctype>
 #include <vector>
 
 #include "common/check.h"
@@ -146,32 +147,6 @@ size_t Dispatch(const VertexID* a, size_t na, const VertexID* b, size_t nb,
 #else
       return internal::MergeIntersect(a, na, b, nb, out);
 #endif
-    case IntersectKernel::kMergeAvx512:
-      if (stats != nullptr) ++stats->num_merge;
-#if defined(LIGHT_HAVE_AVX512)
-      return internal::MergeIntersectAvx512(a, na, b, nb, out);
-#else
-      return internal::MergeIntersect(a, na, b, nb, out);
-#endif
-    case IntersectKernel::kHybridAvx512:
-      if (RouteToGalloping(na, nb)) {
-        if (stats != nullptr) ++stats->num_galloping;
-        if (na > nb) {
-          std::swap(a, b);
-          std::swap(na, nb);
-        }
-#if defined(LIGHT_HAVE_AVX512)
-        return internal::GallopingIntersectAvx512(a, na, b, nb, out);
-#else
-        return internal::GallopingIntersect(a, na, b, nb, out);
-#endif
-      }
-      if (stats != nullptr) ++stats->num_merge;
-#if defined(LIGHT_HAVE_AVX512)
-      return internal::MergeIntersectAvx512(a, na, b, nb, out);
-#else
-      return internal::MergeIntersect(a, na, b, nb, out);
-#endif
   }
   LIGHT_CHECK(false);
   return 0;
@@ -188,10 +163,9 @@ size_t IntersectSorted(std::span<const VertexID> a, std::span<const VertexID> b,
 size_t IntersectSortedCount(std::span<const VertexID> a,
                             std::span<const VertexID> b, IntersectKernel kernel,
                             IntersectStats* stats) {
-  // Counting reuses the materializing kernels through a small stack buffer
-  // chunking scheme would complicate the kernels; instead allocate on the
-  // side only for large results. The engine always materializes, so this
-  // path is used by tools/examples where the extra copy is irrelevant.
+  // Counting reuses the materializing kernels, writing into a per-thread
+  // scratch buffer grown to the largest result seen. The engine always
+  // materializes, so only tools and benches take this path.
   thread_local std::vector<VertexID> scratch;
   const size_t cap = std::min(a.size(), b.size());
   if (scratch.size() < cap) scratch.resize(cap);
@@ -210,22 +184,12 @@ bool KernelAvailable(IntersectKernel kernel) {
 #else
       return false;
 #endif
-    case IntersectKernel::kMergeAvx512:
-    case IntersectKernel::kHybridAvx512:
-#if defined(LIGHT_HAVE_AVX512)
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
     default:
       return true;
   }
 }
 
 IntersectKernel BestAvailableKernel() {
-  if (KernelAvailable(IntersectKernel::kHybridAvx512)) {
-    return IntersectKernel::kHybridAvx512;
-  }
   if (KernelAvailable(IntersectKernel::kHybridAvx2)) {
     return IntersectKernel::kHybridAvx2;
   }
@@ -246,12 +210,26 @@ std::string KernelName(IntersectKernel kernel) {
       return "Hybrid";
     case IntersectKernel::kHybridAvx2:
       return "HybridAVX2";
-    case IntersectKernel::kMergeAvx512:
-      return "MergeAVX512";
-    case IntersectKernel::kHybridAvx512:
-      return "HybridAVX512";
   }
   return "Unknown";
+}
+
+std::optional<IntersectKernel> KernelFromName(std::string_view name) {
+  const auto fold = [](std::string_view text) {
+    std::string folded;
+    for (const char c : text) {
+      if (c != '_') {
+        folded.push_back(static_cast<char>(
+            std::tolower(static_cast<unsigned char>(c))));
+      }
+    }
+    return folded;
+  };
+  const std::string key = fold(name);
+  for (const IntersectKernel k : kAllKernels) {
+    if (fold(KernelName(k)) == key) return k;
+  }
+  return std::nullopt;
 }
 
 }  // namespace light

@@ -3,8 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -21,8 +23,14 @@ enum class IntersectKernel {
                   // described in Section VIII-B1)
   kHybrid,        // Algorithm 4: Merge unless the size ratio exceeds delta
   kHybridAvx2,    // Algorithm 4 over the AVX2 kernels
-  kMergeAvx512,   // extension beyond the paper: 16-lane AVX-512 block merge
-  kHybridAvx512,  // Algorithm 4 over the AVX-512 kernels
+};
+
+/// Every kernel, in enum order. Filter with KernelAvailable() before running
+/// one on unknown hardware.
+inline constexpr IntersectKernel kAllKernels[] = {
+    IntersectKernel::kMerge,        IntersectKernel::kMergeAvx2,
+    IntersectKernel::kGalloping,    IntersectKernel::kBinarySearch,
+    IntersectKernel::kHybrid,       IntersectKernel::kHybridAvx2,
 };
 
 /// delta of Algorithm 4: Galloping is chosen when the size ratio of the two
@@ -70,8 +78,8 @@ size_t IntersectSorted(std::span<const VertexID> a, std::span<const VertexID> b,
                        VertexID* out, IntersectKernel kernel,
                        IntersectStats* stats = nullptr);
 
-/// Result-size-only variant (no output materialization); same routing and
-/// stats accounting.
+/// Result-size-only variant: same routing and stats accounting, with the
+/// matches written to a thread-local scratch buffer instead of the caller's.
 size_t IntersectSortedCount(std::span<const VertexID> a,
                             std::span<const VertexID> b,
                             IntersectKernel kernel,
@@ -80,13 +88,17 @@ size_t IntersectSortedCount(std::span<const VertexID> a,
 /// True if kernel needs AVX2 and this build has it (or doesn't need it).
 bool KernelAvailable(IntersectKernel kernel);
 
-/// Best hybrid kernel available in this build/CPU: HybridAVX512 >
-/// HybridAVX2 > Hybrid.
+/// Best hybrid kernel available in this build/CPU: HybridAVX2 > Hybrid.
 IntersectKernel BestAvailableKernel();
 
 /// Human-readable kernel name ("Merge", "HybridAVX2", ...), matching the
 /// labels of Figure 6.
 std::string KernelName(IntersectKernel kernel);
+
+/// Inverse of KernelName(). Matches case-insensitively and ignores '_', so
+/// the CLI spelling "merge_avx2" and the report spelling "MergeAVX2" both
+/// parse. nullopt for a name no kernel has.
+std::optional<IntersectKernel> KernelFromName(std::string_view name);
 
 namespace internal {
 
@@ -110,14 +122,6 @@ size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
 size_t GallopingIntersectAvx2(const VertexID* small, size_t nsmall,
                               const VertexID* large, size_t nlarge,
                               VertexID* out);
-#endif
-
-#if defined(LIGHT_HAVE_AVX512)
-size_t MergeIntersectAvx512(const VertexID* a, size_t na, const VertexID* b,
-                            size_t nb, VertexID* out);
-size_t GallopingIntersectAvx512(const VertexID* small, size_t nsmall,
-                                const VertexID* large, size_t nlarge,
-                                VertexID* out);
 #endif
 
 }  // namespace internal

@@ -73,8 +73,8 @@ struct PlanOptions {
   bool minimum_set_cover = true;
   /// Pairwise intersection method (Figure 6 compares these).
   IntersectKernel kernel = IntersectKernel::kHybrid;
-  /// Resolve `kernel` to the best available one (HybridAVX512 > HybridAVX2
-  /// > Hybrid) at normalization time. While set, Validate() skips the
+  /// Resolve `kernel` to the best available one (HybridAVX2 > Hybrid) at
+  /// normalization time. While set, Validate() skips the
   /// kernel-availability check and the engine ignores `kernel` routing
   /// beyond its own fallback; facades call Normalized() before building.
   bool auto_kernel = true;

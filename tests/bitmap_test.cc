@@ -354,9 +354,9 @@ TEST(FacadeRunTest, ValidateRejectsBadOptions) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("unsupported"), std::string::npos);
 
-  if (!KernelAvailable(IntersectKernel::kHybridAvx512)) {
+  if (!KernelAvailable(IntersectKernel::kHybridAvx2)) {
     RunOptions pinned;
-    pinned.plan_options.kernel = IntersectKernel::kHybridAvx512;
+    pinned.plan_options.kernel = IntersectKernel::kHybridAvx2;
     pinned.plan_options.auto_kernel = false;
     EXPECT_FALSE(pinned.Validate().ok());
   }
@@ -369,6 +369,11 @@ TEST(FacadeRunTest, NormalizedResolvesKernelAndThreads) {
   EXPECT_EQ(norm.threads, 0);
   EXPECT_FALSE(norm.plan_options.auto_kernel);
   EXPECT_TRUE(KernelAvailable(norm.plan_options.kernel));
+  EXPECT_EQ(norm.plan_options.kernel, BestAvailableKernel());
+  EXPECT_EQ(norm.plan_options.kernel,
+            KernelAvailable(IntersectKernel::kHybridAvx2)
+                ? IntersectKernel::kHybridAvx2
+                : IntersectKernel::kHybrid);
 
   CollectingVisitor visitor;
   RunOptions streaming;

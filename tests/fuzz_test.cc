@@ -173,6 +173,12 @@ TEST(ArtifactTest, RejectsMalformedInput) {
                              "frobnicate 1\n",  // unknown key
                              &out)
                    .ok());
+  EXPECT_FALSE(ParseArtifact("light_fuzz_artifact v1\n"
+                             "graph 3 0\n"
+                             "pattern 0-1\n"
+                             "kernel HybridAVX512\n",  // removed kernel
+                             &out)
+                   .ok());
 }
 
 TEST(DriverTest, TimeBudgetStopsEarly) {

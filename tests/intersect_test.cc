@@ -36,21 +36,10 @@ std::vector<VertexID> ReferenceIntersect(const std::vector<VertexID>& a,
 }
 
 std::vector<IntersectKernel> AllKernels() {
-  std::vector<IntersectKernel> kernels = {
-      IntersectKernel::kMerge, IntersectKernel::kGalloping,
-      IntersectKernel::kBinarySearch, IntersectKernel::kHybrid};
-#if defined(LIGHT_HAVE_AVX2)
-  if (KernelAvailable(IntersectKernel::kMergeAvx2)) {
-    kernels.push_back(IntersectKernel::kMergeAvx2);
-    kernels.push_back(IntersectKernel::kHybridAvx2);
+  std::vector<IntersectKernel> kernels;
+  for (IntersectKernel k : kAllKernels) {
+    if (KernelAvailable(k)) kernels.push_back(k);
   }
-#endif
-#if defined(LIGHT_HAVE_AVX512)
-  if (KernelAvailable(IntersectKernel::kMergeAvx512)) {
-    kernels.push_back(IntersectKernel::kMergeAvx512);
-    kernels.push_back(IntersectKernel::kHybridAvx512);
-  }
-#endif
   return kernels;
 }
 
@@ -333,6 +322,18 @@ TEST(KernelMetaTest, NamesAndAvailability) {
 #if defined(LIGHT_HAVE_AVX2)
   EXPECT_TRUE(KernelAvailable(IntersectKernel::kHybridAvx2));
 #endif
+}
+
+TEST(KernelMetaTest, KernelFromNameInvertsKernelName) {
+  for (IntersectKernel k : kAllKernels) {
+    EXPECT_EQ(KernelFromName(KernelName(k)), k) << KernelName(k);
+  }
+  // The CLI spelling: lower case with '_' between words.
+  EXPECT_EQ(KernelFromName("merge_avx2"), IntersectKernel::kMergeAvx2);
+  EXPECT_EQ(KernelFromName("hybrid_avx2"), IntersectKernel::kHybridAvx2);
+  EXPECT_EQ(KernelFromName("binary_search"), IntersectKernel::kBinarySearch);
+  EXPECT_FALSE(KernelFromName("").has_value());
+  EXPECT_FALSE(KernelFromName("merge2").has_value());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -57,7 +58,8 @@ void Usage() {
                      no --induced) | auto (iep when the decomposition
                      looks profitable)
   --threads K        worker threads (default 1; light/se/lm/msc only)
-  --kernel NAME      merge | merge_avx2 | galloping | hybrid | hybrid_avx2 | merge_avx512 | hybrid_avx512
+  --kernel NAME      merge | merge_avx2 | galloping | binary_search | hybrid |
+                     hybrid_avx2
                      (default: best available; pinning an unavailable one errors)
   --time-limit SEC   abort after SEC seconds
   --no-symmetry      count all matches instead of unique subgraphs
@@ -362,18 +364,12 @@ int main(int argc, char** argv) {
   IntersectKernel kernel = BestAvailableKernel();
   const bool kernel_pinned = kernel_name != nullptr;
   if (kernel_pinned) {
-    const std::string k = kernel_name;
-    if (k == "merge") kernel = IntersectKernel::kMerge;
-    else if (k == "merge_avx2") kernel = IntersectKernel::kMergeAvx2;
-    else if (k == "galloping") kernel = IntersectKernel::kGalloping;
-    else if (k == "hybrid") kernel = IntersectKernel::kHybrid;
-    else if (k == "hybrid_avx2") kernel = IntersectKernel::kHybridAvx2;
-    else if (k == "merge_avx512") kernel = IntersectKernel::kMergeAvx512;
-    else if (k == "hybrid_avx512") kernel = IntersectKernel::kHybridAvx512;
-    else {
+    const std::optional<IntersectKernel> parsed = KernelFromName(kernel_name);
+    if (!parsed) {
       std::fprintf(stderr, "error: unknown kernel %s\n", kernel_name);
       return 1;
     }
+    kernel = *parsed;
     if (!KernelAvailable(kernel)) {
       std::fprintf(stderr, "error: kernel %s not available on this build/CPU\n",
                    kernel_name);
