@@ -50,11 +50,9 @@ cmake -B build -S . -DLIGHT_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> plan linter: catalog sweep (strict, every restriction mode)"
+echo "==> plan linter: catalog sweep (strict)"
 ./build/tools/plan_lint --all --strict
 ./build/tools/plan_lint --all --strict --algo se
-./build/tools/plan_lint --all --strict --restriction co-optimized
-./build/tools/plan_lint --all --strict --restriction auto
 
 if [[ "$skip_tsa" -eq 0 ]]; then
   if command -v clang++ >/dev/null 2>&1; then
@@ -161,6 +159,18 @@ if [[ "$rc" -ne 1 ]] || ! grep -q "unknown kernel" build/verify_kernel.err; then
   exit 1
 fi
 echo "kernel smoke OK: --kernel $removed_kernel rejected as an unknown kernel"
+# And a deleted flag: --restriction is gone, so it is an unknown flag rather
+# than silently ignored.
+rc=0
+./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
+  --pattern triangle --restriction auto \
+  >/dev/null 2>build/verify_flag.err || rc=$?
+if [[ "$rc" -ne 1 ]] || ! grep -q "error: unknown flag --restriction" build/verify_flag.err; then
+  echo "==> light_cli --restriction auto: expected a usage error, got exit $rc" >&2
+  cat build/verify_flag.err >&2
+  exit 1
+fi
+echo "flag smoke OK: --restriction rejected as an unknown flag"
 server_log="build/verify_server.log"
 ./build/tools/light_server --graph-store build/verify_store.lcsr2 \
   --store-mode mmap --threads 4 \
@@ -373,15 +383,7 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke printed no session-latency quantiles" >&2
     exit 1
   fi
-  # The GraphPi-style restriction oracle (co-optimized order + restriction
-  # plans cross-checked against the GK baseline) must have run at least
-  # once; zero means the restriction planner went untested.
-  restriction_cases="$(sed -n 's/.*restriction_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
-  if [[ -z "$restriction_cases" || "$restriction_cases" -lt 1 ]]; then
-    echo "==> fuzz smoke exercised no restriction-plan cases" >&2
-    exit 1
-  fi
-  # Likewise the inclusion-exclusion counting oracle (IEP decomposition
+  # The inclusion-exclusion counting oracle (IEP decomposition
   # linted for exactness, term-combined count vs direct enumeration).
   iep_cases="$(sed -n 's/.*iep_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
   if [[ -z "$iep_cases" || "$iep_cases" -lt 1 ]]; then

@@ -22,7 +22,6 @@ Status RunFuzz(const FuzzOptions& options, FuzzSummary* summary) {
     const OracleOutcome outcome = RunOracles(c);
     ++summary->cases_run;
     if (outcome.bitmap_routed > 0) ++summary->bitmap_routed_cases;
-    if (outcome.restriction_checked) ++summary->restriction_cases;
     if (outcome.iep_checked) ++summary->iep_cases;
     if (outcome.store_checked) ++summary->store_cases;
     if (!c.labels.empty()) ++summary->labeled_cases;

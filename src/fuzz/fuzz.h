@@ -110,10 +110,6 @@ struct OracleOutcome {
   /// skipped. The driver aggregates these into a latency histogram so every
   /// fuzz sweep doubles as a serving-latency soak.
   uint64_t session_latency_ns = 0;
-  /// True when the restriction leg ran: the case was re-planned with
-  /// co-optimized (GraphPi-style, per-order) restriction sets and its count
-  /// cross-checked against the GK-restriction pivot.
-  bool restriction_checked = false;
   /// True when the IEP leg ran: the pattern admitted an inclusion–exclusion
   /// decomposition (plan/iep.h) and count_strategy=kIep — serial and
   /// parallel light::Run, plus a caching Session::RunSync run twice — was
@@ -188,9 +184,6 @@ struct FuzzSummary {
   /// deadline (OracleOutcome::deadline_fired); the rest beat the deadline
   /// and had to reproduce the pivot count exactly.
   uint64_t deadline_cases = 0;
-  /// Cases the co-optimized-restriction leg ran on (CI asserts the smoke
-  /// run exercises the GraphPi restriction path).
-  uint64_t restriction_cases = 0;
   /// Cases the inclusion–exclusion leg ran on (CI asserts the smoke run
   /// exercises the IEP counting path).
   uint64_t iep_cases = 0;

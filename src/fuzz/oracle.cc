@@ -121,32 +121,6 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   outcome.engines.push_back(RunSerial("serial_light", graph, light_plan, c));
   outcome.engines.push_back(RunSerial("serial_se", graph, se_plan, c));
 
-  // GraphPi-restriction leg: the same case planned with per-order
-  // co-optimized restriction sets (plan/restriction.h) must reproduce the
-  // pivot count — the restrictions kill exactly the automorphic images the
-  // GK partial order does, just potentially at different plan positions.
-  // Only meaningful with symmetry breaking on (off, both modes coincide).
-  if (c.symmetry_breaking) {
-    PlanOptions restricted_options = light_options;
-    restricted_options.restriction_mode = RestrictionMode::kCoOptimized;
-    const ExecutionPlan restricted_plan =
-        BuildPlan(c.pattern, graph, stats, restricted_options);
-    {
-      analysis::LintOptions lint_options;
-      lint_options.cardinality = analysis::AnalyticCardinalityFn(stats);
-      const analysis::LintReport report =
-          analysis::LintPlan(c.pattern, restricted_plan, lint_options);
-      const uint64_t violations = report.errors() + report.warnings();
-      if (violations > 0) {
-        outcome.lint_violations += violations;
-        outcome.lint_text += "restricted_plan:\n" + report.ToString();
-      }
-    }
-    outcome.engines.push_back(
-        RunSerial("serial_restriction", graph, restricted_plan, c));
-    outcome.restriction_checked = true;
-  }
-
   // Inclusion–exclusion leg: when the pattern decomposes (independent
   // counted tail + connected kernel), light::Run with count_strategy=kIep
   // must reproduce the pivot count through an entirely different evaluation

@@ -159,6 +159,9 @@ struct SessionQueryState {
   /// Async completion sink (SubmitAsync); fires exactly once, inside
   /// Finalize.
   std::function<void(const RunResult&)> callback;
+  /// Async pool parts whose on_done has not run yet; the last one to finish
+  /// finalizes the query (acq_rel: it sees every other part's result).
+  std::atomic<size_t> pending_parts{0};
 
   Mutex mutex{lockrank::kSessionQueryState, "SessionQueryState::mutex"};
   bool finalized LIGHT_GUARDED_BY(mutex) = false;
@@ -539,10 +542,10 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
 }
 
 void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
-                     bool on_pool, bool allow_iep) {
+                     bool on_pool) {
   const RunOptions& opts = s->opts;
   IepDecomposition dec;
-  if (s->error.empty() && allow_iep &&
+  if (s->error.empty() &&
       opts.plan_options.count_strategy != CountStrategy::kEnumerate &&
       opts.visitor == nullptr && !opts.plan_options.induced &&
       opts.plan == nullptr) {
@@ -591,6 +594,7 @@ void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
     MutexLock lock(inflight_mutex_);
     inflight_.emplace(s->query_id, std::move(info));
   }
+  s->pending_parts.store(s->parts.size(), std::memory_order_relaxed);
   for (size_t i = 0; i < s->parts.size(); ++i) {
     Execute(s, i);
     // Inline parts run in turn; once the shared budget is spent the rest
@@ -636,12 +640,16 @@ void Session::Execute(const std::shared_ptr<detail::SessionQueryState>& s,
     spec.query_id = s->query_id;
     spec.priority = opts.priority;
     if (s->callback) {
-      // Push-style completion (single-part tickets): the pool's finalizer
-      // (worker thread, or Submit itself for immediate completions) drives
-      // Finalize. The captured shared_ptr keeps the state alive until then.
+      // Push-style completion: each part's finalizer (worker thread, or
+      // Submit itself for immediate completions) stores its result, and
+      // the last part to finish drives Finalize. The captured shared_ptr
+      // keeps the state alive until then.
       spec.on_done = [self = s, i](const ParallelResult& presult) {
         self->parts[i].result = presult;
-        self->Finalize();
+        if (self->pending_parts.fetch_sub(1, std::memory_order_acq_rel) ==
+            1) {
+          self->Finalize();
+        }
       };
     }
     part.handle = EnsurePool().Submit(spec);
@@ -682,7 +690,7 @@ Session::Ticket Session::SubmitInternal(
         "Session::Submit does not support visitors (streaming is serial "
         "and vertex-numbering-sensitive); use Session::RunSync";
   }
-  Launch(s, /*on_pool=*/true, /*allow_iep=*/false);
+  Launch(s, /*on_pool=*/true);
   return Ticket(std::move(s));
 }
 
@@ -731,7 +739,7 @@ RunResult Session::RunSyncWithTool(const Pattern& pattern,
       Admit(pattern, options, tool, nullptr);
   // Serial queries run inline on the caller thread — the one-shot Run code
   // path, with no pool involvement (and exact visitor semantics).
-  Launch(s, /*on_pool=*/s->opts.threads != 1, /*allow_iep=*/true);
+  Launch(s, /*on_pool=*/s->opts.threads != 1);
   return s->Wait();
 }
 
@@ -814,7 +822,7 @@ void Session::RecordQueryDone(const RunResult& result, const Pattern& pattern,
     record.timed_out = result.timed_out;
     MutexLock lock(log_mutex_);
     query_log_.push_back(std::move(record));
-    while (query_log_.size() > options_.query_log_capacity) {
+    while (query_log_.size() > kQueryLogCapacity) {
       query_log_.pop_front();
     }
     if (slow) {
@@ -826,7 +834,7 @@ void Session::RecordQueryDone(const RunResult& result, const Pattern& pattern,
       entry.latency_seconds = latency_seconds;
       entry.ranges_executed = qstats.ranges_executed;
       slow_log_.push_back(std::move(entry));
-      while (slow_log_.size() > options_.slow_query_log_capacity) {
+      while (slow_log_.size() > kSlowQueryLogCapacity) {
         slow_log_.pop_front();
       }
     }
@@ -951,7 +959,7 @@ void Session::ScanStuckQueries(
     // the progress snapshot every window until it completes or aborts).
     if (!stuck_reported_.insert(progress.query_id).second) continue;
     slow_log_.push_back(std::move(entry));
-    while (slow_log_.size() > options_.slow_query_log_capacity) {
+    while (slow_log_.size() > kSlowQueryLogCapacity) {
       slow_log_.pop_front();
     }
     ++newly_stuck;

@@ -10,8 +10,8 @@
 /// RunOptions carries the execution knobs (threads, time limit, labels,
 /// visitor, report sink) plus a nested light::PlanOptions
 /// (RunOptions::plan_options) holding every plan-shaping knob — algorithm
-/// variant, kernel, restriction mode, count strategy, order override,
-/// bitmap thresholds — with Validate()/Normalized() on both layers, and one
+/// variant, kernel, count strategy, bitmap thresholds — with
+/// Validate()/Normalized() on both layers, and one
 /// RunResult carries every outcome (matches, elapsed, timed_out, error
 /// string). For a stream of queries against one data graph, light::Session
 /// below amortizes what Run rebuilds per call (worker threads, plans,
@@ -94,15 +94,15 @@ struct RunOptions {
 
   // --- Plan shaping ---
   /// Every plan-shaping knob in one struct (plan/plan.h): algorithm
-  /// variant (lazy/msc), induced semantics, intersection kernel,
-  /// restriction mode, count strategy, order override, bitmap-index
-  /// thresholds. Shared verbatim with SessionOptions; the session plan
-  /// cache keys on PlanOptions::CacheKey().
+  /// variant (lazy/msc), induced semantics, intersection kernel, count
+  /// strategy, bitmap-index thresholds. Shared verbatim with
+  /// SessionOptions; the session plan cache keys on
+  /// PlanOptions::CacheKey().
   ///
-  /// count_strategy is honored by Run/RunSync (kIep/kAuto count through an
-  /// inclusion–exclusion decomposition whose term plans run as parts of
-  /// the one query: in turn inline when threads == 1, else concurrently on
-  /// the pool); Submit/SubmitAsync/RunBatch tickets always enumerate.
+  /// count_strategy is honored by every entry point: kIep/kAuto count
+  /// through an inclusion–exclusion decomposition whose term plans run as
+  /// parts of the one query (in turn inline for a threads == 1
+  /// Run/RunSync, else concurrently on the pool).
   PlanOptions plan_options;
   /// Precompiled plan override (e.g. from BuildRunPlan or a baseline plan
   /// builder); must outlive the call and match `pattern`. When set, the
@@ -138,7 +138,7 @@ struct RunOptions {
   /// threads > 1 (streaming is serial; parallel enumeration with a visitor
   /// is unsupported, not silently serialized), plus everything
   /// PlanOptions::Validate rejects on plan_options (out-of-range bitmap
-  /// density, an unavailable pinned kernel, a malformed order override).
+  /// density, an unavailable pinned kernel).
   /// Callers that surface user input (CLI, fuzz harness, services) should
   /// Validate and report; light::Run validates internally and returns the
   /// message in RunResult::error.
@@ -256,11 +256,6 @@ struct SessionOptions {
   /// across a full window as "stuck". 0 (the default) disables the
   /// watchdog.
   double stuck_query_window_seconds = 0;
-  /// Per-query lifecycle records retained for session reports (oldest
-  /// evicted beyond this).
-  size_t query_log_capacity = 1024;
-  /// Slow/stuck entries retained (oldest evicted beyond this).
-  size_t slow_query_log_capacity = 64;
 };
 
 /// Point-in-time session counters (see Session::stats()).
@@ -475,13 +470,12 @@ class Session {
       const Pattern& pattern, const RunOptions& options, const char* tool,
       std::function<void(const RunResult&)> callback)
       LIGHT_EXCLUDES(stats_mutex_);
-  /// Resolves the plans of an admitted query — one per IEP term when
-  /// `allow_iep` and the count strategy pick inclusion–exclusion, else one
-  /// — and executes them: inline on the caller thread, or as pool queries
-  /// sharing the query's id and admit time (then registered for Cancel and
-  /// the timer).
+  /// Resolves the plans of an admitted query — one per IEP term when the
+  /// count strategy picks inclusion–exclusion, else one — and executes
+  /// them: inline on the caller thread, or as pool queries sharing the
+  /// query's id and admit time (then registered for Cancel and the timer).
   void Launch(const std::shared_ptr<detail::SessionQueryState>& s,
-              bool on_pool, bool allow_iep);
+              bool on_pool);
   /// The one plan resolver: a caller-supplied RunOptions::plan (linted,
   /// never cached), else a cache lookup keyed by canonical form (pattern
   /// plans) or exact structure ("iep-term:" keys, when `term` is set), or
@@ -581,7 +575,10 @@ class Session {
   obs::Histogram* obs_latency_hist_ = nullptr;
   obs::Histogram* obs_plan_hist_ = nullptr;
 
-  // Query log + slow/stuck log (capped deques, newest last).
+  // Query log + slow/stuck log (capped deques, newest last; the oldest
+  // entries are evicted beyond these capacities).
+  static constexpr size_t kQueryLogCapacity = 1024;
+  static constexpr size_t kSlowQueryLogCapacity = 64;
   mutable Mutex log_mutex_{lockrank::kSessionLog, "Session::log_mutex_"};
   std::deque<obs::SessionQueryRecord> query_log_ LIGHT_GUARDED_BY(log_mutex_);
   std::deque<obs::SlowQueryRecord> slow_log_ LIGHT_GUARDED_BY(log_mutex_);

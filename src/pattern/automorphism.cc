@@ -1,7 +1,5 @@
 #include "pattern/automorphism.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace light {
@@ -55,93 +53,6 @@ std::vector<Permutation> FindAutomorphisms(const Pattern& pattern) {
   s.out = &result;
   Extend(s, 0);
   return result;
-}
-
-namespace {
-
-Permutation Compose(const Permutation& f, const Permutation& g) {
-  // (f ∘ g)[u] = f[g[u]].
-  Permutation out(g.size());
-  for (size_t u = 0; u < g.size(); ++u) {
-    out[u] = f[static_cast<size_t>(g[u])];
-  }
-  return out;
-}
-
-bool IsIdentity(const Permutation& p) {
-  for (size_t u = 0; u < p.size(); ++u) {
-    if (p[u] != static_cast<int>(u)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::vector<Permutation> GenerateClosure(
-    const std::vector<Permutation>& generators, int num_vertices) {
-  Permutation identity(static_cast<size_t>(num_vertices));
-  for (int u = 0; u < num_vertices; ++u) {
-    identity[static_cast<size_t>(u)] = u;
-  }
-  std::vector<Permutation> closure = {identity};
-  std::vector<Permutation> frontier = {identity};
-  while (!frontier.empty()) {
-    std::vector<Permutation> next;
-    for (const Permutation& h : frontier) {
-      for (const Permutation& g : generators) {
-        Permutation product = Compose(g, h);
-        if (std::find(closure.begin(), closure.end(), product) ==
-            closure.end()) {
-          closure.push_back(product);
-          next.push_back(std::move(product));
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  std::sort(closure.begin(), closure.end());
-  return closure;
-}
-
-AutomorphismGroup FindAutomorphismGroup(const Pattern& pattern) {
-  AutomorphismGroup group;
-  group.elements = FindAutomorphisms(pattern);
-  // Greedy generator extraction: keep adding the first element outside the
-  // running closure. Each addition at least doubles the subgroup (Lagrange),
-  // so at most log2 |Aut| generators come out.
-  std::vector<Permutation> closed =
-      GenerateClosure({}, pattern.NumVertices());
-  std::vector<Permutation> sorted_elements = group.elements;
-  std::sort(sorted_elements.begin(), sorted_elements.end());
-  for (const Permutation& candidate : sorted_elements) {
-    if (IsIdentity(candidate)) continue;
-    if (std::binary_search(closed.begin(), closed.end(), candidate)) continue;
-    group.generators.push_back(candidate);
-    closed = GenerateClosure(group.generators, pattern.NumVertices());
-    if (closed.size() == group.elements.size()) break;
-  }
-  return group;
-}
-
-std::vector<std::vector<int>> AutomorphismGroup::Orbits(
-    int num_vertices) const {
-  std::vector<int> root(static_cast<size_t>(num_vertices), -1);
-  std::vector<std::vector<int>> orbits;
-  for (int u = 0; u < num_vertices; ++u) {
-    if (root[static_cast<size_t>(u)] != -1) continue;
-    std::vector<int> orbit;
-    for (const Permutation& g : elements) {
-      const int v = g[static_cast<size_t>(u)];
-      if (root[static_cast<size_t>(v)] == -1) {
-        root[static_cast<size_t>(v)] = u;
-        orbit.push_back(v);
-      }
-    }
-    if (orbit.empty()) orbit.push_back(u);
-    std::sort(orbit.begin(), orbit.end());
-    orbits.push_back(std::move(orbit));
-  }
-  return orbits;
 }
 
 }  // namespace light

@@ -15,35 +15,6 @@ using Permutation = std::vector<int>;
 /// paper), so brute force is instantaneous. The identity is always included.
 std::vector<Permutation> FindAutomorphisms(const Pattern& pattern);
 
-/// The full automorphism group of a pattern with a generating set extracted
-/// from it. Restriction-set generation (plan/restriction.h, after GraphPi)
-/// walks the group element-by-element, but presenting it through generators
-/// keeps the derived artifacts small and lets tests verify closure
-/// independently of the backtracking enumeration.
-struct AutomorphismGroup {
-  /// Every element, identity included, in the deterministic order
-  /// FindAutomorphisms produces.
-  std::vector<Permutation> elements;
-  /// A (non-minimal but small) generating set: greedily chosen elements
-  /// whose closure is the whole group. Empty iff the group is trivial.
-  std::vector<Permutation> generators;
-
-  size_t order() const { return elements.size(); }
-  bool trivial() const { return elements.size() <= 1; }
-
-  /// Vertex orbits under the group, each sorted ascending, ordered by their
-  /// smallest member.
-  std::vector<std::vector<int>> Orbits(int num_vertices) const;
-};
-
-/// Enumerates the group and extracts generators.
-AutomorphismGroup FindAutomorphismGroup(const Pattern& pattern);
-
-/// Closure of `generators` under composition (identity always included);
-/// the work horse behind AutomorphismGroup::generators and its tests.
-std::vector<Permutation> GenerateClosure(
-    const std::vector<Permutation>& generators, int num_vertices);
-
 }  // namespace light
 
 #endif  // LIGHT_PATTERN_AUTOMORPHISM_H_

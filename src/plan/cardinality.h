@@ -48,8 +48,9 @@ namespace light {
 /// Estimates are memoized per (pattern, mask, constraints induced on the
 /// mask); the order optimizer probes the same masks across many candidate
 /// orders. A restricted connected component is in addition relabeled to a
-/// canonical form, so isomorphic sub-problems (the co-optimizer meets many:
-/// one restriction set per candidate order) share one sample. Without
+/// canonical form, so isomorphic sub-problems (the order optimizer meets
+/// many: a symmetric pattern's masks often induce the same constrained
+/// sub-pattern) share one sample. Without
 /// restrictions the estimates, and the random draws behind them, are those
 /// of the unrestricted sampler.
 class CardinalityEstimator {

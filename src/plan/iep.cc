@@ -184,12 +184,11 @@ ExecutionPlan BuildIepTermPlan(const IepTerm& term, const Graph& graph,
   LIGHT_CHECK(m >= 1 && k >= 1);
 
   // The kernel sub-plan counts EVERY kernel embedding: no symmetry
-  // breaking, no strategy recursion, no pinned order.
+  // breaking, no strategy recursion.
   PlanOptions kernel_options = options;
   kernel_options.symmetry_breaking = false;
   kernel_options.induced = false;
   kernel_options.count_strategy = CountStrategy::kEnumerate;
-  kernel_options.order_override.clear();
 
   Pattern kernel_pattern(k);
   for (int i = 0; i < k; ++i) {

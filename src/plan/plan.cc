@@ -6,21 +6,8 @@
 #include "common/check.h"
 #include "plan/cardinality.h"
 #include "plan/order_optimizer.h"
-#include "plan/restriction.h"
 
 namespace light {
-
-const char* RestrictionModeName(RestrictionMode mode) {
-  switch (mode) {
-    case RestrictionMode::kGrochowKellis:
-      return "gk";
-    case RestrictionMode::kCoOptimized:
-      return "co-optimized";
-    case RestrictionMode::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
 
 const char* CountStrategyName(CountStrategy strategy) {
   switch (strategy) {
@@ -43,19 +30,6 @@ Status PlanOptions::Validate() const {
     return Status::InvalidArgument(
         std::string("intersection kernel not available on this build: ") +
         KernelName(kernel));
-  }
-  if (!order_override.empty()) {
-    // Pattern-independent part of the check: values must form a permutation
-    // of 0..size-1 (the size is matched against the pattern at build time).
-    uint32_t seen = 0;
-    for (int u : order_override) {
-      if (u < 0 || u >= static_cast<int>(order_override.size()) ||
-          ((seen >> u) & 1u) != 0) {
-        return Status::InvalidArgument(
-            "order_override must be a permutation of the pattern vertices");
-      }
-      seen |= uint32_t{1} << u;
-    }
   }
   return Status::OK();
 }
@@ -83,10 +57,7 @@ std::string PlanOptions::CacheKey() const {
                                   (induced ? 8 : 0) |
                                   (auto_kernel ? 16 : 0)));
   key.push_back(static_cast<char>(kernel));
-  key.push_back(static_cast<char>(restriction_mode));
   key.push_back(static_cast<char>(count_strategy));
-  key.push_back(static_cast<char>(order_override.size()));
-  for (int u : order_override) key.push_back(static_cast<char>(u));
   return key;
 }
 namespace {
@@ -166,63 +137,23 @@ ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
 ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
                         const GraphStats& stats, const PlanOptions& options) {
   LIGHT_CHECK(pattern.IsConnected());
-  if (!options.order_override.empty()) {
-    LIGHT_CHECK(static_cast<int>(options.order_override.size()) ==
-                pattern.NumVertices());
-    PartialOrder partial_order;
-    if (options.symmetry_breaking) {
-      partial_order = options.restriction_mode == RestrictionMode::kGrochowKellis
-                          ? ComputeSymmetryBreaking(pattern)
-                          : ComputeRestrictionsForOrder(pattern,
-                                                        options.order_override);
-    }
-    return Assemble(pattern, options.order_override, options,
-                    std::move(partial_order));
-  }
   const CardinalityEstimator estimator(graph, stats);
-  // Classic path: restrictions first (fixed GK pivots), then the order.
-  PartialOrder gk_order =
+  // Restrictions first (fixed GK pivots), then the order under them.
+  PartialOrder partial_order =
       options.symmetry_breaking ? ComputeSymmetryBreaking(pattern)
                                 : PartialOrder{};
-  if (!options.symmetry_breaking ||
-      options.restriction_mode == RestrictionMode::kGrochowKellis) {
-    const std::vector<int> pi = OptimizeEnumerationOrder(
-        pattern, estimator, gk_order, options.lazy_materialization,
-        options.minimum_set_cover);
-    return Assemble(pattern, pi, options, std::move(gk_order));
-  }
-  // GraphPi path: restriction sets generated per candidate order, the pair
-  // scored jointly.
-  RestrictedPlanChoice choice = CoOptimizeOrderAndRestrictions(
-      pattern, estimator, options.lazy_materialization,
+  const std::vector<int> pi = OptimizeEnumerationOrder(
+      pattern, estimator, partial_order, options.lazy_materialization,
       options.minimum_set_cover);
-  if (options.restriction_mode == RestrictionMode::kAuto) {
-    const std::vector<int> gk_pi = OptimizeEnumerationOrder(
-        pattern, estimator, gk_order, options.lazy_materialization,
-        options.minimum_set_cover);
-    const double gk_cost =
-        EvaluateOrderCost(pattern, gk_pi, estimator, gk_order,
-                          options.lazy_materialization,
-                          options.minimum_set_cover)
-            .Total();
-    // Ties keep the classic plan: it is the better-tested default.
-    if (gk_cost <= choice.cost * (1.0 + 1e-12)) {
-      return Assemble(pattern, gk_pi, options, std::move(gk_order));
-    }
-  }
-  return Assemble(pattern, choice.pi, options, std::move(choice.restrictions));
+  return Assemble(pattern, pi, options, std::move(partial_order));
 }
 
 ExecutionPlan BuildPlanWithOrder(const Pattern& pattern,
                                  const std::vector<int>& pi,
                                  const PlanOptions& options) {
-  PartialOrder partial_order;
-  if (options.symmetry_breaking) {
-    partial_order = options.restriction_mode == RestrictionMode::kGrochowKellis
-                        ? ComputeSymmetryBreaking(pattern)
-                        : ComputeRestrictionsForOrder(pattern, pi);
-  }
-  return Assemble(pattern, pi, options, std::move(partial_order));
+  return Assemble(pattern, pi, options,
+                  options.symmetry_breaking ? ComputeSymmetryBreaking(pattern)
+                                            : PartialOrder{});
 }
 
 ExecutionPlan BuildPlanWithConstraints(const Pattern& pattern,

@@ -24,21 +24,6 @@ inline constexpr double kDefaultBitmapDensity = 0.1;
 /// (kBitmapDegreeNever, from graph/bitmap_index.h, disables the index.)
 inline constexpr uint32_t kBitmapDegreeAuto = kBitmapDegreeNever - 1;
 
-/// How symmetry-breaking restriction sets are derived (GraphPi, Section 4):
-///   kGrochowKellis  the classic fixed pivot order (smallest moved vertex),
-///                   independent of the matching order — the LIGHT paper's
-///                   scheme and the default;
-///   kCoOptimized    restriction sets generated per candidate matching
-///                   order (pivot priority follows the order) and scored
-///                   jointly with it, so the (order, restrictions) pair with
-///                   the lowest Equation-8 cost under its restrictions wins;
-///   kAuto           build both and keep the cheaper plan on that cost.
-enum class RestrictionMode : uint8_t {
-  kGrochowKellis,
-  kCoOptimized,
-  kAuto,
-};
-
 /// How counting-only queries are evaluated:
 ///   kEnumerate  walk every embedding (the default; required for visitors
 ///               and induced matching);
@@ -55,7 +40,6 @@ enum class CountStrategy : uint8_t {
   kAuto,
 };
 
-const char* RestrictionModeName(RestrictionMode mode);
 const char* CountStrategyName(CountStrategy strategy);
 
 /// Knobs selecting the algorithm variant of Section VIII-B1:
@@ -87,15 +71,9 @@ struct PlanOptions {
   /// remains the default. Automorphisms are identical under both semantics,
   /// so symmetry breaking composes unchanged.
   bool induced = false;
-  /// Restriction-set derivation scheme (only meaningful with
-  /// symmetry_breaking on).
-  RestrictionMode restriction_mode = RestrictionMode::kGrochowKellis;
   /// Counting evaluation strategy; ignored (treated as kEnumerate) for
   /// visitor queries and induced matching.
   CountStrategy count_strategy = CountStrategy::kEnumerate;
-  /// Non-empty: pin the enumeration order instead of optimizing it. Must be
-  /// a permutation of the pattern vertices.
-  std::vector<int> order_override;
 
   /// Bitmap-index routing (execution-level: NOT part of CacheKey, the
   /// compiled plan is bitmap-agnostic). min_degree: absolute degree
@@ -114,8 +92,7 @@ struct PlanOptions {
   PlanOptions(bool lazy, bool cover)
       : lazy_materialization(lazy), minimum_set_cover(cover) {}
 
-  /// Value-range validation (pattern-independent; order_override is checked
-  /// against the pattern at plan-build time).
+  /// Value-range validation (pattern-independent).
   Status Validate() const;
 
   /// Resolves auto_kernel / unavailable kernels and clamps NaN/negative

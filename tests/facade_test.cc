@@ -209,28 +209,6 @@ TEST(FacadeTest, CountStrategyAutoMatchesEnumeration) {
             light::Run(g, star, enumerate).num_matches);
 }
 
-TEST(FacadeTest, CoOptimizedRestrictionsMatchDefaultPlan) {
-  const Graph g = TestGraph();
-  for (const char* name : {"square", "diamond", "house"}) {
-    Pattern pattern;
-    ASSERT_TRUE(FindPattern(name, &pattern).ok());
-    RunOptions classic;
-    classic.threads = 1;
-    RunOptions restricted = classic;
-    restricted.lint_plan = true;
-    restricted.plan_options.restriction_mode = RestrictionMode::kCoOptimized;
-    const RunResult a = light::Run(g, pattern, classic);
-    const RunResult b = light::Run(g, pattern, restricted);
-    ASSERT_TRUE(b.ok()) << name << ": " << b.error;
-    EXPECT_EQ(a.num_matches, b.num_matches) << name;
-
-    RunOptions auto_mode = classic;
-    auto_mode.plan_options.restriction_mode = RestrictionMode::kAuto;
-    EXPECT_EQ(light::Run(g, pattern, auto_mode).num_matches, a.num_matches)
-        << name;
-  }
-}
-
 TEST(FacadeTest, DisconnectedPatternIsAnError) {
   // Two components, and an index gap that leaves vertex 1 isolated: both
   // are rejected at admission instead of reaching the planner.

@@ -354,17 +354,13 @@ TEST(PlanStatsTest, PlansDoNotDependOnTriangleCount) {
     const GraphStats with_triangles = ComputeGraphStats(g, true);
     const GraphStats degrees_only = ComputeGraphStats(g);
     ASSERT_GT(with_triangles.num_triangles, 0u) << graph_name;
-    for (const RestrictionMode mode :
-         {RestrictionMode::kGrochowKellis, RestrictionMode::kCoOptimized}) {
-      RunOptions options;
-      options.plan_options.restriction_mode = mode;
-      for (const std::string& name : ExperimentPatternNames()) {
-        Pattern p;
-        ASSERT_TRUE(FindPattern(name, &p).ok());
-        EXPECT_EQ(BuildRunPlan(g, with_triangles, p, options).ToString(),
-                  BuildRunPlan(g, degrees_only, p, options).ToString())
-            << graph_name << " " << name;
-      }
+    const RunOptions options{};
+    for (const std::string& name : ExperimentPatternNames()) {
+      Pattern p;
+      ASSERT_TRUE(FindPattern(name, &p).ok());
+      EXPECT_EQ(BuildRunPlan(g, with_triangles, p, options).ToString(),
+                BuildRunPlan(g, degrees_only, p, options).ToString())
+          << graph_name << " " << name;
     }
     Pattern book;
     ASSERT_TRUE(FindPattern("P5", &book).ok());

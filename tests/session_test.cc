@@ -423,6 +423,69 @@ TEST(SessionTest, IepQueryIsOneQueryOnEveryPath) {
   }
 }
 
+TEST(SessionTest, TicketEntryPointsHonourCountStrategy) {
+  // Submit, SubmitAsync and RunBatch count through inclusion-exclusion
+  // when asked, exactly as RunSync does: the enumeration count, with every
+  // term plan looked up in the plan cache. An async IEP query runs its K
+  // term plans as K pool parts, and only the last part to finish may
+  // deliver: the callback fires exactly once, with the full signed sum.
+  const Graph g = TestGraph();
+  for (const char* name : {"P5", "star4"}) {
+    SCOPED_TRACE(name);
+    const Pattern pattern = Named(name);
+    const IepDecomposition dec = BuildIepDecomposition(pattern);
+    ASSERT_TRUE(dec.valid());
+    const uint64_t terms = dec.terms.size();
+    RunOptions enumerate;
+    enumerate.threads = 1;
+    const uint64_t expected = light::Run(g, pattern, enumerate).num_matches;
+    RunOptions iep;
+    iep.plan_options.count_strategy = CountStrategy::kIep;
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    int fired = 0;
+    RunResult async_result;
+    {
+      SessionOptions so;
+      so.threads = 4;
+      Session session(g, so);
+      const RunResult submitted = session.Submit(pattern, iep).Wait();
+      ASSERT_TRUE(submitted.ok()) << submitted.error;
+      EXPECT_EQ(submitted.num_matches, expected);
+      SessionStats stats = session.stats();
+      EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, terms);
+
+      session.SubmitAsync(pattern, iep, [&](const RunResult& r) {
+        std::lock_guard<std::mutex> lock(mutex);
+        async_result = r;
+        ++fired;
+        cv.notify_all();
+      });
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return fired > 0; }));
+      }
+
+      const std::vector<RunResult> batch =
+          session.RunBatch({pattern, pattern}, iep);
+      ASSERT_EQ(batch.size(), 2u);
+      for (const RunResult& r : batch) {
+        ASSERT_TRUE(r.ok()) << r.error;
+        EXPECT_EQ(r.num_matches, expected);
+      }
+      stats = session.stats();
+      EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, 4 * terms);
+      EXPECT_EQ(stats.queries_completed, 4u);
+    }
+    // The session (and its pool) is gone: no part can deliver again.
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(async_result.ok()) << async_result.error;
+    EXPECT_EQ(async_result.num_matches, expected);
+  }
+}
+
 TEST(SessionObsTest, TicketCarriesQueryLifecycleStats) {
   const Graph g = TestGraph();
   const Pattern triangle = Named("triangle");

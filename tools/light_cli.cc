@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "flags.h"
 #include "baselines/cfl_like.h"
 #include "baselines/eh_like.h"
 #include "common/timer.h"
@@ -49,10 +50,6 @@ void Usage() {
   --pattern-edges S  ad-hoc pattern, e.g. "0-1,1-2,0-2" (see pattern/parse.h)
                      (--edges is accepted as an alias)
   --algorithm A      light (default) | se | lm | msc | cfl | eh | seed | crystal
-  --restriction R    symmetry-breaking restriction set: gk (default,
-                     Grochow-Kellis partial order) | co-optimized (GraphPi-
-                     style order+restriction joint optimization) | auto
-                     (co-optimize, keep the classic plan on ties)
   --count-strategy C counting-only execution: enumerate (default) | iep
                      (inclusion-exclusion decomposition; light/se/lm/msc,
                      no --induced) | auto (iep when the decomposition
@@ -97,29 +94,8 @@ observability (README "Observability"):
 )");
 }
 
-// Accepts both "--flag value" and "--flag=value". A value-taking flag with
-// no value (trailing "--flag") is a usage error, not a silent no-op.
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+using light::tools::FlagSet;
+using light::tools::FlagValue;
 
 /// Periodic roots-done / matches-so-far / ETA ticker driven by the metrics
 /// registry counters the engine publishes. Costs nothing when not started.
@@ -181,6 +157,15 @@ int main(int argc, char** argv) {
     Usage();
     return argc <= 1 ? 1 : 0;
   }
+  light::tools::RejectUnknownFlags(
+      argc, argv,
+      {"--dataset", "--scale", "--graph", "--graph-store", "--store-mode",
+       "--save-store", "--pattern", "--pattern-edges", "--edges",
+       "--algorithm", "--count-strategy", "--threads", "--kernel",
+       "--time-limit", "--bitmap-threshold", "--bitmap-density", "--batch",
+       "--metrics-json", "--session-report", "--slow-query-threshold",
+       "--trace-out", "--trace-sample"},
+      {"--no-symmetry", "--induced", "--show-plan", "--progress"});
 
   const char* dataset = FlagValue(argc, argv, "--dataset");
   const char* graph_path = FlagValue(argc, argv, "--graph");
@@ -304,29 +289,15 @@ int main(int argc, char** argv) {
                                 : std::numeric_limits<double>::infinity();
   const bool symmetry = !FlagSet(argc, argv, "--no-symmetry");
 
-  PlanOptions cli_plan_options;  // restriction/count knobs shared by all modes
-  if (const char* v = FlagValue(argc, argv, "--restriction")) {
-    const std::string r = v;
-    if (r == "gk") {
-      cli_plan_options.restriction_mode = RestrictionMode::kGrochowKellis;
-    } else if (r == "co-optimized") {
-      cli_plan_options.restriction_mode = RestrictionMode::kCoOptimized;
-    } else if (r == "auto") {
-      cli_plan_options.restriction_mode = RestrictionMode::kAuto;
-    } else {
-      std::fprintf(stderr,
-                   "error: --restriction must be gk, co-optimized, or auto\n");
-      return 1;
-    }
-  }
+  CountStrategy count_strategy = CountStrategy::kEnumerate;
   if (const char* v = FlagValue(argc, argv, "--count-strategy")) {
     const std::string c = v;
     if (c == "enumerate") {
-      cli_plan_options.count_strategy = CountStrategy::kEnumerate;
+      count_strategy = CountStrategy::kEnumerate;
     } else if (c == "iep") {
-      cli_plan_options.count_strategy = CountStrategy::kIep;
+      count_strategy = CountStrategy::kIep;
     } else if (c == "auto") {
-      cli_plan_options.count_strategy = CountStrategy::kAuto;
+      count_strategy = CountStrategy::kAuto;
     } else {
       std::fprintf(stderr,
                    "error: --count-strategy must be enumerate, iep, or auto\n");
@@ -467,12 +438,6 @@ int main(int argc, char** argv) {
       session_options.slow_query_threshold_seconds = std::atof(v);
     }
 
-    if (cli_plan_options.count_strategy != CountStrategy::kEnumerate) {
-      std::fprintf(stderr,
-                   "warning: --count-strategy is ignored with --batch "
-                   "(session queries always enumerate)\n");
-    }
-
     RunOptions query;
     query.time_limit_seconds = limit_str != nullptr ? std::atof(limit_str) : 0;
     query.unique_subgraphs = symmetry;
@@ -481,7 +446,7 @@ int main(int argc, char** argv) {
     query.plan_options.auto_kernel = !kernel_pinned;
     query.plan_options.lazy_materialization = algo == "light" || algo == "lm";
     query.plan_options.minimum_set_cover = algo == "light" || algo == "msc";
-    query.plan_options.restriction_mode = cli_plan_options.restriction_mode;
+    query.plan_options.count_strategy = count_strategy;
 
     Timer batch_timer;
     Session session = store != nullptr ? Session(store, session_options)
@@ -626,7 +591,7 @@ int main(int argc, char** argv) {
   run_options.time_limit_seconds =
       limit_str != nullptr ? std::atof(limit_str) : 0;
   run_options.unique_subgraphs = symmetry;
-  run_options.plan_options = cli_plan_options;
+  run_options.plan_options.count_strategy = count_strategy;
   run_options.plan_options.induced = FlagSet(argc, argv, "--induced");
   run_options.plan_options.kernel = kernel;
   run_options.plan_options.auto_kernel = !kernel_pinned;

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "flags.h"
 #include "common/mutex.h"
 #include "fuzz/fuzz.h"
 
@@ -40,27 +41,8 @@ exit status: 0 = all cases agreed, 1 = usage/IO error, 2 = divergence found
 )");
 }
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+using light::tools::FlagSet;
+using light::tools::FlagValue;
 
 }  // namespace
 
@@ -121,7 +103,7 @@ int main(int argc, char** argv) {
   std::printf(
       "light_fuzz: seed=%llu cases=%llu divergences=%llu bitmap_cases=%llu "
       "lint_violations=%llu session_cases=%llu deadline_cases=%llu "
-      "restriction_cases=%llu iep_cases=%llu store_cases=%llu "
+      "iep_cases=%llu store_cases=%llu "
       "labeled_cases=%llu time=%.1fs\n",
       static_cast<unsigned long long>(options.seed),
       static_cast<unsigned long long>(summary.cases_run),
@@ -130,7 +112,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(summary.lint_violations),
       static_cast<unsigned long long>(summary.session_cases),
       static_cast<unsigned long long>(summary.deadline_cases),
-      static_cast<unsigned long long>(summary.restriction_cases),
       static_cast<unsigned long long>(summary.iep_cases),
       static_cast<unsigned long long>(summary.store_cases),
       static_cast<unsigned long long>(summary.labeled_cases),

@@ -16,6 +16,7 @@
 #include <thread>
 #include <utility>
 
+#include "flags.h"
 #include "gen/catalog.h"
 #include "light.h"
 #include "net/server.h"
@@ -47,27 +48,8 @@ session + server stats (open_queries must reach 0).
 )");
 }
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+using light::tools::FlagSet;
+using light::tools::FlagValue;
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "analysis/plan_linter.h"
 #include "gen/generators.h"
 #include "graph/graph_io.h"
@@ -50,7 +51,6 @@ void Usage() {
   --pattern-file P    lint a pattern read from a file (same syntax)
   --all               lint the entire pattern catalog (default)
   --algo A            plan variant: light | lm | msc | se (default light)
-  --restriction R     restriction sets: gk (default) | co-optimized | auto
   --no-symmetry       build the plan without symmetry breaking
   --induced           vertex-induced (motif) matching semantics
   --order i,j,...     pinned enumeration order instead of the optimizer
@@ -64,27 +64,8 @@ exit status: 0 = clean, 1 = usage/IO error, 2 = lint findings
 )");
 }
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "error: %s requires a value\n", name);
-      std::exit(1);
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool FlagSet(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+using light::tools::FlagSet;
+using light::tools::FlagValue;
 
 /// One JSONL record per diagnostic, with the pattern name attached so a
 /// multi-pattern run stays self-describing.
@@ -161,6 +142,12 @@ int main(int argc, char** argv) {
     Usage();
     return 0;
   }
+  light::tools::RejectUnknownFlags(
+      argc, argv,
+      {"--pattern", "--pattern-edges", "--edges", "--pattern-file", "--algo",
+       "--order", "--graph", "--format"},
+      {"--all", "--no-symmetry", "--induced", "--no-cardinality",
+       "--strict"});
 
   ToolConfig config;
   config.jsonl = false;
@@ -192,19 +179,6 @@ int main(int argc, char** argv) {
   }
   config.plan_options.symmetry_breaking = !FlagSet(argc, argv, "--no-symmetry");
   config.plan_options.induced = FlagSet(argc, argv, "--induced");
-  if (const char* v = FlagValue(argc, argv, "--restriction")) {
-    if (std::strcmp(v, "gk") == 0) {
-      config.plan_options.restriction_mode = RestrictionMode::kGrochowKellis;
-    } else if (std::strcmp(v, "co-optimized") == 0) {
-      config.plan_options.restriction_mode = RestrictionMode::kCoOptimized;
-    } else if (std::strcmp(v, "auto") == 0) {
-      config.plan_options.restriction_mode = RestrictionMode::kAuto;
-    } else {
-      std::fprintf(stderr,
-                   "error: --restriction must be gk, co-optimized, or auto\n");
-      return 1;
-    }
-  }
 
   if (const char* v = FlagValue(argc, argv, "--order")) {
     std::stringstream ss(v);
