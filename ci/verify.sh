@@ -390,6 +390,14 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke exercised no IEP-counting cases" >&2
     exit 1
   fi
+  # COMP windows (symmetry-breaking bounds applied before intersecting)
+  # must appear in the swept plans; zero means the windowed candidate
+  # computation went untested.
+  comp_window_cases="$(sed -n 's/.*comp_window_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
+  if [[ -z "$comp_window_cases" || "$comp_window_cases" -lt 1 ]]; then
+    echo "==> fuzz smoke exercised no COMP-window cases" >&2
+    exit 1
+  fi
   # The store-parity oracle (every case spilled to .lcsr2, re-opened mmap,
   # counts cross-checked against the heap engines)
   # must have run; zero means the storage leg silently went dark.

@@ -91,6 +91,9 @@ bool CheckShape(const Pattern& pattern, const ExecutionPlan& plan,
   require_size("lower_bounds", plan.lower_bounds.size());
   require_size("upper_bounds", plan.upper_bounds.size());
   require_size("non_adjacent", plan.non_adjacent.size());
+  if (!plan.comp_windows.empty()) {
+    require_size("comp_windows", plan.comp_windows.size());
+  }
   return ok;
 }
 
@@ -310,6 +313,101 @@ void CheckConstraintWiring(const Pattern& pattern, const ExecutionPlan& plan,
              plan.lower_bounds[static_cast<size_t>(u)]);
     mismatch("upper bounds", u, expected_upper[static_cast<size_t>(u)],
              plan.upper_bounds[static_cast<size_t>(u)]);
+  }
+}
+
+/// True when phi(from) < phi(to) follows from the constraints among the
+/// vertices materialized up to MAT(at): a constraint path from `from` to
+/// `to` that stays inside that set.
+bool EnforcedAtMat(const PartialOrder& order, const SigmaIndex& sigma, int at,
+                   int from, int to) {
+  const int limit = sigma.mat_pos[static_cast<size_t>(at)];
+  const auto bound = [&](int v) {
+    const int pos = sigma.mat_pos[static_cast<size_t>(v)];
+    return pos >= 0 && pos <= limit;
+  };
+  if (!bound(from) || !bound(to)) return false;
+  uint32_t reached = 1u << from;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [a, b] : order) {
+      if ((reached >> a & 1u) && !(reached >> b & 1u) && bound(b)) {
+        reached |= 1u << b;
+        grew = true;
+      }
+    }
+  }
+  return (reached >> to & 1u) != 0;
+}
+
+/// COMP-time windows cut C(u) before its intersections run, so each window
+/// vertex must be bound by then, and the order it imposes must already be
+/// enforced at MAT(w) for u and for every w that reads C(u) through K2
+/// operands; otherwise the cut drops candidates a MAT would have accepted.
+/// Counted-tail plans take no windows (the tail is never materialized).
+void CheckCompWindows(const Pattern& pattern, const ExecutionPlan& plan,
+                      const SigmaIndex& sigma, LintReport* report) {
+  if (!plan.HasCompWindows()) return;
+  if (plan.HasCountedTail()) {
+    report->Add(LintSeverity::kError, "sb-comp-window",
+                "counted-tail plan carries COMP windows: its tail is never "
+                "materialized, so no MAT enforces their order");
+    return;
+  }
+  const int n = pattern.NumVertices();
+  std::vector<uint32_t> readers(static_cast<size_t>(n), 0);
+  for (int u = 0; u < n; ++u) readers[static_cast<size_t>(u)] = 1u << u;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (int w = 0; w < n; ++w) {
+      for (const int y : plan.operands[static_cast<size_t>(w)].k2) {
+        if (y < 0 || y >= n) continue;  // cover-* rules report it
+        const uint32_t before = readers[static_cast<size_t>(y)];
+        readers[static_cast<size_t>(y)] |= readers[static_cast<size_t>(w)];
+        grew |= readers[static_cast<size_t>(y)] != before;
+      }
+    }
+  }
+  for (int u = 0; u < n; ++u) {
+    const CompWindow& window = plan.comp_windows[static_cast<size_t>(u)];
+    const auto check = [&](int x, bool lower) {
+      const std::string what = std::string(lower ? "lower" : "upper") +
+                               " COMP window bound " + VertexName(x) +
+                               " of " + VertexName(u);
+      if (x < 0 || x >= n || x == u) {
+        report->Add(LintSeverity::kError, "sb-comp-window",
+                    what + " is out of range", u);
+        return;
+      }
+      const int comp = sigma.comp_pos[static_cast<size_t>(u)];
+      const int mat = sigma.mat_pos[static_cast<size_t>(x)];
+      if (comp < 0 || mat < 0 || mat > comp) {
+        report->Add(LintSeverity::kError, "sb-comp-window",
+                    what + " is not materialized before COMP(" +
+                        VertexName(u) + ")",
+                    u, {x, u});
+        return;
+      }
+      for (int w = 0; w < n; ++w) {
+        if (!(readers[static_cast<size_t>(u)] >> w & 1u)) continue;
+        const bool holds =
+            lower ? EnforcedAtMat(plan.partial_order, sigma, w, x, w)
+                  : EnforcedAtMat(plan.partial_order, sigma, w, w, x);
+        if (!holds) {
+          report->Add(LintSeverity::kError, "sb-comp-window",
+                      what + ": phi(" + VertexName(lower ? x : w) +
+                          ") < phi(" + VertexName(lower ? w : x) +
+                          ") is not enforced at MAT(" + VertexName(w) +
+                          ")" +
+                          (w == u ? "" : ", which reads C(" + VertexName(u) +
+                                             ") through K2") +
+                          "; the cut would drop valid candidates",
+                      u, {x, w});
+        }
+      }
+    };
+    for (const int x : window.lower) check(x, true);
+    for (const int y : window.upper) check(y, false);
   }
 }
 
@@ -771,6 +869,7 @@ LintReport LintPlan(const Pattern& pattern, const ExecutionPlan& plan,
       CheckPartialOrderStructure(p, plan, &report);
   if (sb_structurally_ok) {
     CheckConstraintWiring(p, plan, sigma, &report);
+    CheckCompWindows(p, plan, sigma, &report);
     // The orbit check reasons about complete embeddings; a counted-tail
     // plan never materializes the tail (and running it with symmetry
     // breaking is already an iep-tail-symmetry error), so skip it there.

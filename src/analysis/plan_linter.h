@@ -24,6 +24,12 @@
 ///   sb-cycle              the partial order is acyclic
 ///   sb-wiring             every constraint wired to exactly one bound list,
 ///                         at the later-materialized endpoint
+///   sb-comp-window        a COMP-time window bound (comp_windows) is not
+///                         materialized before the COMP, or the order it
+///                         imposes is not enforced (transitively, among the
+///                         vertices bound by MAT(w)) for the vertex or for a
+///                         vertex w reading its candidate set through K2, or
+///                         the plan has a counted tail
 ///   sb-unkilled-automorphism   some automorphic image pair survives the
 ///                         constraints (overcount) — Grochow–Kellis check
 ///   sb-kills-valid-embedding   some subgraph instance has no surviving

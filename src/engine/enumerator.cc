@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -33,6 +35,46 @@ class ScopedOpSpan {
   const int u_;
   uint64_t start_ns_ = 0;
 };
+
+/// First element >= key in [begin, end). Branchless: the compare feeds a
+/// conditional move, so the window cuts and membership probes on the hot
+/// path pay no branch mispredicts.
+const VertexID* LowerBound(const VertexID* begin, const VertexID* end,
+                           VertexID key) {
+  size_t len = static_cast<size_t>(end - begin);
+  if (len == 0) return begin;
+  while (len > 1) {
+    const size_t half = len / 2;
+    begin = begin[half] < key ? begin + half : begin;
+    len -= half;
+  }
+  return begin + (*begin < key ? 1 : 0);
+}
+
+/// The cuts of a sorted range to an ID window [lo, hi). Both gallop in from
+/// their own end (probes 1, 2, 4, ... elements in, then LowerBound), so a
+/// cut that drops d elements costs O(log d) and a window that cuts little
+/// costs little.
+const VertexID* CutFront(const VertexID* begin, const VertexID* end,
+                         VertexID lo) {
+  const size_t n = static_cast<size_t>(end - begin);
+  size_t bound = 1;
+  while (bound <= n && begin[bound - 1] < lo) bound <<= 1;
+  return LowerBound(begin + bound / 2, begin + std::min(bound - 1, n), lo);
+}
+
+const VertexID* CutBack(const VertexID* begin, const VertexID* end,
+                        VertexID hi) {
+  const size_t n = static_cast<size_t>(end - begin);
+  size_t bound = 1;
+  while (bound <= n && *(end - bound) >= hi) bound <<= 1;
+  return LowerBound(bound <= n ? end - bound + 1 : begin, end - bound / 2, hi);
+}
+
+bool Contains(const VertexID* begin, const VertexID* end, VertexID key) {
+  const VertexID* it = LowerBound(begin, end, key);
+  return it != end && *it == key;
+}
 
 }  // namespace
 
@@ -110,6 +152,21 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
     cand_bytes += buffer.size() * sizeof(VertexID);
   }
   stats_.candidate_memory_bytes = cand_bytes;
+
+  if (num_ops_ >= 2 && !plan_.HasCountedTail()) {
+    // A bound pattern neighbor x of the last vertex u never lies in C(u):
+    // C(u) is inside N(phi(x)), and the CSR has no self-loops. So a counted
+    // leaf only checks injectivity against u's bound non-neighbors.
+    const Operation& comp = plan_.sigma[num_ops_ - 2];
+    const int u = plan_.sigma[num_ops_ - 1].vertex;
+    for (int x = 0; x < n; ++x) {
+      if (x != u && !plan_.pattern.HasEdge(x, u)) leaf_distinct_.push_back(x);
+    }
+    fused_leaf_ = comp.type == OpType::kCompute && comp.vertex == u &&
+                  !universal_[static_cast<size_t>(u)] &&
+                  plan_.non_adjacent[static_cast<size_t>(u)].empty() &&
+                  (data_labels_ == nullptr || plan_.pattern.Label(u) == 0);
+  }
 
   obs::MetricsRegistry& registry = obs::DefaultRegistry();
   obs_roots_counter_ = registry.GetCounter("engine.roots_done");
@@ -292,30 +349,70 @@ void Enumerator::RunCompute(size_t op_index) {
     Run(op_index + 1);
     return;
   }
+  if (fused_leaf_ && visitor_ == nullptr && op_index + 2 == num_ops_) {
+    CountLeafCandidates(u);
+    return;
+  }
   if (ComputeCandidateSet(u) > 0) Run(op_index + 1);
 }
 
-uint32_t Enumerator::ComputeCandidateSet(int u) {
-  const Operands& ops = plan_.operands[static_cast<size_t>(u)];
+std::pair<VertexID, VertexID> Enumerator::Window(
+    const std::vector<int>& lower, const std::vector<int>& upper) const {
+  VertexID lo = 0;
+  VertexID hi = graph_.NumVertices();
+  for (int x : lower) lo = std::max(lo, mapping_[static_cast<size_t>(x)] + 1);
+  for (int y : upper) hi = std::min(hi, mapping_[static_cast<size_t>(y)]);
+  return {lo, hi};
+}
+
+size_t Enumerator::GatherOperands(int u, VertexID lo, VertexID hi,
+                                  SetView* sets) const {
+  const bool cut_lo = lo > 0;
+  const bool cut_hi = hi < graph_.NumVertices();
+  const auto cut = [&](const VertexID* begin, const VertexID* end) {
+    if (cut_lo) begin = CutFront(begin, end, lo);
+    if (cut_hi) end = CutBack(begin, end, hi);
+    return std::span<const VertexID>(begin, end);
+  };
   // K1 operands are graph neighborhoods and may carry bitmap-index rows;
   // K2 operands are earlier candidate sets and are always array-only. With
   // no index attached every view is array-only and the multiway hybrid
   // degenerates to the pure Algorithm 4 routing.
-  std::array<SetView, kMaxPatternVertices> sets;
+  const Operands& ops = plan_.operands[static_cast<size_t>(u)];
   size_t k = 0;
   for (int x : ops.k1) {
     const VertexID mapped = mapping_[static_cast<size_t>(x)];
     const uint64_t* row =
         bitmap_index_ != nullptr ? bitmap_index_->Row(mapped) : nullptr;
-    sets[k++] = SetView(graph_.Neighbors(mapped), row);
+    const std::span<const VertexID> nbrs = graph_.Neighbors(mapped);
+    sets[k] = SetView(cut(nbrs.data(), nbrs.data() + nbrs.size()), row);
+    if (sets[k++].size() == 0) return 0;
   }
   for (int y : ops.k2) {
-    sets[k++] = SetView({cand_data_[static_cast<size_t>(y)],
-                         cand_size_[static_cast<size_t>(y)]});
+    const VertexID* data = cand_data_[static_cast<size_t>(y)];
+    sets[k] = SetView(cut(data, data + cand_size_[static_cast<size_t>(y)]));
+    if (sets[k++].size() == 0) return 0;
+  }
+  return k;
+}
+
+uint32_t Enumerator::ComputeCandidateSet(int u) {
+  ++stats_.comp_counts[static_cast<size_t>(u)];
+  VertexID lo = 0;
+  VertexID hi = graph_.NumVertices();
+  if (!plan_.comp_windows.empty() &&
+      !plan_.comp_windows[static_cast<size_t>(u)].empty()) {
+    const CompWindow& window = plan_.comp_windows[static_cast<size_t>(u)];
+    std::tie(lo, hi) = Window(window.lower, window.upper);
+  }
+  std::array<SetView, kMaxPatternVertices> sets;
+  const size_t k = lo < hi ? GatherOperands(u, lo, hi, sets.data()) : 0;
+  if (k == 0) {
+    cand_size_[static_cast<size_t>(u)] = 0;
+    return 0;
   }
   // Labels are safe to bake into the stored set: the set-cover construction
   // only reuses C(u') through K2 with an identical or weaker label filter.
-  ++stats_.comp_counts[static_cast<size_t>(u)];
   auto& buffer = cand_buffer_[static_cast<size_t>(u)];
   const bool filter =
       data_labels_ != nullptr && plan_.pattern.Label(u) != 0;
@@ -340,6 +437,57 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
     cand_size_[static_cast<size_t>(u)] = static_cast<uint32_t>(size);
   }
   return cand_size_[static_cast<size_t>(u)];
+}
+
+void Enumerator::CountLeafCandidates(int u) {
+  ++stats_.comp_counts[static_cast<size_t>(u)];
+  if (CheckDeadline()) return;
+  // Nothing is bound between this COMP and its MAT, so the MAT window is
+  // known here (it implies the COMP window).
+  const auto [lo, hi] = Window(plan_.lower_bounds[static_cast<size_t>(u)],
+                               plan_.upper_bounds[static_cast<size_t>(u)]);
+  std::array<SetView, kMaxPatternVertices> sets;
+  const size_t k = lo < hi ? GatherOperands(u, lo, hi, sets.data()) : 0;
+  if (k == 0) return;
+  uint64_t count = sets[0].size();
+  if (k > 1) {
+    // Smallest first, as IntersectMultiwayHybrid chains them; only the last
+    // pairwise step, against the largest operand, is counted.
+    std::sort(sets.begin(), sets.begin() + static_cast<ptrdiff_t>(k),
+              [](const SetView& a, const SetView& b) {
+                return a.size() < b.size();
+              });
+    SetView partial = sets[0];
+    if (k > 2) {
+      VertexID* buffer = cand_buffer_[static_cast<size_t>(u)].data();
+      const size_t size = IntersectMultiwayHybrid(
+          {sets.data(), k - 1}, buffer, scratch_.data(),
+          word_scratch_.empty() ? nullptr : word_scratch_.data(),
+          word_scratch_.size(), kernel_, &stats_.intersections);
+      // A bitmap AND of whole rows can reach outside the window: cut again.
+      const VertexID* begin = CutFront(buffer, buffer + size, lo);
+      partial = SetView({begin, CutBack(begin, buffer + size, hi)});
+    }
+    count = CountHybridPair(partial, sets[k - 1], word_scratch_.size(),
+                            kernel_, &stats_.intersections);
+  }
+  // Injectivity: a bound vertex in every operand was counted as a candidate.
+  for (size_t i = 0; i < leaf_distinct_.size() && count > 0; ++i) {
+    const VertexID b = mapping_[static_cast<size_t>(leaf_distinct_[i])];
+    bool in_all = lo <= b && b < hi;
+    for (size_t j = 0; j < k && in_all; ++j) {
+      const std::span<const VertexID> set = sets[j].sorted;
+      in_all = Contains(set.data(), set.data() + set.size(), b);
+    }
+    if (in_all) --count;
+  }
+  AddLeafMatches(u, count);
+}
+
+void Enumerator::AddLeafMatches(int u, uint64_t count) {
+  stats_.mat_counts[static_cast<size_t>(u)] += count;
+  stats_.num_partial_results += count;
+  stats_.num_matches += count;
 }
 
 void Enumerator::RunCountedTail() {
@@ -367,14 +515,8 @@ void Enumerator::RunMaterialize(size_t op_index) {
   ScopedOpSpan span(trace_root_, "MAT", u);
 
   // Symmetry-breaking window: v must lie in [lo, hi).
-  VertexID lo = 0;
-  VertexID hi = graph_.NumVertices();
-  for (int x : plan_.lower_bounds[static_cast<size_t>(u)]) {
-    lo = std::max(lo, mapping_[static_cast<size_t>(x)] + 1);
-  }
-  for (int y : plan_.upper_bounds[static_cast<size_t>(u)]) {
-    hi = std::min(hi, mapping_[static_cast<size_t>(y)]);
-  }
+  const auto [lo, hi] = Window(plan_.lower_bounds[static_cast<size_t>(u)],
+                               plan_.upper_bounds[static_cast<size_t>(u)]);
   if (lo >= hi) return;
 
   const bool last_op = op_index + 1 == num_ops_;
@@ -392,9 +534,7 @@ void Enumerator::RunMaterialize(size_t op_index) {
       if (graph_.HasEdge(v, mapping_[static_cast<size_t>(w)])) return;
     }
     if (counting_leaf) {
-      ++stats_.mat_counts[static_cast<size_t>(u)];
-      ++stats_.num_partial_results;
-      ++stats_.num_matches;
+      AddLeafMatches(u, 1);
       return;
     }
     ++stats_.mat_counts[static_cast<size_t>(u)];
@@ -423,8 +563,20 @@ void Enumerator::RunMaterialize(size_t op_index) {
   const uint32_t size = cand_size_[static_cast<size_t>(u)];
   const VertexID* begin = data;
   const VertexID* end = data + size;
-  if (lo > 0) begin = std::lower_bound(begin, end, lo);
-  if (hi < graph_.NumVertices()) end = std::lower_bound(begin, end, hi);
+  if (lo > 0) begin = LowerBound(begin, end, lo);
+  if (hi < graph_.NumVertices()) end = LowerBound(begin, end, hi);
+  if (counting_leaf && plan_.non_adjacent[static_cast<size_t>(u)].empty()) {
+    // Count the leaf instead of walking it; injectivity subtracts the bound
+    // vertices inside the window.
+    if (CheckDeadline()) return;
+    uint64_t count = static_cast<uint64_t>(end - begin);
+    for (size_t i = 0; i < leaf_distinct_.size() && count > 0; ++i) {
+      const VertexID b = mapping_[static_cast<size_t>(leaf_distinct_[i])];
+      if (lo <= b && b < hi && Contains(begin, end, b)) --count;
+    }
+    AddLeafMatches(u, count);
+    return;
+  }
   for (const VertexID* it = begin; it != end && !stop_; ++it) {
     if (CheckDeadline()) return;
     try_vertex(*it);

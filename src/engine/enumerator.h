@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -11,6 +12,7 @@
 #include "engine/visitors.h"
 #include "graph/bitmap_index.h"
 #include "graph/graph_view.h"
+#include "intersect/bitmap.h"
 #include "intersect/set_intersection.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
@@ -133,7 +135,23 @@ class Enumerator {
   void RunCountedTail();
   /// Intersection core shared by RunCompute and RunCountedTail: fills
   /// cand_data_/cand_size_ for non-universal vertex u, returns the size.
+  /// Operands are first cut to u's COMP window (ExecutionPlan::comp_windows);
+  /// an empty window or operand skips the intersection.
   uint32_t ComputeCandidateSet(int u);
+  /// Counted leaf whose COMP directly precedes its MAT (the plan's last two
+  /// ops): counts C(u) inside the MAT window without storing it, the last
+  /// pairwise step through a count-only kernel.
+  void CountLeafCandidates(int u);
+  /// Adds a counted leaf's `count` extensions of u to the stats (the same
+  /// increments the per-candidate loop makes).
+  void AddLeafMatches(int u, uint64_t count);
+  /// ID window [lo, hi) allowed by the bounds `lower`/`upper` under the
+  /// current mapping.
+  std::pair<VertexID, VertexID> Window(const std::vector<int>& lower,
+                                       const std::vector<int>& upper) const;
+  /// Fills `sets` with u's operands cut to [lo, hi) (bitmap rows stay
+  /// whole); returns their number, or 0 when one of them is empty there.
+  size_t GatherOperands(int u, VertexID lo, VertexID hi, SetView* sets) const;
   void EmitMatch();
   bool CheckDeadline();
 
@@ -158,6 +176,12 @@ class Enumerator {
   /// Index in sigma of the first counted-tail COMP; num_ops_ when the plan
   /// has no counted tail.
   size_t tail_begin_op_ = 0;
+  /// The plan ends COMP(u), MAT(u) for a u whose leaf can be counted (no
+  /// induced checks, real operands): counting runs fuse the two ops.
+  bool fused_leaf_ = false;
+  /// Pattern vertices not adjacent to the last MAT's vertex: the only ones
+  /// whose data vertices a counted leaf must subtract for injectivity.
+  std::vector<int> leaf_distinct_;
 
   // Per pattern vertex.
   std::vector<VertexID> mapping_;

@@ -115,6 +115,9 @@ struct OracleOutcome {
   /// parallel light::Run, plus a caching Session::RunSync run twice — was
   /// cross-checked against the enumerated pivot.
   bool iep_checked = false;
+  /// The LIGHT or SE plan cut some candidate set to a COMP window before
+  /// intersecting (ExecutionPlan::comp_windows).
+  bool comp_windows = false;
   /// True when the storage-engine leg ran: the case graph was written as an
   /// .lcsr2 snapshot, reopened as an mmap store, and its count
   /// cross-checked against the serial pivot (bit-identical heap/mmap is the
@@ -187,6 +190,9 @@ struct FuzzSummary {
   /// Cases the inclusion–exclusion leg ran on (CI asserts the smoke run
   /// exercises the IEP counting path).
   uint64_t iep_cases = 0;
+  /// Cases whose plans carried COMP windows (CI asserts the smoke run
+  /// exercises the windowed candidate computation).
+  uint64_t comp_window_cases = 0;
   /// Cases the storage-engine parity leg ran on (CI asserts the smoke run
   /// exercises the mmap store path).
   uint64_t store_cases = 0;

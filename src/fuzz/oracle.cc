@@ -97,6 +97,8 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   const ExecutionPlan se_plan = BuildPlan(c.pattern, graph, stats, se_options);
 
   OracleOutcome outcome;
+  outcome.comp_windows =
+      light_plan.HasCompWindows() || se_plan.HasCompWindows();
 
   // Static lint soak: every plan the oracles execute must verify clean
   // (analysis/plan_linter.h). A finding here is a planner bug or a linter

@@ -76,34 +76,51 @@ size_t IntersectHybridPair(const SetView& a, const SetView& b, VertexID* out,
                            uint64_t* word_scratch, size_t words,
                            IntersectKernel kernel, IntersectStats* stats) {
   const size_t effective_words = word_scratch == nullptr ? 0 : words;
-  switch (ChooseIntersectRoute(a.size(), a.has_bits(), b.size(), b.has_bits(),
-                               effective_words)) {
-    case IntersectRoute::kBitmapAnd: {
+  const IntersectRoute route = ChooseIntersectRoute(
+      a.size(), a.has_bits(), b.size(), b.has_bits(), effective_words);
+  if (route != IntersectRoute::kArray && stats != nullptr) {
+    ++stats->num_intersections;
+    stats->elements += a.size() + b.size();
+    ++(route == IntersectRoute::kBitmapAnd ? stats->num_bitmap_and
+                                           : stats->num_bitmap_probe);
+  }
+  switch (route) {
+    case IntersectRoute::kBitmapAnd:
       internal::AndWords(a.bits, b.bits, words, word_scratch);
-      if (stats != nullptr) {
-        ++stats->num_intersections;
-        ++stats->num_bitmap_and;
-      }
       return internal::DecodeBitmap(word_scratch, words, out);
-    }
-    case IntersectRoute::kBitmapProbeA: {
-      if (stats != nullptr) {
-        ++stats->num_intersections;
-        ++stats->num_bitmap_probe;
-      }
+    case IntersectRoute::kBitmapProbeA:
       return internal::ProbeBitmap(a.sorted.data(), a.size(), b.bits, out);
-    }
-    case IntersectRoute::kBitmapProbeB: {
-      if (stats != nullptr) {
-        ++stats->num_intersections;
-        ++stats->num_bitmap_probe;
-      }
+    case IntersectRoute::kBitmapProbeB:
       return internal::ProbeBitmap(b.sorted.data(), b.size(), a.bits, out);
-    }
     case IntersectRoute::kArray:
       break;
   }
   return IntersectSorted(a.sorted, b.sorted, out, kernel, stats);
+}
+
+size_t CountHybridPair(const SetView& a, const SetView& b, size_t words,
+                       IntersectKernel kernel, IntersectStats* stats) {
+  IntersectRoute route = ChooseIntersectRoute(a.size(), a.has_bits(), b.size(),
+                                              b.has_bits(), words);
+  if (route == IntersectRoute::kBitmapAnd) {
+    // Whole rows would count outside the arrays' window: probe instead.
+    route = a.size() <= b.size() ? IntersectRoute::kBitmapProbeA
+                                 : IntersectRoute::kBitmapProbeB;
+  }
+  if (route == IntersectRoute::kArray) {
+    return IntersectSortedCount(a.sorted, b.sorted, kernel, stats);
+  }
+  if (stats != nullptr) {
+    ++stats->num_intersections;
+    ++stats->num_bitmap_probe;
+    stats->elements += a.size() + b.size();
+  }
+  const bool probe_a = route == IntersectRoute::kBitmapProbeA;
+  const std::span<const VertexID> arr = probe_a ? a.sorted : b.sorted;
+  const uint64_t* bits = probe_a ? b.bits : a.bits;
+  size_t n = 0;
+  for (const VertexID v : arr) n += BitmapTest(bits, v) ? 1 : 0;
+  return n;
 }
 
 }  // namespace light

@@ -98,6 +98,16 @@ size_t IntersectHybridPair(const SetView& a, const SetView& b, VertexID* out,
                            IntersectKernel kernel,
                            IntersectStats* stats = nullptr);
 
+/// Count-only pairwise hybrid intersection of operands whose arrays are cut
+/// to one ID window while their rows stay whole (the engine's counted leaf):
+/// the probe routes count array elements whose bit is set; a pair the cost
+/// model would AND probes its smaller array instead, since the AND of whole
+/// rows would also count outside the window; otherwise
+/// IntersectSortedCount(kernel). `words` is the row width (0 = arrays only).
+size_t CountHybridPair(const SetView& a, const SetView& b, size_t words,
+                       IntersectKernel kernel,
+                       IntersectStats* stats = nullptr);
+
 namespace internal {
 
 /// out[w] = a[w] & b[w] for w in [0, words). out may alias a or b. Picks the

@@ -99,6 +99,7 @@ size_t IntersectMultiwayHybrid(std::span<const SetView> sets, VertexID* out,
       // |K1| + |K2| - 1 accounting for the chained form.
       stats->num_intersections += k - 1;
       stats->num_bitmap_and += k - 1;
+      for (size_t i = 0; i < k; ++i) stats->elements += sets[i].size();
     }
     return internal::DecodeBitmap(word_scratch, words, out);
   }

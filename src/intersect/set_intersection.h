@@ -48,6 +48,9 @@ struct IntersectStats {
   uint64_t num_binary_search = 0;   // calls routed to BinarySearch (CFL-style)
   uint64_t num_bitmap_and = 0;      // calls routed to bitmap AND + decode
   uint64_t num_bitmap_probe = 0;    // calls routed to array-through-bitmap
+  /// Elements scanned: the sum of both input sizes over every pairwise call,
+  /// whatever its route (a k-row bitmap AND adds its k operand sizes).
+  uint64_t elements = 0;
 
   void Add(const IntersectStats& other) {
     num_intersections += other.num_intersections;
@@ -56,6 +59,7 @@ struct IntersectStats {
     num_binary_search += other.num_binary_search;
     num_bitmap_and += other.num_bitmap_and;
     num_bitmap_probe += other.num_bitmap_probe;
+    elements += other.elements;
   }
   double GallopingFraction() const {
     return num_intersections == 0
@@ -78,8 +82,9 @@ size_t IntersectSorted(std::span<const VertexID> a, std::span<const VertexID> b,
                        VertexID* out, IntersectKernel kernel,
                        IntersectStats* stats = nullptr);
 
-/// Result-size-only variant: same routing and stats accounting, with the
-/// matches written to a thread-local scratch buffer instead of the caller's.
+/// Result-size-only variant: same routing and stats accounting, running the
+/// count-only form of the routed kernel (no output buffer is written). The
+/// engine counts the last pairwise step of a counted leaf this way.
 size_t IntersectSortedCount(std::span<const VertexID> a,
                             std::span<const VertexID> b,
                             IntersectKernel kernel,
@@ -115,6 +120,13 @@ size_t GallopingIntersect(const VertexID* small, size_t nsmall,
 size_t BinarySearchIntersect(const VertexID* small, size_t nsmall,
                              const VertexID* large, size_t nlarge,
                              VertexID* out);
+// Count-only forms: the result size of the kernel above, nothing written.
+size_t MergeIntersectCount(const VertexID* a, size_t na, const VertexID* b,
+                           size_t nb);
+size_t GallopingIntersectCount(const VertexID* small, size_t nsmall,
+                               const VertexID* large, size_t nlarge);
+size_t BinarySearchIntersectCount(const VertexID* small, size_t nsmall,
+                                  const VertexID* large, size_t nlarge);
 
 #if defined(LIGHT_HAVE_AVX2)
 size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
@@ -122,6 +134,10 @@ size_t MergeIntersectAvx2(const VertexID* a, size_t na, const VertexID* b,
 size_t GallopingIntersectAvx2(const VertexID* small, size_t nsmall,
                               const VertexID* large, size_t nlarge,
                               VertexID* out);
+size_t MergeIntersectCountAvx2(const VertexID* a, size_t na,
+                               const VertexID* b, size_t nb);
+size_t GallopingIntersectCountAvx2(const VertexID* small, size_t nsmall,
+                                   const VertexID* large, size_t nlarge);
 #endif
 
 }  // namespace internal

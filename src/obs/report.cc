@@ -142,6 +142,7 @@ std::string RunReport::ToJson() const {
   w.KV("binary_search", engine.intersections.num_binary_search);
   w.KV("bitmap_and", engine.intersections.num_bitmap_and);
   w.KV("bitmap_probe", engine.intersections.num_bitmap_probe);
+  w.KV("elements", engine.intersections.elements);
   w.KV("galloping_fraction", engine.intersections.GallopingFraction());
   w.KV("bitmap_fraction", engine.intersections.BitmapFraction());
   w.EndObject();
@@ -230,6 +231,8 @@ Status RunReport::FromJson(const std::string& json, RunReport* out) {
       intersections["bitmap_and"].AsUint();
   out->engine.intersections.num_bitmap_probe =
       intersections["bitmap_probe"].AsUint();
+  // Elements scanned (absent in earlier reports; parses as 0).
+  out->engine.intersections.elements = intersections["elements"].AsUint();
 
   const JsonValue& parallel = root["parallel"];
   out->summary.threads_configured =

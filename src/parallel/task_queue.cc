@@ -8,7 +8,9 @@
 namespace light {
 
 /// All mutable fields are guarded by MultiQueryQueue::mutex_ except
-/// `aborted`, which lease holders poll without the lock.
+/// `aborted`, which lease holders poll without the lock. `leases` is written
+/// only under the lock but is atomic so the donation check can read it
+/// without one.
 struct MultiQueryQueue::Query {
   void* context = nullptr;
   uint64_t query_id = 0;
@@ -16,7 +18,7 @@ struct MultiQueryQueue::Query {
   int priority = 0;    // higher drains first
   bool active = false;
   bool completed = false;
-  int leases = 0;
+  std::atomic<int> leases{0};
   /// Lease-movement counter: bumped whenever a range is handed out (Pop)
   /// or returned (Done), and on Abort. The watchdog compares snapshots of
   /// this to find queries whose leases stopped advancing.
@@ -118,7 +120,7 @@ MultiQueryQueue::Query* MultiQueryQueue::PickLocked() {
   for (size_t i = 0; i < n; ++i) {
     Query* q = queries_[(cursor_ + i) % n];
     if (!q->active || q->completed || q->pending.empty()) continue;
-    if (q->max_leases > 0 && q->leases >= q->max_leases) continue;
+    if (q->max_leases > 0 && q->leases.load(std::memory_order_relaxed) >= q->max_leases) continue;
     if (best == nullptr || q->priority > best->priority) {
       best = q;
       best_offset = i;
@@ -137,7 +139,7 @@ bool MultiQueryQueue::Pop(Lease* out) {
       out->context = q->context;
       out->range = q->pending.front();
       q->pending.pop_front();
-      ++q->leases;
+      q->leases.fetch_add(1, std::memory_order_relaxed);
       ++q->progress;
       return true;
     }
@@ -154,10 +156,12 @@ bool MultiQueryQueue::Done(const Lease& lease) {
   bool last;
   {
     MutexLock lock(mutex_);
-    assert(q->leases > 0 && "Done without a lease");
-    --q->leases;
+    assert(q->leases.load(std::memory_order_relaxed) > 0 &&
+           "Done without a lease");
+    q->leases.fetch_sub(1, std::memory_order_relaxed);
     ++q->progress;
-    last = q->active && !q->completed && q->pending.empty() && q->leases == 0;
+    last = q->active && !q->completed && q->pending.empty() &&
+           q->leases.load(std::memory_order_relaxed) == 0;
     if (last) q->completed = true;
     // A donation by this worker may still be sitting in pending with every
     // other worker parked; make sure somebody picks it up.
@@ -178,7 +182,8 @@ bool MultiQueryQueue::Abort(Query* q) {
     q->aborted.store(true, std::memory_order_relaxed);
     q->pending.clear();
     ++q->progress;
-    last = q->active && !q->completed && q->leases == 0;
+    last = q->active && !q->completed &&
+           q->leases.load(std::memory_order_relaxed) == 0;
     if (last) q->completed = true;
   }
   return last;
@@ -186,6 +191,12 @@ bool MultiQueryQueue::Abort(Query* q) {
 
 bool MultiQueryQueue::aborted(const Query* q) const {
   return q->aborted.load(std::memory_order_relaxed);
+}
+
+bool MultiQueryQueue::HasFreeLeaseSlot(const Query* q) const {
+  // max_leases is fixed at Open, before any worker can see the query.
+  return q->max_leases <= 0 ||
+         q->leases.load(std::memory_order_relaxed) < q->max_leases;
 }
 
 bool MultiQueryQueue::Release(Query* q) {
@@ -236,7 +247,7 @@ MultiQueryQueue::SnapshotProgress() const {
     p.query_id = q->query_id;
     p.progress = q->progress;
     p.pending_ranges = q->pending.size();
-    p.leases = q->leases;
+    p.leases = q->leases.load(std::memory_order_relaxed);
     p.priority = q->priority;
     p.active = q->active;
     p.aborted = q->aborted.load(std::memory_order_relaxed);

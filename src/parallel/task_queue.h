@@ -125,6 +125,11 @@ class MultiQueryQueue {
     return num_waiting_.load(std::memory_order_relaxed) > 0;
   }
 
+  /// Approximate: true when q is below its lease cap (or uncapped), so a
+  /// range it donates can be picked up. One relaxed load; Pop skips a query
+  /// at its cap, so donating there only splits work no worker may take.
+  bool HasFreeLeaseSlot(const Query* q) const;
+
   /// Frees a completed query's state. Legal only after Done/Abort returned
   /// true for it (or Activate returned true); a premature Release — the
   /// query still has pending ranges or outstanding leases — is rejected

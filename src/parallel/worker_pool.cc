@@ -268,11 +268,12 @@ void WorkerPool::ProcessLease(PoolQueryState* qs, Enumerator* enumerator,
   obs::TraceSpan range_span("range", "begin", range.begin, qs->query_id);
   VertexID v = range.begin;
   while (v < range.end) {
-    // Sender-initiated stealing: if peers are starving, donate the second
-    // half of the remaining range.
+    // Sender-initiated stealing: if peers are starving and the query may
+    // take another lease, donate the second half of the remaining range.
     if (range.end - v > qs->opts.min_split_size &&
         (++*donation_ticks % qs->opts.donation_check_interval) == 0 &&
-        queue_.IdleWorkersWaiting()) {
+        queue_.IdleWorkersWaiting() &&
+        queue_.HasFreeLeaseSlot(lease->query)) {
       const VertexID mid = v + (range.end - v) / 2;
       queue_.Push(lease->query, {mid, range.end, /*donated=*/true});
       range.end = mid;

@@ -62,18 +62,128 @@ std::string PlanOptions::CacheKey() const {
 }
 namespace {
 
-void WireConstraints(ExecutionPlan* plan) {
-  const int n = plan->pattern.NumVertices();
-  plan->lower_bounds.assign(static_cast<size_t>(n), {});
-  plan->upper_bounds.assign(static_cast<size_t>(n), {});
-  if (!plan->options.symmetry_breaking) return;
-  std::vector<int> mat_pos(static_cast<size_t>(n), -1);
-  for (int i = 0; i < static_cast<int>(plan->sigma.size()); ++i) {
-    const Operation& op = plan->sigma[static_cast<size_t>(i)];
+std::vector<int> MatPositions(const ExecutionPlan& plan) {
+  std::vector<int> mat_pos(static_cast<size_t>(plan.pattern.NumVertices()),
+                           -1);
+  for (int i = 0; i < static_cast<int>(plan.sigma.size()); ++i) {
+    const Operation& op = plan.sigma[static_cast<size_t>(i)];
     if (op.type == OpType::kMaterialize) {
       mat_pos[static_cast<size_t>(op.vertex)] = i;
     }
   }
+  return mat_pos;
+}
+
+/// COMP-time windows (ExecutionPlan::comp_windows). below[w] / above[w] hold
+/// the vertices whose order relative to w is enforced once MAT(w) has bound
+/// w: the transitive closure of the constraints among the vertices
+/// materialized up to MAT(w).
+void WireCompWindows(ExecutionPlan* plan, const std::vector<int>& mat_pos) {
+  const int n = plan->pattern.NumVertices();
+  std::vector<uint32_t> below(static_cast<size_t>(n), 0);
+  std::vector<uint32_t> above(static_cast<size_t>(n), 0);
+  for (int w = 0; w < n; ++w) {
+    uint32_t bound = 0;
+    for (int x = 0; x < n; ++x) {
+      if (mat_pos[static_cast<size_t>(x)] <= mat_pos[static_cast<size_t>(w)]) {
+        bound |= 1u << x;
+      }
+    }
+    std::vector<uint32_t> succ(static_cast<size_t>(n), 0);
+    for (const auto& [a, b] : plan->partial_order) {
+      if ((bound >> a & 1u) && (bound >> b & 1u)) {
+        succ[static_cast<size_t>(a)] |= 1u << b;
+      }
+    }
+    for (int k = 0; k < n; ++k) {
+      for (int i = 0; i < n; ++i) {
+        if (succ[static_cast<size_t>(i)] >> k & 1u) {
+          succ[static_cast<size_t>(i)] |= succ[static_cast<size_t>(k)];
+        }
+      }
+    }
+    above[static_cast<size_t>(w)] = succ[static_cast<size_t>(w)];
+    for (int x = 0; x < n; ++x) {
+      if (succ[static_cast<size_t>(x)] >> w & 1u) {
+        below[static_cast<size_t>(w)] |= 1u << x;
+      }
+    }
+  }
+  // readers[u]: u plus every vertex whose candidate set is computed from
+  // C(u) through a chain of K2 operands.
+  std::vector<uint32_t> readers(static_cast<size_t>(n), 0);
+  for (int u = 0; u < n; ++u) readers[static_cast<size_t>(u)] = 1u << u;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (int w = 0; w < n; ++w) {
+      for (int y : plan->operands[static_cast<size_t>(w)].k2) {
+        const uint32_t before = readers[static_cast<size_t>(y)];
+        readers[static_cast<size_t>(y)] |= readers[static_cast<size_t>(w)];
+        grew |= readers[static_cast<size_t>(y)] != before;
+      }
+    }
+  }
+  // What runs strictly between COMP(w) and MAT(w). A cut that empties C(w)
+  // stops the search at COMP(w) and skips those ops; only where no MAT runs
+  // there is nothing skipped that MAT(w) would not have rejected.
+  std::vector<int> comp_pos(static_cast<size_t>(n), -1);
+  for (int i = 0; i < static_cast<int>(plan->sigma.size()); ++i) {
+    const Operation& op = plan->sigma[static_cast<size_t>(i)];
+    if (op.type == OpType::kCompute) {
+      comp_pos[static_cast<size_t>(op.vertex)] = i;
+    }
+  }
+  uint32_t mat_between = 0;
+  uint32_t comp_between = 0;
+  for (int w = 0; w < n; ++w) {
+    for (int i = comp_pos[static_cast<size_t>(w)] + 1;
+         i < mat_pos[static_cast<size_t>(w)]; ++i) {
+      const bool mat =
+          plan->sigma[static_cast<size_t>(i)].type == OpType::kMaterialize;
+      (mat ? mat_between : comp_between) |= 1u << w;
+    }
+  }
+  plan->comp_windows.assign(static_cast<size_t>(n), {});
+  for (int u = 0; u < n; ++u) {
+    const int c = comp_pos[static_cast<size_t>(u)];
+    const uint32_t read_by = readers[static_cast<size_t>(u)];
+    if (c < 0 || (read_by & mat_between) != 0) continue;
+    // A single-operand C(u) is an alias that MAT(u) cuts to its own window
+    // anyway; cutting it at COMP pays only when it feeds a K2 reader or an
+    // emptied set skips the COMPs before MAT(u). A vertex without operands
+    // has no set to cut.
+    const Operands& ops = plan->operands[static_cast<size_t>(u)];
+    const size_t num_operands = ops.k1.size() + ops.k2.size();
+    if (num_operands == 0 ||
+        (num_operands == 1 && read_by == 1u << u &&
+         (comp_between >> u & 1u) == 0)) {
+      continue;
+    }
+    uint32_t lower = ~0u;
+    uint32_t upper = ~0u;
+    for (int w = 0; w < n; ++w) {
+      if (read_by >> w & 1u) {
+        lower &= below[static_cast<size_t>(w)];
+        upper &= above[static_cast<size_t>(w)];
+      }
+    }
+    CompWindow& window = plan->comp_windows[static_cast<size_t>(u)];
+    for (int x = 0; x < n; ++x) {
+      const int pos = mat_pos[static_cast<size_t>(x)];
+      if (pos < 0 || pos >= c) continue;
+      if (lower >> x & 1u) window.lower.push_back(x);
+      if (upper >> x & 1u) window.upper.push_back(x);
+    }
+  }
+}
+
+void WireConstraints(ExecutionPlan* plan) {
+  const int n = plan->pattern.NumVertices();
+  plan->lower_bounds.assign(static_cast<size_t>(n), {});
+  plan->upper_bounds.assign(static_cast<size_t>(n), {});
+  plan->comp_windows.clear();
+  if (!plan->options.symmetry_breaking) return;
+  const std::vector<int> mat_pos = MatPositions(*plan);
   // A constraint phi(a) < phi(b) is checked when the later-materialized of
   // the two is bound; by then the other endpoint's mapping is available.
   for (const auto& [a, b] : plan->partial_order) {
@@ -83,19 +193,14 @@ void WireConstraints(ExecutionPlan* plan) {
       plan->upper_bounds[static_cast<size_t>(a)].push_back(b);
     }
   }
+  WireCompWindows(plan, mat_pos);
 }
 
 void WireInducedChecks(ExecutionPlan* plan) {
   const int n = plan->pattern.NumVertices();
   plan->non_adjacent.assign(static_cast<size_t>(n), {});
   if (!plan->options.induced) return;
-  std::vector<int> mat_pos(static_cast<size_t>(n), -1);
-  for (int i = 0; i < static_cast<int>(plan->sigma.size()); ++i) {
-    const Operation& op = plan->sigma[static_cast<size_t>(i)];
-    if (op.type == OpType::kMaterialize) {
-      mat_pos[static_cast<size_t>(op.vertex)] = i;
-    }
-  }
+  const std::vector<int> mat_pos = MatPositions(*plan);
   // Each non-edge pair is checked exactly once: when its later-materialized
   // endpoint is bound.
   for (int u = 0; u < n; ++u) {
@@ -165,6 +270,11 @@ ExecutionPlan BuildPlanWithConstraints(const Pattern& pattern,
   return Assemble(pattern, pi, opts, std::move(constraints));
 }
 
+bool ExecutionPlan::HasCompWindows() const {
+  return std::any_of(comp_windows.begin(), comp_windows.end(),
+                     [](const CompWindow& w) { return !w.empty(); });
+}
+
 std::string ExecutionPlan::ToString() const {
   std::string out = "pattern: " + pattern.ToString() + "\n";
   out += "pi: (";
@@ -192,6 +302,24 @@ std::string ExecutionPlan::ToString() const {
     out += "partial order:";
     for (const auto& [a, b] : partial_order) {
       out += " u" + std::to_string(a) + "<u" + std::to_string(b);
+    }
+    out += "\n";
+  }
+  if (HasCompWindows()) {
+    out += "comp windows:";
+    for (size_t u = 0; u < comp_windows.size(); ++u) {
+      const CompWindow& w = comp_windows[u];
+      if (w.empty()) continue;
+      out += " u" + std::to_string(u) + "(";
+      for (size_t i = 0; i < w.lower.size(); ++i) {
+        out += (i > 0 ? "," : "") + std::string(">u") +
+               std::to_string(w.lower[i]);
+      }
+      for (size_t i = 0; i < w.upper.size(); ++i) {
+        out += (i > 0 || !w.lower.empty() ? "," : "") + std::string("<u") +
+               std::to_string(w.upper[i]);
+      }
+      out += ")";
     }
     out += "\n";
   }

@@ -106,6 +106,15 @@ struct PlanOptions {
   std::string CacheKey() const;
 };
 
+/// Symmetry-breaking bounds applied when a candidate set is computed, before
+/// its intersections run (see ExecutionPlan::comp_windows).
+struct CompWindow {
+  std::vector<int> lower;  // x with phi(x) < phi(u) implied
+  std::vector<int> upper;  // y with phi(u) < phi(y) implied
+
+  bool empty() const { return lower.empty() && upper.empty(); }
+};
+
 /// The compiled, immutable artifact the enumeration engine executes: the
 /// enumeration order pi, the execution order sigma, per-vertex operands
 /// (K1/K2), and symmetry-breaking constraints wired to the MAT operation at
@@ -126,6 +135,16 @@ struct ExecutionPlan {
   /// MAT(x)/MAT(y) precedes MAT(u) in sigma.
   std::vector<std::vector<int>> lower_bounds;
   std::vector<std::vector<int>> upper_bounds;
+  /// COMP-time windows, indexed by pattern vertex u (empty when the plan
+  /// has none: no symmetry breaking, or a counted tail). Every x in
+  /// comp_windows[u] is materialized before COMP(u) in sigma, and the
+  /// relation phi(x) < phi(u) (lower) or phi(u) < phi(x) (upper) follows,
+  /// by transitivity, from the constraints among the vertices bound by
+  /// MAT(w), for w = u and for every w that reads C(u) through a chain of
+  /// K2 operands. So cutting C(u) to the window before intersecting drops
+  /// only candidates that MAT(w) would reject anyway: every MAT extension
+  /// count is unchanged.
+  std::vector<CompWindow> comp_windows;
   /// Induced matching only (empty otherwise): non_adjacent[u] lists pattern
   /// vertices w with no (u, w) pattern edge whose MAT precedes MAT(u) in
   /// sigma; binding u to v requires e(v, phi(w)) to be absent from E(G).
@@ -139,6 +158,7 @@ struct ExecutionPlan {
 
   int FirstVertex() const { return pi[0]; }
   bool HasCountedTail() const { return !counted_tail.empty(); }
+  bool HasCompWindows() const;
 
   /// Multi-line human-readable plan description.
   std::string ToString() const;

@@ -175,6 +175,68 @@ TEST(AnalysisTest, MisWiredConstraintsAreCaught) {
   EXPECT_TRUE(HasRule(report, "sb-wiring")) << report.ToString();
 }
 
+// --- sb-comp-window: each way a COMP window can be wrong -------------------
+
+TEST(AnalysisTest, BuiltCompWindowsLintClean) {
+  Pattern p1;
+  ASSERT_TRUE(FindPattern("P1", &p1).ok());
+  const ExecutionPlan plan =
+      BuildPlan(p1, TestGraph(), TestStats(), PlanOptions::Light());
+  EXPECT_TRUE(plan.HasCompWindows()) << plan.ToString();
+  const LintReport report = LintPlan(p1, plan, TestOptions());
+  EXPECT_TRUE(report.empty()) << report.ToString();
+}
+
+TEST(AnalysisTest, CompWindowBoundMaterializedTooLateIsCaught) {
+  // Triangle (u0, u1, u2): u2 is bound after COMP(u1), so phi(u2) is
+  // unknown when C(u1) would be cut.
+  ExecutionPlan plan =
+      BuildPlanWithOrder(Triangle(), {0, 1, 2}, PlanOptions::Light());
+  ASSERT_EQ(plan.comp_windows.size(), 3u);
+  plan.comp_windows[1].upper.push_back(2);
+  const LintReport report = LintPlan(Triangle(), plan, TestOptions());
+  EXPECT_TRUE(HasRule(report, "sb-comp-window")) << report.ToString();
+  EXPECT_FALSE(report.ok());
+}
+
+TEST(AnalysisTest, CompWindowWithoutOrderRelationIsCaught) {
+  // Path u0-u1-u2 under u0 < u2: nothing orders u1 against u0.
+  ExecutionPlan plan = BuildPlanWithConstraints(
+      Path2(), {0, 1, 2}, PlanOptions::Light(), {{0, 2}});
+  ASSERT_EQ(plan.comp_windows.size(), 3u);
+  EXPECT_TRUE(plan.comp_windows[1].empty());
+  plan.comp_windows[1].lower.push_back(0);
+  const LintReport report = LintPlan(Path2(), plan, TestOptions());
+  EXPECT_TRUE(HasRule(report, "sb-comp-window")) << report.ToString();
+}
+
+TEST(AnalysisTest, CompWindowBrokenForK2ReaderIsCaught) {
+  // Diamond 0-1, 0-2, 1-2, 1-3, 2-3 under pi = (1, 2, 0, 3): C(u3) reads
+  // C(u0) through K2. phi(u1) < phi(u0) holds for u0 but says nothing
+  // about u3, so cutting C(u0) above phi(u1) would drop u3's candidates.
+  const Pattern diamond =
+      Pattern::FromEdges(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}});
+  ExecutionPlan plan = BuildPlanWithConstraints(
+      diamond, {1, 2, 0, 3}, PlanOptions::Light(), {{1, 0}});
+  ASSERT_EQ(plan.operands[3].k2, std::vector<int>{0}) << plan.ToString();
+  EXPECT_TRUE(plan.comp_windows[0].empty()) << plan.ToString();
+  plan.comp_windows[0].lower.push_back(1);
+  const LintReport report = LintPlan(diamond, plan, TestOptions());
+  bool names_reader = false;
+  for (const LintDiagnostic& d : report.diagnostics) {
+    names_reader |= d.rule_id == "sb-comp-window" && d.edge.second == 3;
+  }
+  EXPECT_TRUE(names_reader) << report.ToString();
+}
+
+TEST(AnalysisTest, CompWindowsOfWrongLengthAreCaught) {
+  ExecutionPlan plan =
+      BuildPlanWithOrder(Triangle(), {0, 1, 2}, PlanOptions::Light());
+  plan.comp_windows.resize(2);
+  const LintReport report = LintPlan(Triangle(), plan, TestOptions());
+  EXPECT_TRUE(HasRule(report, "plan-shape")) << report.ToString();
+}
+
 TEST(AnalysisTest, K2OverreachIsCaught) {
   // Diamond 0-1, 0-2, 1-2, 1-3, 2-3 under pi = (0, 1, 2, 3): u3's backward
   // neighbors are {1, 2} but C(u2) additionally enforces adjacency to
@@ -513,6 +575,18 @@ TEST(AnalysisTest, RunAcceptsCleanPlanWithLintOn) {
   const RunResult unlinted = light::Run(g, triangle, lint_off);
   ASSERT_TRUE(unlinted.ok()) << unlinted.error;
   EXPECT_EQ(linted.num_matches, unlinted.num_matches);
+}
+
+TEST(AnalysisTest, CompWindowOnCountedTailPlanIsCaught) {
+  ExecutionPlan plan = TwoTailTermPlan();
+  ASSERT_FALSE(plan.HasCompWindows());
+  plan.comp_windows.assign(static_cast<size_t>(plan.pattern.NumVertices()),
+                           {});
+  plan.comp_windows[static_cast<size_t>(plan.counted_tail[0])].lower.push_back(
+      0);
+  const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
+  EXPECT_TRUE(HasRule(report, "sb-comp-window")) << report.ToString();
+  EXPECT_FALSE(report.ok());
 }
 
 }  // namespace

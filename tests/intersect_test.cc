@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -334,6 +336,112 @@ TEST(KernelMetaTest, KernelFromNameInvertsKernelName) {
   EXPECT_EQ(KernelFromName("binary_search"), IntersectKernel::kBinarySearch);
   EXPECT_FALSE(KernelFromName("").has_value());
   EXPECT_FALSE(KernelFromName("merge2").has_value());
+}
+
+// Places `values` in `storage` so the first element sits `lane` 4-byte lanes
+// past a 32-byte boundary (the AVX2 kernels load unaligned 8-lane blocks).
+std::span<const VertexID> PlaceAt(const std::vector<VertexID>& values,
+                                  size_t lane, std::vector<VertexID>* storage) {
+  storage->assign(values.size() + 16, 0);
+  const auto addr = reinterpret_cast<uintptr_t>(storage->data());
+  const size_t shift = (32 - addr % 32) % 32 / sizeof(VertexID);
+  VertexID* start = storage->data() + shift + lane;
+  std::copy(values.begin(), values.end(), start);
+  return {start, values.size()};
+}
+
+// Every count-only kernel reports exactly the size of its materializing
+// twin's result, which matches std::set_intersection and stays inside
+// min(|a|, |b|) slots of `out`: lengths 0-70 on both sides, every lane
+// alignment, over random, all-equal and interleaved-disjoint inputs.
+TEST(CountKernelTest, CountsEqualMaterializedSizes) {
+  using Materialize = size_t (*)(const VertexID*, size_t, const VertexID*,
+                                 size_t, VertexID*);
+  using Count = size_t (*)(const VertexID*, size_t, const VertexID*, size_t);
+  struct Twin {
+    const char* name;
+    Materialize materialize;
+    Count count;
+    bool small_first;  // the skewed kernels take the smaller operand first
+  };
+  std::vector<Twin> twins = {
+      {"Merge", internal::MergeIntersect, internal::MergeIntersectCount,
+       false},
+      {"Galloping", internal::GallopingIntersect,
+       internal::GallopingIntersectCount, true},
+      {"BinarySearch", internal::BinarySearchIntersect,
+       internal::BinarySearchIntersectCount, true},
+  };
+#if defined(LIGHT_HAVE_AVX2)
+  if (KernelAvailable(IntersectKernel::kMergeAvx2)) {
+    twins.push_back({"MergeAVX2", internal::MergeIntersectAvx2,
+                     internal::MergeIntersectCountAvx2, false});
+    twins.push_back({"GallopingAVX2", internal::GallopingIntersectAvx2,
+                     internal::GallopingIntersectCountAvx2, true});
+  }
+#endif
+  constexpr VertexID kSentinel = 0xFEEDFACE;
+  std::vector<VertexID> a_storage;
+  std::vector<VertexID> b_storage;
+  std::vector<VertexID> out;
+  for (size_t na = 0; na <= 70; ++na) {
+    for (size_t nb = 0; nb <= 70; ++nb) {
+      for (int shape = 0; shape < 3; ++shape) {
+        std::vector<VertexID> a;
+        std::vector<VertexID> b;
+        if (shape == 0) {
+          const VertexID universe = static_cast<VertexID>(2 * (na + nb) + 1);
+          a = RandomSortedSet(na, universe, na * 131 + nb);
+          b = RandomSortedSet(nb, universe, nb * 137 + na + 7);
+        } else {
+          // All-equal prefixes, or evens against odds.
+          for (size_t i = 0; i < na; ++i) {
+            a.push_back(static_cast<VertexID>(shape == 1 ? i : 2 * i));
+          }
+          for (size_t i = 0; i < nb; ++i) {
+            b.push_back(static_cast<VertexID>(shape == 1 ? i : 2 * i + 1));
+          }
+        }
+        const std::vector<VertexID> expected = ReferenceIntersect(a, b);
+        for (size_t lane = 0; lane < 8; ++lane) {
+          std::span<const VertexID> x = PlaceAt(a, lane, &a_storage);
+          std::span<const VertexID> y = PlaceAt(b, (lane * 3 + 1) % 8,
+                                                &b_storage);
+          const size_t cap = std::min(x.size(), y.size());
+          for (const Twin& twin : twins) {
+            std::span<const VertexID> p = x;
+            std::span<const VertexID> q = y;
+            if (twin.small_first && p.size() > q.size()) std::swap(p, q);
+            out.assign(cap + 8, kSentinel);
+            const size_t n = twin.materialize(p.data(), p.size(), q.data(),
+                                              q.size(), out.data());
+            const std::string where = std::string(twin.name) +
+                                      " na=" + std::to_string(na) +
+                                      " nb=" + std::to_string(nb) +
+                                      " shape=" + std::to_string(shape) +
+                                      " lane=" + std::to_string(lane);
+            ASSERT_EQ(n, expected.size()) << where;
+            ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                                   out.begin()))
+                << where;
+            for (size_t i = cap; i < out.size(); ++i) {
+              ASSERT_EQ(out[i], kSentinel) << where << " wrote slot " << i;
+            }
+            ASSERT_EQ(twin.count(p.data(), p.size(), q.data(), q.size()), n)
+                << where;
+          }
+          // The public entry points route both forms the same way.
+          for (const IntersectKernel kernel : AllKernels()) {
+            IntersectStats stats;
+            ASSERT_EQ(IntersectSortedCount(x, y, kernel, &stats),
+                      expected.size())
+                << KernelName(kernel) << " na=" << na << " nb=" << nb;
+            EXPECT_EQ(stats.elements, x.size() + y.size());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

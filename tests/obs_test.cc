@@ -452,6 +452,10 @@ TEST(RunReportTest, RoundTripOnTriangleRun) {
             report.engine.intersections.num_intersections);
   EXPECT_EQ(parsed.engine.intersections.num_binary_search,
             report.engine.intersections.num_binary_search);
+  // Elements scanned ride along as an additive field.
+  EXPECT_GT(report.engine.intersections.elements, 0u);
+  EXPECT_EQ(parsed.engine.intersections.elements,
+            report.engine.intersections.elements);
   EXPECT_EQ(parsed.summary.threads_configured, 3);
   EXPECT_EQ(parsed.summary.threads_used, report.summary.threads_used);
   ASSERT_EQ(parsed.workers.size(), report.workers.size());
@@ -508,6 +512,7 @@ TEST(RunReportTest, BinarySearchCounterRoundTrips) {
   ASSERT_TRUE(obs::RunReport::FromJson(old_json, &legacy).ok());
   EXPECT_EQ(legacy.engine.intersections.num_intersections, 5u);
   EXPECT_EQ(legacy.engine.intersections.num_binary_search, 0u);
+  EXPECT_EQ(legacy.engine.intersections.elements, 0u);
 }
 
 TEST(SessionReportTest, RoundTripPreservesEveryField) {

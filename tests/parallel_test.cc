@@ -305,6 +305,35 @@ TEST(WorkerPoolTest, ServesQueriesAcrossSubmitsAndMatchesSerial) {
   EXPECT_GE(pool.generation(), gen_before + 3);
 }
 
+// A query capped at one lease never donates: the pool's other workers park
+// idle, but Pop skips a query at its cap, so a split would only halve its
+// range for workers that cannot take it.
+TEST(WorkerPoolTest, QueryAtItsLeaseCapDoesNotDonate) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(1500, 5, /*seed=*/43));
+  Pattern p2;
+  ASSERT_TRUE(FindPattern("P2", &p2).ok());
+  const ExecutionPlan plan =
+      BuildPlan(p2, g, ComputeGraphStats(g), PlanOptions::Light());
+  Enumerator serial(g, plan);
+  const uint64_t expected = serial.Count();
+
+  WorkerPool pool(3);
+  WorkerPool::QuerySpec spec;
+  spec.graph = GraphView(g);
+  spec.plan = &plan;
+  spec.options.num_threads = 1;
+  // Check for idle peers at every root and split down to single roots.
+  spec.options.donation_check_interval = 1;
+  spec.options.min_split_size = 1;
+  const ParallelResult result = pool.Submit(spec).Wait();
+  EXPECT_EQ(result.num_matches, expected);
+  uint64_t initiated = 0;
+  for (const obs::WorkerStats& w : result.workers) {
+    initiated += w.steals_initiated;
+  }
+  EXPECT_EQ(initiated, 0u);
+}
+
 TEST(WorkerPoolTest, ConcurrentQueriesShareThePool) {
   const Graph g = RelabelByDegree(BarabasiAlbert(1200, 5, /*seed=*/43));
   const GraphStats stats = ComputeGraphStats(g);

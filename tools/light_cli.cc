@@ -696,23 +696,25 @@ int main(int argc, char** argv) {
   if (report.summary.threads_configured > 1) {
     std::printf(
         "%s x%d/%d: %s matches=%llu time=%s intersections=%llu "
-        "bitmap=%.1f%% steals=%llu imbalance=%.2f\n",
+        "elements=%llu bitmap=%.1f%% steals=%llu imbalance=%.2f\n",
         algo.c_str(), report.summary.threads_used,
         report.summary.threads_configured, result.timed_out ? "OOT" : "OK",
         static_cast<unsigned long long>(result.num_matches),
         FormatSeconds(result.elapsed_seconds).c_str(),
         static_cast<unsigned long long>(isx.num_intersections),
+        static_cast<unsigned long long>(isx.elements),
         100.0 * isx.BitmapFraction(),
         static_cast<unsigned long long>(report.summary.total_steals),
         report.summary.load_imbalance);
   } else {
     std::printf(
-        "%s: %s matches=%llu time=%s intersections=%llu galloping=%.1f%% "
-        "bitmap=%.1f%%\n",
+        "%s: %s matches=%llu time=%s intersections=%llu elements=%llu "
+        "galloping=%.1f%% bitmap=%.1f%%\n",
         algo.c_str(), result.timed_out ? "OOT" : "OK",
         static_cast<unsigned long long>(result.num_matches),
         FormatSeconds(result.elapsed_seconds).c_str(),
         static_cast<unsigned long long>(isx.num_intersections),
+        static_cast<unsigned long long>(isx.elements),
         100.0 * isx.GallopingFraction(), 100.0 * isx.BitmapFraction());
   }
   if (FlagSet(argc, argv, "--show-plan") && run_options.plan == &plan &&
