@@ -171,6 +171,16 @@ if [[ "$rc" -ne 1 ]] || ! grep -q "error: unknown flag --restriction" build/veri
   exit 1
 fi
 echo "flag smoke OK: --restriction rejected as an unknown flag"
+# The 4-cycle closes its last vertex by counting wedges: the printed plan
+# must carry the twin closure.
+./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
+  --pattern P1 --show-plan >build/verify_plan.txt
+if ! grep -q "^twin closure: u1<u3 -> u2$" build/verify_plan.txt; then
+  echo "==> light_cli --pattern P1 --show-plan printed no twin closure" >&2
+  cat build/verify_plan.txt >&2
+  exit 1
+fi
+echo "plan smoke OK: P1 prints its twin closure"
 server_log="build/verify_server.log"
 ./build/tools/light_server --graph-store build/verify_store.lcsr2 \
   --store-mode mmap --threads 4 \
@@ -396,6 +406,14 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
   comp_window_cases="$(sed -n 's/.*comp_window_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
   if [[ -z "$comp_window_cases" || "$comp_window_cases" -lt 1 ]]; then
     echo "==> fuzz smoke exercised no COMP-window cases" >&2
+    exit 1
+  fi
+  # Twin closures (the last vertex counted by one scatter over the twins'
+  # candidates) must appear in the swept LIGHT plans; zero means the closing
+  # count went unchecked against the other engines.
+  twin_closure_cases="$(sed -n 's/.*twin_closure_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
+  if [[ -z "$twin_closure_cases" || "$twin_closure_cases" -lt 1 ]]; then
+    echo "==> fuzz smoke exercised no twin-closure cases" >&2
     exit 1
   fi
   # The store-parity oracle (every case spilled to .lcsr2, re-opened mmap,

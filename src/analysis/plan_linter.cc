@@ -520,6 +520,188 @@ void CheckAutomorphismConsistency(const Pattern& pattern,
   }
 }
 
+// --- Twin-closure rules -----------------------------------------------------
+
+bool SameSet(std::vector<int> a, std::vector<int> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return a == b;
+}
+
+/// A twin closure (ExecutionPlan::twin_closure) counts the twins by
+/// binomials over one shared candidate set and b by a scatter over the
+/// twins' candidates, instead of walking them. That is exact only when the
+/// twins are interchangeable (non-adjacent, same neighbours, same candidate
+/// set, same outer bounds, chained by the restrictions), b meets nothing
+/// but the twins and no bound of b tells the twins apart, and the plan
+/// walks sigma to MAT(b) with no non-edge or counted-tail terminal.
+void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
+                      const SigmaIndex& sigma, LintReport* report) {
+  if (!plan.HasTwinClosure()) return;
+  const auto fail = [&](const std::string& message, int vertex = -1,
+                        std::pair<int, int> edge = {-1, -1}) {
+    report->Add(LintSeverity::kError, "twin-closure", message, vertex, edge);
+  };
+  const int n = pattern.NumVertices();
+  const std::vector<int>& closure = plan.twin_closure;
+  uint32_t listed = 0;
+  for (const int v : closure) {
+    if (v < 0 || v >= n || (listed >> v & 1u) != 0) {
+      fail("twin closure lists an out-of-range or repeated vertex");
+      return;
+    }
+    listed |= 1u << v;
+  }
+  if (closure.size() < 3) {
+    fail("twin closure needs at least two twins and the vertex they close");
+    return;
+  }
+  if (plan.options.induced) {
+    fail("twin closure on an induced plan: the non-edge checks of the twins "
+         "and b need each candidate bound");
+  }
+  if (plan.HasCountedTail()) {
+    fail("twin closure on a counted-tail plan: its terminal is the tail "
+         "product");
+  }
+  const size_t k = closure.size() - 1;
+  const int t1 = closure[0];
+  const int b = closure[k];
+  const uint32_t twin_mask = listed & ~(1u << b);
+  const std::string b_name = VertexName(b);
+
+  const ExecutionOrder& ops = plan.sigma;
+  bool shape = ops.size() >= k + 3;
+  for (size_t i = 0; shape && i < k; ++i) {
+    const Operation& op = ops[ops.size() - 2 - k + i];
+    shape = op.type == OpType::kMaterialize && op.vertex == closure[i];
+  }
+  shape = shape && ops[ops.size() - 2].type == OpType::kCompute &&
+          ops[ops.size() - 2].vertex == b &&
+          ops.back().type == OpType::kMaterialize && ops.back().vertex == b;
+  if (!shape) {
+    fail("sigma does not end MAT(t1) ... MAT(tk) COMP(" + b_name + ") MAT(" +
+             b_name + ") over the closure's twins in chain order",
+         b);
+  }
+
+  for (size_t i = 0; i < k; ++i) {
+    const int t = closure[i];
+    if ((pattern.NeighborMask(t) & twin_mask) != 0) {
+      fail("twin " + VertexName(t) + " is adjacent to another twin", t);
+    }
+    if (pattern.NeighborMask(t) != pattern.NeighborMask(t1)) {
+      fail("twins " + VertexName(t1) + " and " + VertexName(t) +
+               " have different pattern neighbourhoods",
+           t, {t1, t});
+    }
+  }
+
+  const Operands& b_ops = plan.operands[static_cast<size_t>(b)];
+  uint32_t k1_mask = 0;
+  for (const int x : b_ops.k1) {
+    if (x >= 0 && x < n) k1_mask |= 1u << x;
+  }
+  if (k1_mask != twin_mask || !b_ops.k2.empty() ||
+      b_ops.k1.size() != k || pattern.NeighborMask(b) != twin_mask) {
+    fail(b_name + " has an operand or a pattern neighbour that is not a "
+             "twin: its candidates are not the common neighbours of the "
+             "twins alone",
+         b);
+  }
+
+  // The set each twin reads: its operands, or through a single K2 alias
+  // those of another twin.
+  const auto source = [&](int t) {
+    for (size_t hops = 0; hops < k; ++hops) {
+      const Operands& o = plan.operands[static_cast<size_t>(t)];
+      if (!o.k1.empty() || o.k2.size() != 1 || o.k2[0] < 0 || o.k2[0] >= n ||
+          (twin_mask >> o.k2[0] & 1u) == 0) {
+        break;
+      }
+      t = o.k2[0];
+    }
+    return t;
+  };
+  const Operands& set = plan.operands[static_cast<size_t>(source(t1))];
+  const auto outer = [&](const std::vector<int>& bounds) {
+    std::vector<int> out;
+    for (const int x : bounds) {
+      if (x < 0 || x >= n || (twin_mask >> x & 1u) == 0) out.push_back(x);
+    }
+    return out;
+  };
+  const int t1_mat = sigma.mat_pos[static_cast<size_t>(t1)];
+  for (const int x : outer(plan.lower_bounds[static_cast<size_t>(t1)])) {
+    if (x < 0 || x >= n || sigma.mat_pos[static_cast<size_t>(x)] >= t1_mat) {
+      fail("outer bound " + VertexName(x) + " of the twins is not bound "
+               "before MAT(" + VertexName(t1) + ")",
+           t1, {x, t1});
+    }
+  }
+  for (size_t i = 1; i < k; ++i) {
+    const int t = closure[i];
+    const Operands& o = plan.operands[static_cast<size_t>(source(t))];
+    if (!SameSet(o.k1, set.k1) || !SameSet(o.k2, set.k2)) {
+      fail("twin " + VertexName(t) + " reads a different candidate set "
+               "than " + VertexName(t1),
+           t, {t1, t});
+    }
+    if (!SameSet(outer(plan.lower_bounds[static_cast<size_t>(t)]),
+                 outer(plan.lower_bounds[static_cast<size_t>(t1)])) ||
+        !SameSet(outer(plan.upper_bounds[static_cast<size_t>(t)]),
+                 outer(plan.upper_bounds[static_cast<size_t>(t1)]))) {
+      fail("twins " + VertexName(t1) + " and " + VertexName(t) +
+               " have different outer bounds: they are not interchangeable",
+           t, {t1, t});
+    }
+  }
+
+  std::vector<int> rank(static_cast<size_t>(n), -1);
+  for (size_t i = 0; i < k; ++i) {
+    rank[static_cast<size_t>(closure[i])] = static_cast<int>(i);
+  }
+  uint32_t links = 0;
+  for (const auto& [x, y] : plan.partial_order) {
+    if (x < 0 || x >= n || y < 0 || y >= n) continue;  // sb-constraint-range
+    const int rx = rank[static_cast<size_t>(x)];
+    const int ry = rank[static_cast<size_t>(y)];
+    if (rx < 0 || ry < 0) continue;
+    if (rx > ry) {
+      fail("constraint " + PairName({x, y}) + " orders the twins against "
+               "the chain",
+           y, {x, y});
+    } else if (ry == rx + 1) {
+      links |= 1u << rx;
+    }
+  }
+  for (size_t i = 0; i + 1 < k; ++i) {
+    if ((links >> i & 1u) == 0) {
+      fail("chain constraint " + PairName({closure[i], closure[i + 1]}) +
+               " is missing: the twins' binomial counts only ordered "
+               "chains",
+           closure[i + 1], {closure[i], closure[i + 1]});
+    }
+  }
+
+  const CompWindow no_window;
+  const CompWindow& window = plan.comp_windows.empty()
+                                 ? no_window
+                                 : plan.comp_windows[static_cast<size_t>(b)];
+  for (const std::vector<int>* bounds :
+       {&plan.lower_bounds[static_cast<size_t>(b)],
+        &plan.upper_bounds[static_cast<size_t>(b)], &window.lower,
+        &window.upper}) {
+    for (const int x : *bounds) {
+      if (x >= 0 && x < n && (twin_mask >> x & 1u) != 0) {
+        fail(b_name + "'s window names twin " + VertexName(x) +
+                 ": the scatter count cannot tell the twins apart",
+             b, {x, b});
+      }
+    }
+  }
+}
+
 // --- Candidate-computation (set cover) rules -------------------------------
 
 void CheckOperands(const Pattern& pattern, const ExecutionPlan& plan,
@@ -880,6 +1062,7 @@ LintReport LintPlan(const Pattern& pattern, const ExecutionPlan& plan,
 
   CheckOperands(p, plan, sigma, options, &report);
   CheckInducedWiring(p, plan, sigma, &report);
+  CheckTwinClosure(p, plan, sigma, &report);
   CheckCardinality(p, plan, options, &report);
   return report;
 }

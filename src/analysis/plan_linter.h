@@ -30,6 +30,13 @@
 ///                         vertices bound by MAT(w)) for the vertex or for a
 ///                         vertex w reading its candidate set through K2, or
 ///                         the plan has a counted tail
+///   twin-closure          the twin closure (twin_closure) is not exact:
+///                         twins adjacent or with different neighbourhoods,
+///                         candidate sets or outer bounds, a chain
+///                         constraint missing, a non-twin operand of b, a
+///                         twin named in b's window, sigma not ending with
+///                         the twins' MATs, COMP(b), MAT(b), or the plan
+///                         induced or with a counted tail
 ///   sb-unkilled-automorphism   some automorphic image pair survives the
 ///                         constraints (overcount) — Grochow–Kellis check
 ///   sb-kills-valid-embedding   some subgraph instance has no surviving

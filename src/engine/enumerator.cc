@@ -76,6 +76,15 @@ bool Contains(const VertexID* begin, const VertexID* end, VertexID key) {
   return it != end && *it == key;
 }
 
+/// Binomial coefficient C(n, k); each step's product is C(n, i + 1) * (i + 1),
+/// so the division is exact.
+uint64_t Choose(uint64_t n, size_t k) {
+  if (n < k) return 0;
+  uint64_t c = 1;
+  for (size_t i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
+  return c;
+}
+
 }  // namespace
 
 void EngineStats::Add(const EngineStats& other) {
@@ -117,6 +126,7 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   LIGHT_CHECK(plan_.sigma[0].vertex == plan_.FirstVertex());
   LIGHT_CHECK(plan_.counted_tail.size() < num_ops_);
   tail_begin_op_ = num_ops_ - plan_.counted_tail.size();
+  count_tail_op_ = tail_begin_op_;
   if (!KernelAvailable(kernel_)) kernel_ = IntersectKernel::kHybrid;
 
   mapping_.assign(static_cast<size_t>(n), kInvalidVertex);
@@ -124,7 +134,6 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   cand_data_.assign(static_cast<size_t>(n), nullptr);
   cand_size_.assign(static_cast<size_t>(n), 0);
   universal_.assign(static_cast<size_t>(n), false);
-  bound_values_.reserve(static_cast<size_t>(n));
   if (arena_ != nullptr) {
     scratch_ = arena_->AcquireVertexBuffer(graph_.MaxDegree());
   } else {
@@ -153,20 +162,47 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   }
   stats_.candidate_memory_bytes = cand_bytes;
 
+  distinct_.assign(static_cast<size_t>(n), {});
+  uint32_t bound = 0;
+  for (size_t i = 0; i < num_ops_; ++i) {
+    const Operation& op = plan_.sigma[i];
+    if (op.type != OpType::kMaterialize && i < tail_begin_op_) continue;
+    for (int x = 0; x < n; ++x) {
+      if ((bound >> x & 1u) != 0 && !plan_.pattern.HasEdge(x, op.vertex)) {
+        distinct_[static_cast<size_t>(op.vertex)].push_back(x);
+      }
+    }
+    if (op.type == OpType::kMaterialize) bound |= 1u << op.vertex;
+  }
+
   if (num_ops_ >= 2 && !plan_.HasCountedTail()) {
-    // A bound pattern neighbor x of the last vertex u never lies in C(u):
-    // C(u) is inside N(phi(x)), and the CSR has no self-loops. So a counted
-    // leaf only checks injectivity against u's bound non-neighbors.
     const Operation& comp = plan_.sigma[num_ops_ - 2];
     const int u = plan_.sigma[num_ops_ - 1].vertex;
-    for (int x = 0; x < n; ++x) {
-      if (x != u && !plan_.pattern.HasEdge(x, u)) leaf_distinct_.push_back(x);
-    }
     fused_leaf_ = comp.type == OpType::kCompute && comp.vertex == u &&
                   !universal_[static_cast<size_t>(u)] &&
                   plan_.non_adjacent[static_cast<size_t>(u)].empty() &&
                   (data_labels_ == nullptr || plan_.pattern.Label(u) == 0);
   }
+
+  if (plan_.HasTwinClosure()) {
+    // Labeled twins or b would need per-vertex label checks: such runs walk
+    // sigma instead.
+    bool labeled = false;
+    for (int t : plan_.twin_closure) {
+      labeled |= data_labels_ != nullptr && plan_.pattern.Label(t) != 0;
+    }
+    if (!labeled) {
+      // sigma ends MAT(t1) ... MAT(tk) COMP(b) MAT(b).
+      count_tail_op_ = num_ops_ - plan_.twin_closure.size() - 1;
+      const size_t num_vertices = graph_.NumVertices();
+      if (arena_ != nullptr) {
+        wedge_counts_ = arena_->AcquireVertexBuffer(num_vertices);
+        wedge_touched_ = arena_->AcquireVertexBuffer(0);
+      }
+      wedge_counts_.assign(num_vertices, 0);
+    }
+  }
+  SetVisitor(nullptr);  // count until a visitor is set
 
   obs::MetricsRegistry& registry = obs::DefaultRegistry();
   obs_roots_counter_ = registry.GetCounter("engine.roots_done");
@@ -182,6 +218,8 @@ Enumerator::~Enumerator() {
   // query on this worker thread) reuses the allocations. Must run on the
   // arena's owning thread (see the constructor contract).
   arena_->ReleaseVertexBuffer(std::move(scratch_));
+  arena_->ReleaseVertexBuffer(std::move(wedge_counts_));
+  arena_->ReleaseVertexBuffer(std::move(wedge_touched_));
   for (auto& buffer : cand_buffer_) {
     arena_->ReleaseVertexBuffer(std::move(buffer));
   }
@@ -202,7 +240,7 @@ void Enumerator::ResetStats() {
 
 uint64_t Enumerator::Count() {
   ResetStats();
-  visitor_ = nullptr;
+  SetVisitor(nullptr);
   timer_.Restart();
   obs::TraceSpan span("enumerate");
   RunRootRange(0, graph_.NumVertices());
@@ -216,15 +254,22 @@ uint64_t Enumerator::Enumerate(MatchVisitor* visitor) {
   // visitor queries to ordinary plans).
   LIGHT_CHECK(!plan_.HasCountedTail());
   ResetStats();
-  visitor_ = visitor;
+  SetVisitor(visitor);
   timer_.Restart();
   {
     obs::TraceSpan span("enumerate");
     RunRootRange(0, graph_.NumVertices());
   }
   stats_.elapsed_seconds = timer_.ElapsedSeconds();
-  visitor_ = nullptr;
+  SetVisitor(nullptr);
   return stats_.num_matches;
+}
+
+void Enumerator::SetVisitor(MatchVisitor* visitor) {
+  visitor_ = visitor;
+  tail_begin_op_ = visitor == nullptr
+                       ? count_tail_op_
+                       : num_ops_ - plan_.counted_tail.size();
 }
 
 void Enumerator::SetBitmapIndex(const BitmapIndex* index) {
@@ -292,13 +337,11 @@ void Enumerator::RunRootImpl(VertexID v) {
   ++stats_.mat_counts[static_cast<size_t>(first)];
   ++stats_.num_partial_results;
   mapping_[static_cast<size_t>(first)] = v;
-  bound_values_.push_back(v);
   if (num_ops_ == 1) {
     EmitMatch();
   } else {
     Run(1);
   }
-  bound_values_.pop_back();
   mapping_[static_cast<size_t>(first)] = kInvalidVertex;
 }
 
@@ -318,8 +361,13 @@ void Enumerator::EmitMatch() {
 
 void Enumerator::Run(size_t op_index) {
   if (op_index == tail_begin_op_) {
-    // Kernel fully bound; close the match count analytically.
-    RunCountedTail();
+    // Close the match count analytically: the kernel of a counted-tail
+    // plan is bound, or a count-only run reached a twin closure.
+    if (plan_.HasCountedTail()) {
+      RunCountedTail();
+    } else {
+      RunTwinClosure();
+    }
     return;
   }
   if (plan_.sigma[op_index].type == OpType::kCompute) {
@@ -472,8 +520,9 @@ void Enumerator::CountLeafCandidates(int u) {
                             kernel_, &stats_.intersections);
   }
   // Injectivity: a bound vertex in every operand was counted as a candidate.
-  for (size_t i = 0; i < leaf_distinct_.size() && count > 0; ++i) {
-    const VertexID b = mapping_[static_cast<size_t>(leaf_distinct_[i])];
+  const std::vector<int>& distinct = distinct_[static_cast<size_t>(u)];
+  for (size_t i = 0; i < distinct.size() && count > 0; ++i) {
+    const VertexID b = mapping_[static_cast<size_t>(distinct[i])];
     bool in_all = lo <= b && b < hi;
     for (size_t j = 0; j < k && in_all; ++j) {
       const std::span<const VertexID> set = sets[j].sorted;
@@ -495,19 +544,98 @@ void Enumerator::RunCountedTail() {
   // Every tail candidate set is a kernel-neighborhood intersection, so it
   // is sorted and disjoint from other tails' injectivity concerns (terms
   // account for tail-tail collisions by construction); only bound KERNEL
-  // vertices must be subtracted.
+  // vertices must be subtracted, and of those only t's non-neighbors.
   uint64_t product = 1;
   for (int t : plan_.counted_tail) {
     const uint32_t size = ComputeCandidateSet(t);
     const VertexID* data = cand_data_[static_cast<size_t>(t)];
     uint64_t count = size;
-    for (VertexID b : bound_values_) {
+    for (int x : distinct_[static_cast<size_t>(t)]) {
+      const VertexID b = mapping_[static_cast<size_t>(x)];
       if (std::binary_search(data, data + size, b)) --count;
     }
     if (count == 0) return;
     product *= count;
   }
   stats_.num_matches += product;
+}
+
+void Enumerator::RunTwinClosure() {
+  const std::vector<int>& closure = plan_.twin_closure;
+  const size_t k = closure.size() - 1;
+  const int t1 = closure[0];
+  const int b = closure[k];
+  ScopedOpSpan span(trace_root_, "MAT", t1);
+  // S: C(t1) inside the twins' shared window, minus the bound data vertices.
+  const auto [lo, hi] = Window(plan_.lower_bounds[static_cast<size_t>(t1)],
+                               plan_.upper_bounds[static_cast<size_t>(t1)]);
+  if (lo >= hi) return;
+  const VertexID* begin = cand_data_[static_cast<size_t>(t1)];
+  const VertexID* end = begin + cand_size_[static_cast<size_t>(t1)];
+  if (lo > 0) begin = LowerBound(begin, end, lo);
+  if (hi < graph_.NumVertices()) end = LowerBound(begin, end, hi);
+  const std::vector<int>& distinct = distinct_[static_cast<size_t>(t1)];
+  const auto [b_lo, b_hi] = Window(plan_.lower_bounds[static_cast<size_t>(b)],
+                                   plan_.upper_bounds[static_cast<size_t>(b)]);
+  // Scatter: cnt[w] = |N(w) cap S| over b's window. The twins' images are
+  // never b's (no self-loops), so every k-subset of S adjacent to w is one
+  // match of the twins and b. Until k lists reach into b's window no w can
+  // close a match, so the first k - 1 wait unscanned.
+  uint32_t* counts = wedge_counts_.data();
+  const auto scatter = [&](const VertexID* w, const VertexID* w_end) {
+    stats_.intersections.elements += static_cast<uint64_t>(w_end - w);
+    for (; w < w_end; ++w) {
+      if (counts[*w]++ == 0) wedge_touched_.push_back(*w);
+    }
+  };
+  std::array<std::pair<const VertexID*, const VertexID*>, kMaxPatternVertices>
+      waiting;
+  size_t lists = 0;
+  uint64_t m = 0;
+  for (const VertexID* it = begin; it != end; ++it) {
+    if (CheckDeadline()) break;
+    const VertexID s = *it;
+    bool bound = false;
+    for (int x : distinct) bound |= mapping_[static_cast<size_t>(x)] == s;
+    if (bound) continue;
+    ++m;
+    const std::span<const VertexID> nbrs = graph_.Neighbors(s);
+    const VertexID* w = nbrs.data();
+    const VertexID* w_end = w + nbrs.size();
+    if (b_lo > 0) w = CutFront(w, w_end, b_lo);
+    if (b_hi < graph_.NumVertices()) w_end = CutBack(w, w_end, b_hi);
+    if (w == w_end) continue;
+    if (lists < k - 1) {
+      waiting[lists++] = {w, w_end};
+      continue;
+    }
+    if (lists++ == k - 1) {
+      for (size_t i = 0; i + 1 < k; ++i) {
+        scatter(waiting[i].first, waiting[i].second);
+      }
+    }
+    scatter(w, w_end);
+  }
+  // b's only neighbours are the twins, so every bound vertex is one b must
+  // avoid.
+  for (int x : distinct_[static_cast<size_t>(b)]) {
+    counts[mapping_[static_cast<size_t>(x)]] = 0;
+  }
+  uint64_t matches = 0;
+  for (const VertexID w : wedge_touched_) {
+    matches += k == 2 ? uint64_t{counts[w]} * (counts[w] - 1) / 2
+                      : Choose(counts[w], k);
+    counts[w] = 0;
+  }
+  wedge_touched_.clear();
+  if (stop_) return;
+  // The twins bind, in chain order, to every i-subset of S.
+  for (size_t i = 1; i <= k; ++i) {
+    const uint64_t extensions = Choose(m, i);
+    stats_.mat_counts[static_cast<size_t>(closure[i - 1])] += extensions;
+    stats_.num_partial_results += extensions;
+  }
+  AddLeafMatches(b, matches);
 }
 
 void Enumerator::RunMaterialize(size_t op_index) {
@@ -521,13 +649,14 @@ void Enumerator::RunMaterialize(size_t op_index) {
 
   const bool last_op = op_index + 1 == num_ops_;
   const bool counting_leaf = last_op && visitor_ == nullptr;
+  const std::vector<int>& distinct = distinct_[static_cast<size_t>(u)];
 
   // Labels are already checked: non-universal candidate sets went through
   // FilterByLabel in COMP, and the universal loop below checks them itself.
   auto try_vertex = [&](VertexID v) {
     // Injectivity: skip data vertices already bound (Algorithm 1 line 12).
-    for (VertexID b : bound_values_) {
-      if (b == v) return;
+    for (int x : distinct) {
+      if (mapping_[static_cast<size_t>(x)] == v) return;
     }
     // Induced matching: pattern non-edges require data non-edges.
     for (int w : plan_.non_adjacent[static_cast<size_t>(u)]) {
@@ -540,13 +669,11 @@ void Enumerator::RunMaterialize(size_t op_index) {
     ++stats_.mat_counts[static_cast<size_t>(u)];
     ++stats_.num_partial_results;
     mapping_[static_cast<size_t>(u)] = v;
-    bound_values_.push_back(v);
     if (last_op) {
       EmitMatch();
     } else {
       Run(op_index + 1);
     }
-    bound_values_.pop_back();
     mapping_[static_cast<size_t>(u)] = kInvalidVertex;
   };
 
@@ -570,8 +697,8 @@ void Enumerator::RunMaterialize(size_t op_index) {
     // vertices inside the window.
     if (CheckDeadline()) return;
     uint64_t count = static_cast<uint64_t>(end - begin);
-    for (size_t i = 0; i < leaf_distinct_.size() && count > 0; ++i) {
-      const VertexID b = mapping_[static_cast<size_t>(leaf_distinct_[i])];
+    for (size_t i = 0; i < distinct.size() && count > 0; ++i) {
+      const VertexID b = mapping_[static_cast<size_t>(distinct[i])];
       if (lo <= b && b < hi && Contains(begin, end, b)) --count;
     }
     AddLeafMatches(u, count);

@@ -91,7 +91,7 @@ class Enumerator {
   void RunRootRange(VertexID begin, VertexID end);
 
   /// Sets the visitor for subsequent RunRoot calls (null = counting only).
-  void SetVisitor(MatchVisitor* visitor) { visitor_ = visitor; }
+  void SetVisitor(MatchVisitor* visitor);
 
   /// Attaches a per-graph bitmap index (graph/bitmap_index.h): candidate
   /// computation then routes intersections over indexed neighborhoods to the
@@ -133,6 +133,11 @@ class Enumerator {
   /// bound, multiplies each tail vertex's candidate-set size (minus bound
   /// kernel vertices inside it) into num_matches instead of recursing.
   void RunCountedTail();
+  /// Terminal for count-only runs of a plan with a twin closure
+  /// (ExecutionPlan::twin_closure), entered at MAT(t1): adds the twins'
+  /// extensions by binomials of |S| and b's by one scatter pass over the
+  /// neighbour lists of S, instead of recursing.
+  void RunTwinClosure();
   /// Intersection core shared by RunCompute and RunCountedTail: fills
   /// cand_data_/cand_size_ for non-universal vertex u, returns the size.
   /// Operands are first cut to u's COMP window (ExecutionPlan::comp_windows);
@@ -173,15 +178,21 @@ class Enumerator {
   std::vector<uint64_t> word_scratch_;  // BitmapWords(|V|) when index attached
   IntersectKernel kernel_;
   size_t num_ops_ = 0;
-  /// Index in sigma of the first counted-tail COMP; num_ops_ when the plan
-  /// has no counted tail.
+  /// Index in sigma at which Run hands the rest of the plan to a closing
+  /// count: the first counted-tail COMP, or MAT(t1) of a twin closure in
+  /// count-only runs; num_ops_ when neither applies.
   size_t tail_begin_op_ = 0;
+  /// tail_begin_op_ of count-only runs (SetVisitor switches between them).
+  size_t count_tail_op_ = 0;
   /// The plan ends COMP(u), MAT(u) for a u whose leaf can be counted (no
   /// induced checks, real operands): counting runs fuse the two ops.
   bool fused_leaf_ = false;
-  /// Pattern vertices not adjacent to the last MAT's vertex: the only ones
-  /// whose data vertices a counted leaf must subtract for injectivity.
-  std::vector<int> leaf_distinct_;
+  /// Per pattern vertex u: the vertices bound before u binds (or before a
+  /// counted-tail COMP(u)) that are not u's pattern neighbours. Only their
+  /// data vertices can lie in C(u): C(u) is inside N(phi(x)) for every
+  /// bound neighbour x, and the CSR has no self-loops. So injectivity
+  /// checks compare against these alone.
+  std::vector<std::vector<int>> distinct_;
 
   // Per pattern vertex.
   std::vector<VertexID> mapping_;
@@ -190,8 +201,11 @@ class Enumerator {
   std::vector<uint32_t> cand_size_;
   std::vector<bool> universal_;  // COMP with no operands: candidates = V(G)
 
-  std::vector<VertexID> bound_values_;  // materialized data vertices (stack)
   std::vector<VertexID> scratch_;
+  /// Twin-closure scatter state (count-only closure plans only): a zeroed
+  /// per-data-vertex counter array and the vertices whose counter is set.
+  std::vector<uint32_t> wedge_counts_;
+  std::vector<VertexID> wedge_touched_;
 
   MatchVisitor* visitor_ = nullptr;
   EngineStats stats_;

@@ -118,6 +118,9 @@ struct OracleOutcome {
   /// The LIGHT or SE plan cut some candidate set to a COMP window before
   /// intersecting (ExecutionPlan::comp_windows).
   bool comp_windows = false;
+  /// The LIGHT plan carries a twin closure (ExecutionPlan::twin_closure), so
+  /// the serial pivot counted through it.
+  bool twin_closure = false;
   /// True when the storage-engine leg ran: the case graph was written as an
   /// .lcsr2 snapshot, reopened as an mmap store, and its count
   /// cross-checked against the serial pivot (bit-identical heap/mmap is the
@@ -193,6 +196,9 @@ struct FuzzSummary {
   /// Cases whose plans carried COMP windows (CI asserts the smoke run
   /// exercises the windowed candidate computation).
   uint64_t comp_window_cases = 0;
+  /// Cases whose LIGHT plan carried a twin closure (CI asserts the smoke
+  /// run exercises the closing scatter count).
+  uint64_t twin_closure_cases = 0;
   /// Cases the storage-engine parity leg ran on (CI asserts the smoke run
   /// exercises the mmap store path).
   uint64_t store_cases = 0;

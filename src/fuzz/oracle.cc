@@ -99,6 +99,7 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   OracleOutcome outcome;
   outcome.comp_windows =
       light_plan.HasCompWindows() || se_plan.HasCompWindows();
+  outcome.twin_closure = light_plan.HasTwinClosure();
 
   // Static lint soak: every plan the oracles execute must verify clean
   // (analysis/plan_linter.h). A finding here is a planner bug or a linter

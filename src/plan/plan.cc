@@ -216,6 +216,111 @@ void WireInducedChecks(ExecutionPlan* plan) {
   }
 }
 
+bool SameSet(std::vector<int> a, std::vector<int> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return a == b;
+}
+
+/// The twin closure (ExecutionPlan::twin_closure): checks every condition
+/// listed there and records the twins in chain order, then b.
+void WireTwinClosure(ExecutionPlan* plan) {
+  plan->twin_closure.clear();
+  const ExecutionOrder& sigma = plan->sigma;
+  const Pattern& pattern = plan->pattern;
+  if (plan->options.induced || plan->HasCountedTail() || sigma.size() < 5) {
+    return;
+  }
+  const size_t last = sigma.size() - 1;
+  const int b = sigma[last].vertex;
+  if (sigma[last].type != OpType::kMaterialize ||
+      sigma[last - 1].type != OpType::kCompute ||
+      sigma[last - 1].vertex != b) {
+    return;
+  }
+  const Operands& b_ops = plan->operands[static_cast<size_t>(b)];
+  const size_t k = b_ops.k1.size();
+  if (k < 2 || !b_ops.k2.empty() || k + 3 > sigma.size()) return;
+  // The k MATs before COMP(b), in sigma order, must bind exactly b's K1
+  // operands, and b's pattern neighbours must be exactly those.
+  std::vector<int> twins;
+  uint32_t twin_mask = 0;
+  for (size_t i = last - 1 - k; i < last - 1; ++i) {
+    if (sigma[i].type != OpType::kMaterialize) return;
+    twins.push_back(sigma[i].vertex);
+    twin_mask |= 1u << sigma[i].vertex;
+  }
+  uint32_t k1_mask = 0;
+  for (int x : b_ops.k1) k1_mask |= 1u << x;
+  if (k1_mask != twin_mask || pattern.NeighborMask(b) != twin_mask) return;
+  const int t1 = twins[0];
+  // The candidate set a twin reads: its own operands, or those of the twin
+  // it aliases through a single K2 operand.
+  const auto source = [&](int t) {
+    for (size_t hops = 0; hops < k; ++hops) {
+      const Operands& ops = plan->operands[static_cast<size_t>(t)];
+      if (!ops.k1.empty() || ops.k2.size() != 1 ||
+          (twin_mask >> ops.k2[0] & 1u) == 0) {
+        break;
+      }
+      t = ops.k2[0];
+    }
+    return t;
+  };
+  const Operands& set = plan->operands[static_cast<size_t>(source(t1))];
+  if (set.k1.empty() && set.k2.empty()) return;
+  const std::vector<int>& lower = plan->lower_bounds[static_cast<size_t>(t1)];
+  const std::vector<int>& upper = plan->upper_bounds[static_cast<size_t>(t1)];
+  const auto outer = [&](const std::vector<int>& bounds) {
+    std::vector<int> out;
+    for (int x : bounds) {
+      if ((twin_mask >> x & 1u) == 0) out.push_back(x);
+    }
+    return out;
+  };
+  for (size_t i = 0; i < k; ++i) {
+    // Equal neighbourhoods also make the twins pairwise non-adjacent: the
+    // pattern has no self-loops.
+    const int t = twins[i];
+    if (pattern.NeighborMask(t) != pattern.NeighborMask(t1)) return;
+    const Operands& ops = plan->operands[static_cast<size_t>(source(t))];
+    if (!SameSet(ops.k1, set.k1) || !SameSet(ops.k2, set.k2)) return;
+    if (!SameSet(outer(plan->lower_bounds[static_cast<size_t>(t)]), lower) ||
+        !SameSet(outer(plan->upper_bounds[static_cast<size_t>(t)]), upper)) {
+      return;
+    }
+  }
+  // Chain: t_i < t_{i+1} for every i, and no twin pair ordered the other
+  // way, so the twins bound up to each MAT are totally ordered.
+  std::vector<int> rank(static_cast<size_t>(pattern.NumVertices()), -1);
+  for (size_t i = 0; i < k; ++i) {
+    rank[static_cast<size_t>(twins[i])] = static_cast<int>(i);
+  }
+  uint32_t links = 0;
+  for (const auto& [x, y] : plan->partial_order) {
+    const int rx = rank[static_cast<size_t>(x)];
+    const int ry = rank[static_cast<size_t>(y)];
+    if (rx < 0 || ry < 0) continue;
+    if (rx > ry) return;
+    if (ry == rx + 1) links |= 1u << rx;
+  }
+  if (links != (1u << (k - 1)) - 1) return;
+  // b's window must not name a twin (b's order against the twins would then
+  // depend on which twin binds which vertex).
+  const CompWindow b_window = plan->comp_windows.empty()
+                                  ? CompWindow{}
+                                  : plan->comp_windows[static_cast<size_t>(b)];
+  const std::vector<int>* b_bounds[] = {
+      &plan->lower_bounds[static_cast<size_t>(b)],
+      &plan->upper_bounds[static_cast<size_t>(b)], &b_window.lower,
+      &b_window.upper};
+  for (const std::vector<int>* bounds : b_bounds) {
+    if (outer(*bounds).size() != bounds->size()) return;
+  }
+  plan->twin_closure = twins;
+  plan->twin_closure.push_back(b);
+}
+
 ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
                        const PlanOptions& options,
                        PartialOrder partial_order) {
@@ -234,6 +339,7 @@ ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
   plan.partial_order = std::move(partial_order);
   WireConstraints(&plan);
   WireInducedChecks(&plan);
+  WireTwinClosure(&plan);
   return plan;
 }
 
@@ -322,6 +428,13 @@ std::string ExecutionPlan::ToString() const {
       out += ")";
     }
     out += "\n";
+  }
+  if (HasTwinClosure()) {
+    out += "twin closure: ";
+    for (size_t i = 0; i + 1 < twin_closure.size(); ++i) {
+      out += (i > 0 ? "<u" : "u") + std::to_string(twin_closure[i]);
+    }
+    out += " -> u" + std::to_string(twin_closure.back()) + "\n";
   }
   if (!counted_tail.empty()) {
     out += "counted tail:";

@@ -155,10 +155,25 @@ struct ExecutionPlan {
   /// sizes (minus already-bound vertices) into the count instead of
   /// recursing. Empty for ordinary plans.
   std::vector<int> counted_tail;
+  /// Twin closure (empty when the plan has none): pattern vertices t1..tk
+  /// (k >= 2) in chain order, then b. The twins are pairwise non-adjacent
+  /// with identical pattern neighbourhoods, read one candidate set computed
+  /// before MAT(t1), and the restrictions order them t1 < ... < tk; every
+  /// other bound on a twin is shared and names only vertices bound before
+  /// MAT(t1). b's only neighbours and K1 operands are the twins, and none of
+  /// b's bounds names a twin. sigma ends MAT(t1) ... MAT(tk) COMP(b) MAT(b),
+  /// so a count-only run may close the match count from MAT(t1) on with one
+  /// pass over C(t1): with S = C(t1) cut to the twins' window minus the
+  /// bound data vertices and cnt[w] = |N(w) cap S|, the count is
+  /// sum over unbound w in b's window of C(cnt[w], k) (Chiba–Nishizeki's
+  /// quadrangle count for k = 2). Never set on induced or counted-tail
+  /// plans.
+  std::vector<int> twin_closure;
 
   int FirstVertex() const { return pi[0]; }
   bool HasCountedTail() const { return !counted_tail.empty(); }
   bool HasCompWindows() const;
+  bool HasTwinClosure() const { return !twin_closure.empty(); }
 
   /// Multi-line human-readable plan description.
   std::string ToString() const;

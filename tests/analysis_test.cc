@@ -237,6 +237,82 @@ TEST(AnalysisTest, CompWindowsOfWrongLengthAreCaught) {
   EXPECT_TRUE(HasRule(report, "plan-shape")) << report.ToString();
 }
 
+// --- twin-closure: each way a twin closure can be wrong -------------------
+
+ExecutionPlan FourCyclePlan() {
+  Pattern p1;
+  EXPECT_TRUE(FindPattern("P1", &p1).ok());
+  return BuildPlan(p1, TestGraph(), TestStats(), PlanOptions::Light());
+}
+
+LintReport LintTwinClosure(const ExecutionPlan& plan) {
+  return LintPlan(plan.pattern, plan, TestOptions());
+}
+
+TEST(AnalysisTest, BuiltTwinClosureLintsClean) {
+  const ExecutionPlan plan = FourCyclePlan();
+  ASSERT_EQ(plan.twin_closure, (std::vector<int>{1, 3, 2})) << plan.ToString();
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(report.empty()) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureOverAdjacentTwinsIsCaught) {
+  // Diamond: u1 and u3 are adjacent, so they are not twins.
+  const Pattern diamond =
+      Pattern::FromEdges(4, {{0, 1}, {0, 3}, {1, 2}, {2, 3}, {1, 3}});
+  ExecutionPlan plan =
+      BuildPlanWithOrder(diamond, {0, 1, 3, 2}, PlanOptions::Light());
+  plan.twin_closure = {1, 3, 2};
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureWithoutChainConstraintIsCaught) {
+  ExecutionPlan plan = FourCyclePlan();
+  std::erase(plan.partial_order, std::pair<int, int>{1, 3});
+  std::erase(plan.lower_bounds[3], 1);
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureWithNonTwinOperandIsCaught) {
+  ExecutionPlan plan = FourCyclePlan();
+  plan.operands[2].k1.push_back(0);
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureWhoseWindowNamesATwinIsCaught) {
+  ExecutionPlan plan = FourCyclePlan();
+  plan.partial_order.emplace_back(1, 2);
+  plan.lower_bounds[2].push_back(1);
+  const LintReport report = LintTwinClosure(plan);
+  bool names_twin = false;
+  for (const LintDiagnostic& d : report.diagnostics) {
+    names_twin |= d.rule_id == "twin-closure" && d.edge == std::pair{1, 2};
+  }
+  EXPECT_TRUE(names_twin) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureWithDifferentOuterBoundsIsCaught) {
+  ExecutionPlan plan = FourCyclePlan();
+  ASSERT_EQ(plan.lower_bounds[3], (std::vector<int>{0, 1}))
+      << plan.ToString();
+  std::erase(plan.partial_order, std::pair<int, int>{0, 3});
+  std::erase(plan.lower_bounds[3], 0);
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureOnInducedOrCountedTailPlanIsCaught) {
+  ExecutionPlan induced = FourCyclePlan();
+  induced.options.induced = true;
+  EXPECT_TRUE(HasRule(LintTwinClosure(induced), "twin-closure"));
+  ExecutionPlan tail = FourCyclePlan();
+  tail.counted_tail = {2};
+  EXPECT_TRUE(HasRule(LintTwinClosure(tail), "twin-closure"));
+}
+
 TEST(AnalysisTest, K2OverreachIsCaught) {
   // Diamond 0-1, 0-2, 1-2, 1-3, 2-3 under pi = (0, 1, 2, 3): u3's backward
   // neighbors are {1, 2} but C(u2) additionally enforces adjacency to

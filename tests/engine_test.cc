@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +17,7 @@
 #include "graph/graph_stats.h"
 #include "graph/reorder.h"
 #include "pattern/catalog.h"
+#include "pattern/parse.h"
 #include "pattern/pattern.h"
 #include "pattern/symmetry_breaking.h"
 #include "plan/plan.h"
@@ -322,6 +327,148 @@ TEST(CompWindowTest, CountedLeafSubtractsBoundVertexInWindow) {
     EXPECT_EQ(enumerator.Enumerate(&visitor), 1u);
     EXPECT_EQ(enumerator.stats().mat_counts[3], 1u);
   }
+}
+
+// A MAT skips a bound non-neighbour that lies in its candidate set. Path
+// u0-u1-u2-u3, order (u0, u1, u2, u3), no symmetry breaking, on the data
+// path 0-1-2-3: C(u2) = N(phi(u1)) always holds phi(u0), which u2 must not
+// take. u2 binds 4 times: (0,1,2), (1,2,3), (2,1,0), (3,2,1).
+TEST(EnumeratorTest, MatSkipsBoundNonNeighbourInCandidates) {
+  const Graph g = GraphBuilder::FromEdges({{0, 1}, {1, 2}, {2, 3}});
+  Pattern path3;
+  ASSERT_TRUE(FindPattern("path3", &path3).ok());
+  PlanOptions options = PlanOptions::Light();
+  options.symmetry_breaking = false;
+  const ExecutionPlan plan = BuildPlanWithOrder(path3, {0, 1, 2, 3}, options);
+  Enumerator enumerator(g, plan);
+  EXPECT_EQ(enumerator.Count(), 2u) << plan.ToString();
+  EXPECT_EQ(enumerator.stats().mat_counts[2], 4u);
+  CountingVisitor visitor;
+  EXPECT_EQ(enumerator.Enumerate(&visitor), 2u);
+  EXPECT_EQ(enumerator.stats().mat_counts[2], 4u);
+}
+
+// The twin closure changes the work of a count-only run, not its results:
+// against the same plan with the closure cleared, counts, MAT extension
+// counts and partial results agree, and COMP calls, intersections and
+// elements scanned can only fall. Visitor runs walk sigma either way.
+void ExpectClosureKeepsResults(const Graph& g, const ExecutionPlan& plan,
+                               const std::vector<uint32_t>* labels,
+                               const std::string& where) {
+  ExecutionPlan cleared = plan;
+  cleared.twin_closure.clear();
+  for (const bool visit : {false, true}) {
+    Enumerator with(g, plan, labels);
+    Enumerator without(g, cleared, labels);
+    CountingVisitor with_visitor;
+    CountingVisitor without_visitor;
+    const uint64_t a = visit ? with.Enumerate(&with_visitor) : with.Count();
+    const uint64_t b =
+        visit ? without.Enumerate(&without_visitor) : without.Count();
+    const std::string at = where + (visit ? " visitor\n" : " count\n") +
+                           plan.ToString();
+    EXPECT_EQ(a, b) << at;
+    EXPECT_EQ(with_visitor.matches, without_visitor.matches) << at;
+    const EngineStats& ws = with.stats();
+    const EngineStats& wo = without.stats();
+    EXPECT_EQ(ws.mat_counts, wo.mat_counts) << at;
+    EXPECT_EQ(ws.num_partial_results, wo.num_partial_results) << at;
+    EXPECT_LE(ws.intersections.num_intersections,
+              wo.intersections.num_intersections)
+        << at;
+    EXPECT_LE(ws.intersections.elements, wo.intersections.elements) << at;
+    for (size_t u = 0; u < ws.comp_counts.size(); ++u) {
+      EXPECT_LE(ws.comp_counts[u], wo.comp_counts[u]) << "u" << u << " " << at;
+    }
+  }
+}
+
+std::vector<Graph> TwinTestGraphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(RelabelByDegree(ErdosRenyi(40, 170, /*seed=*/41)));
+  graphs.push_back(RelabelByDegree(BarabasiAlbert(45, 3, /*seed=*/42)));
+  graphs.push_back(RelabelByDegree(ErdosRenyi(28, 140, /*seed=*/43)));
+  return graphs;
+}
+
+TEST(TwinClosureTest, ClosureChangesWorkNotResults) {
+  size_t closure_plans = 0;
+  for (const Graph& g : TwinTestGraphs()) {
+    Rng rng(g.NumVertices());
+    std::vector<uint32_t> labels(g.NumVertices());
+    for (uint32_t& label : labels) label = 1 + rng.NextBounded(2);
+    const GraphStats stats = ComputeGraphStats(g);
+    for (const PatternEntry& entry : PatternCatalog()) {
+      for (const bool induced : {false, true}) {
+        for (const bool labeled : {false, true}) {
+          Pattern pattern = entry.pattern;
+          if (labeled) {
+            for (int u = 0; u < pattern.NumVertices(); u += 2) {
+              pattern.SetLabel(u, 1 + static_cast<uint32_t>(u / 2 % 2));
+            }
+          }
+          PlanOptions options = PlanOptions::Light();
+          options.induced = induced;
+          const ExecutionPlan plan = BuildPlan(pattern, g, stats, options);
+          closure_plans += plan.HasTwinClosure() ? 1 : 0;
+          ExpectClosureKeepsResults(
+              g, plan, labeled ? &labels : nullptr,
+              entry.name + (induced ? " induced" : " edge") +
+                  (labeled ? " labeled" : "") +
+                  " |V|=" + std::to_string(g.NumVertices()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(closure_plans, 0u);
+}
+
+// Ad-hoc shapes under every connected order: a square with a pendant on
+// u0 (with the pendant bound first, its image can lie in S or be a w, and
+// must count for neither) and K2,3 (three twins close on the far side).
+TEST(TwinClosureTest, EveryOrderOfPendantSquareAndK23) {
+  const std::pair<const char*, const char*> shapes[] = {
+      {"pendant square", "0-1,1-2,2-3,3-0,0-4"},
+      {"K2,3", "0-2,0-3,0-4,1-2,1-3,1-4"},
+  };
+  for (const auto& [name, edges] : shapes) {
+    Pattern pattern;
+    ASSERT_TRUE(ParsePattern(edges, &pattern).ok()) << edges;
+    size_t closure_plans = 0;
+    std::vector<int> pi = {0, 1, 2, 3, 4};
+    do {
+      if (!IsConnectedOrder(pattern, pi)) continue;
+      const ExecutionPlan plan =
+          BuildPlanWithOrder(pattern, pi, PlanOptions::Light());
+      if (!plan.HasTwinClosure()) continue;
+      ++closure_plans;
+      for (const Graph& g : TwinTestGraphs()) {
+        ExpectClosureKeepsResults(g, plan, nullptr, name);
+      }
+    } while (std::next_permutation(pi.begin(), pi.end()));
+    EXPECT_GT(closure_plans, 0u) << name;
+  }
+}
+
+// A time limit stops the closure mid-scatter, and the scatter counters are
+// left clean: the next run on the same enumerator counts in full.
+TEST(TwinClosureTest, TimeLimitStopsClosure) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(6000, 8, /*seed=*/44));
+  Pattern p1;
+  ASSERT_TRUE(FindPattern("P1", &p1).ok());
+  const ExecutionPlan plan = PlanFor(p1, g, PlanOptions::Light());
+  ASSERT_TRUE(plan.HasTwinClosure()) << plan.ToString();
+  Enumerator enumerator(g, plan);
+  enumerator.SetTimeLimit(1e-4);
+  enumerator.Count();
+  EXPECT_TRUE(enumerator.stats().timed_out);
+  enumerator.SetTimeLimit(std::numeric_limits<double>::infinity());
+  const uint64_t full = enumerator.Count();
+  EXPECT_FALSE(enumerator.stats().timed_out);
+  ExecutionPlan cleared = plan;
+  cleared.twin_closure.clear();
+  Enumerator walk(g, cleared);
+  EXPECT_EQ(full, walk.Count());
 }
 
 }  // namespace

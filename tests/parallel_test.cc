@@ -305,6 +305,26 @@ TEST(WorkerPoolTest, ServesQueriesAcrossSubmitsAndMatchesSerial) {
   EXPECT_GE(pool.generation(), gen_before + 3);
 }
 
+// Pool workers count from the enumerator they build, with no visitor set:
+// a twin-closure plan (the 4-cycle) closes there too, so the parallel run
+// intersects nothing and matches the serial one, MAT counts included.
+TEST(WorkerPoolTest, PoolWorkersTakeTheTwinClosure) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(1500, 5, /*seed=*/43));
+  Pattern p1;
+  ASSERT_TRUE(FindPattern("P1", &p1).ok());
+  const ExecutionPlan plan =
+      BuildPlan(p1, g, ComputeGraphStats(g), PlanOptions::Light());
+  ASSERT_TRUE(plan.HasTwinClosure()) << plan.ToString();
+  Enumerator serial(g, plan);
+  const uint64_t expected = serial.Count();
+  ParallelOptions options;
+  options.num_threads = 4;
+  const ParallelResult result = ParallelCount(g, plan, options);
+  EXPECT_EQ(result.num_matches, expected);
+  EXPECT_EQ(result.stats.intersections.num_intersections, 0u);
+  EXPECT_EQ(result.stats.mat_counts, serial.stats().mat_counts);
+}
+
 // A query capped at one lease never donates: the pool's other workers park
 // idle, but Pop skips a query at its cap, so a split would only halve its
 // range for workers that cannot take it.

@@ -305,23 +305,52 @@ Graph RenumberAndRelabel(const Graph& g, uint64_t seed) {
 // clustered BA graph). Only estimates taken under the restrictions see the
 // gap; without them the two orders score within sampling noise, and the
 // pick depends on how equal-degree vertices happen to be numbered.
+std::vector<std::pair<std::string, Graph>> FourCycleGraphs() {
+  std::vector<std::pair<std::string, Graph>> out;
+  out.emplace_back("clustered-ba",
+                   BarabasiAlbertClustered(3000, 5, 0.4, /*seed=*/71));
+  out.emplace_back("rmat", RMat(12, 8.0, 0.52, 0.21, 0.21, /*seed=*/72));
+  return out;
+}
+
+// The wedge u1-u0-u3 comes first, so u1 and u3 are twins that close on u2:
+// the 4-cycle (P1, and the same shape as "square") gets the twin closure.
 TEST(PlanTest, FourCyclePicksTheWedgeFirstUnderEveryNumbering) {
-  Pattern p1;
-  ASSERT_TRUE(FindPattern("P1", &p1).ok());
-  const std::vector<std::pair<std::string, Graph>> graphs = [] {
-    std::vector<std::pair<std::string, Graph>> out;
-    out.emplace_back("clustered-ba",
-                     BarabasiAlbertClustered(3000, 5, 0.4, /*seed=*/71));
-    out.emplace_back("rmat", RMat(12, 8.0, 0.52, 0.21, 0.21, /*seed=*/72));
-    return out;
-  }();
-  for (const auto& [graph_name, raw] : graphs) {
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
-      const Graph g = RenumberAndRelabel(raw, seed);
+  for (const char* name : {"P1", "square"}) {
+    Pattern cycle;
+    ASSERT_TRUE(FindPattern(name, &cycle).ok());
+    for (const auto& [graph_name, raw] : FourCycleGraphs()) {
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        const Graph g = RenumberAndRelabel(raw, seed);
+        const ExecutionPlan plan =
+            BuildPlan(cycle, g, ComputeGraphStats(g), PlanOptions::Light());
+        EXPECT_EQ(plan.pi, (std::vector<int>{0, 1, 3, 2}))
+            << name << " " << graph_name << " numbering " << seed;
+        EXPECT_EQ(plan.twin_closure, (std::vector<int>{1, 3, 2}))
+            << name << " " << graph_name << " numbering " << seed;
+      }
+    }
+  }
+}
+
+// No other paper pattern ends in twins that only close on one vertex, and
+// without symmetry breaking no restriction orders the twins.
+TEST(PlanTest, TwinClosureOnlyOnTheRestrictedFourCycle) {
+  for (const auto& [graph_name, raw] : FourCycleGraphs()) {
+    const Graph g = RelabelByDegree(raw);
+    const GraphStats stats = ComputeGraphStats(g);
+    for (const std::string& name : ExperimentPatternNames()) {
+      Pattern pattern;
+      ASSERT_TRUE(FindPattern(name, &pattern).ok());
+      PlanOptions no_symmetry = PlanOptions::Light();
+      no_symmetry.symmetry_breaking = false;
+      EXPECT_FALSE(BuildPlan(pattern, g, stats, no_symmetry).HasTwinClosure())
+          << name << " " << graph_name;
+      if (name == "P1") continue;
       const ExecutionPlan plan =
-          BuildPlan(p1, g, ComputeGraphStats(g), PlanOptions::Light());
-      EXPECT_EQ(plan.pi, (std::vector<int>{0, 1, 3, 2}))
-          << graph_name << " numbering " << seed;
+          BuildPlan(pattern, g, stats, PlanOptions::Light());
+      EXPECT_FALSE(plan.HasTwinClosure())
+          << name << " " << graph_name << "\n" << plan.ToString();
     }
   }
 }
