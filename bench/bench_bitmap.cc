@@ -93,8 +93,8 @@ void RecordMicro(const BenchArgs& args, const char* family, const char* variant,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::Parse(argc, argv, /*scale=*/1.0,
-                                          /*limit=*/60.0, {}, {});
+  const BenchArgs args = BenchArgs::Parse(
+      argc, argv, /*scale=*/1.0, /*limit=*/60.0, {}, {}, {"--check", "--reps"});
   double check = 0.0;
   int reps = 20;
   for (int i = 1; i + 1 < argc; ++i) {

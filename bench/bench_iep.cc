@@ -58,7 +58,7 @@ LegResult RunLeg(const Graph& graph, const Pattern& pattern,
 
 int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv, /*scale=*/1.0,
-                                          /*limit=*/60.0, {}, {});
+                                          /*limit=*/60.0, {}, {}, {"--check"});
   double check = 0.0;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = std::atof(argv[i + 1]);

@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   using namespace light;
   using namespace light::bench;
   const BenchArgs args = BenchArgs::Parse(argc, argv, /*scale=*/0.25,
-                                          /*limit=*/60.0, {"yt_s"}, {"P2"});
+                                          /*limit=*/60.0, {"yt_s"}, {"P2"},
+                                          {"--check"});
   PrintHeader("Observability overhead guard (< 3% with sinks disabled)",
               args);
 

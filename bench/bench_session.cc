@@ -37,19 +37,21 @@ int main(int argc, char** argv) {
   // queries, where per-call setup (threads, stats, plan, bitmap index) is a
   // large fraction of each one-shot Run. Raise --scale to watch the speedup
   // shrink as enumeration work swamps the amortized overhead.
-  double scale = 0.02;
+  const BenchArgs args = BenchArgs::Parse(
+      argc, argv, /*scale=*/0.02, /*limit=*/60.0, {"yt_s"}, {},
+      {"--check", "--threads", "--queries", "--reps", "--check-batch",
+       "--check-single"});
+  const double scale = args.scale;
+  const std::string& dataset = args.datasets[0];
+  const std::string& json_path = args.json_path;
   int threads = 4;
   int num_queries = 32;
   int reps = 5;
   bool check = false;
   double check_batch = 1.15;
   double check_single = 1.5;
-  std::string dataset = "yt_s";
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
-    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-      scale = std::atof(argv[++i]);
     else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
       threads = std::atoi(argv[++i]);
     else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc)
@@ -60,10 +62,6 @@ int main(int argc, char** argv) {
       check_batch = std::atof(argv[++i]);
     else if (std::strcmp(argv[i], "--check-single") == 0 && i + 1 < argc)
       check_single = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--dataset") == 0 && i + 1 < argc)
-      dataset = argv[++i];
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
   }
 
   const BenchGraph bg = LoadBenchGraph(dataset, scale);

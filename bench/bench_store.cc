@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   using namespace light::bench;
   const BenchArgs args = BenchArgs::Parse(argc, argv, /*scale=*/0.5,
                                           /*limit=*/120.0, {"yt_s", "lj_s"},
-                                          {"P2"});
+                                          {"P2"}, {"--check"});
   bool check = false;
   double warm_gate = 1.10;
   for (int i = 1; i < argc; ++i) {

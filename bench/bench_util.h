@@ -6,6 +6,7 @@
 // configurable scale (see DESIGN.md Section 4 for the experiment index and
 // EXPERIMENTS.md for recorded results).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,26 +35,59 @@ struct BenchArgs {
   /// tables. See RecordRun.
   std::string json_path;
 
+  /// Parses the shared flags (--scale, --time-limit, --dataset, --pattern,
+  /// --json; each takes a value). `extra` names the flags the bench reads
+  /// itself; one takes the next argument as its value unless that starts
+  /// with "--". --help, an unknown flag, a stray argument or a missing value
+  /// prints the usage and exits 1, so a misspelt flag never starts a sweep.
   static BenchArgs Parse(int argc, char** argv, double default_scale,
                          double default_limit,
                          std::vector<std::string> default_datasets,
-                         std::vector<std::string> default_patterns) {
+                         std::vector<std::string> default_patterns,
+                         std::vector<std::string> extra = {}) {
     BenchArgs args;
     args.scale = default_scale;
     args.time_limit_seconds = default_limit;
     args.datasets = std::move(default_datasets);
     args.patterns = std::move(default_patterns);
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--scale") == 0) {
-        args.scale = std::atof(argv[i + 1]);
-      } else if (std::strcmp(argv[i], "--time-limit") == 0) {
-        args.time_limit_seconds = std::atof(argv[i + 1]);
-      } else if (std::strcmp(argv[i], "--dataset") == 0) {
-        args.datasets = {argv[i + 1]};
-      } else if (std::strcmp(argv[i], "--pattern") == 0) {
-        args.patterns = {argv[i + 1]};
-      } else if (std::strcmp(argv[i], "--json") == 0) {
-        args.json_path = argv[i + 1];
+    const auto usage = [&](const std::string& error) {
+      if (!error.empty()) std::fprintf(stderr, "error: %s\n", error.c_str());
+      std::fprintf(stderr,
+                   "usage: %s [--scale S] [--time-limit SEC] "
+                   "[--dataset NAME] [--pattern NAME] [--json PATH]",
+                   argv[0]);
+      for (const std::string& flag : extra) {
+        std::fprintf(stderr, " [%s ...]", flag.c_str());
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(1);
+    };
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (flag == "--help" || flag == "-h") usage("");
+      if (std::find(extra.begin(), extra.end(), flag) != extra.end()) {
+        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) ++i;
+        continue;
+      }
+      const bool shared = flag == "--scale" || flag == "--time-limit" ||
+                          flag == "--dataset" || flag == "--pattern" ||
+                          flag == "--json";
+      if (!shared) {
+        usage(flag.starts_with("-") ? "unknown flag " + flag
+                                    : "unexpected argument " + flag);
+      }
+      if (i + 1 >= argc) usage("missing value for " + flag);
+      const char* value = argv[++i];
+      if (flag == "--scale") {
+        args.scale = std::atof(value);
+      } else if (flag == "--time-limit") {
+        args.time_limit_seconds = std::atof(value);
+      } else if (flag == "--dataset") {
+        args.datasets = {value};
+      } else if (flag == "--pattern") {
+        args.patterns = {value};
+      } else {
+        args.json_path = value;
       }
     }
     return args;

@@ -181,6 +181,25 @@ if ! grep -q "^twin closure: u1<u3 -> u2$" build/verify_plan.txt; then
   exit 1
 fi
 echo "plan smoke OK: P1 prints its twin closure"
+# The book's pages end sigma as twins: P5 counts them by one binomial.
+./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
+  --pattern P5 --show-plan >build/verify_plan.txt
+if ! grep -q "^twin closure: u2<u3<u4<u5$" build/verify_plan.txt; then
+  echo "==> light_cli --pattern P5 --show-plan printed no twin leaf" >&2
+  cat build/verify_plan.txt >&2
+  exit 1
+fi
+echo "plan smoke OK: P5 prints its twin leaf"
+# A misspelt bench flag is a usage error at once, not a silent full sweep.
+rc=0
+timeout 10 ./build/bench/bench_fig4_redundancy --bogus \
+  >/dev/null 2>build/verify_bench_flag.err || rc=$?
+if [[ "$rc" -ne 1 ]] || ! grep -q "unknown flag --bogus" build/verify_bench_flag.err; then
+  echo "==> bench_fig4_redundancy --bogus: expected a usage error, got exit $rc" >&2
+  cat build/verify_bench_flag.err >&2
+  exit 1
+fi
+echo "bench flag smoke OK: bench_fig4_redundancy --bogus rejected"
 server_log="build/verify_server.log"
 ./build/tools/light_server --graph-store build/verify_store.lcsr2 \
   --store-mode mmap --threads 4 \
@@ -409,11 +428,17 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     exit 1
   fi
   # Twin closures (the last vertex counted by one scatter over the twins'
-  # candidates) must appear in the swept LIGHT plans; zero means the closing
-  # count went unchecked against the other engines.
+  # candidates) and twin leaves (twins ending sigma, counted by one
+  # binomial) must appear in the swept LIGHT plans; zero means that count
+  # went unchecked against the other engines.
   twin_closure_cases="$(sed -n 's/.*twin_closure_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
   if [[ -z "$twin_closure_cases" || "$twin_closure_cases" -lt 1 ]]; then
     echo "==> fuzz smoke exercised no twin-closure cases" >&2
+    exit 1
+  fi
+  twin_leaf_cases="$(sed -n 's/.*twin_leaf_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
+  if [[ -z "$twin_leaf_cases" || "$twin_leaf_cases" -lt 1 ]]; then
+    echo "==> fuzz smoke exercised no twin-leaf cases" >&2
     exit 1
   fi
   # The store-parity oracle (every case spilled to .lcsr2, re-opened mmap,

@@ -1,6 +1,7 @@
 #include "analysis/plan_linter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -529,12 +530,13 @@ bool SameSet(std::vector<int> a, std::vector<int> b) {
 }
 
 /// A twin closure (ExecutionPlan::twin_closure) counts the twins by
-/// binomials over one shared candidate set and b by a scatter over the
-/// twins' candidates, instead of walking them. That is exact only when the
-/// twins are interchangeable (non-adjacent, same neighbours, same candidate
-/// set, same outer bounds, chained by the restrictions), b meets nothing
-/// but the twins and no bound of b tells the twins apart, and the plan
-/// walks sigma to MAT(b) with no non-edge or counted-tail terminal.
+/// binomials over one shared candidate set, and b (if any) by a scatter
+/// over the twins' candidates, instead of walking them. That is exact only
+/// when the twins are interchangeable (non-adjacent, same neighbours, same
+/// candidate set, same outer bounds, chained by the restrictions), b meets
+/// nothing but the twins and no bound of b tells the twins apart, and the
+/// plan walks sigma to its last MAT with no non-edge or counted-tail
+/// terminal. Twins with one shared neighbour (stars) are out of scope.
 void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
                       const SigmaIndex& sigma, LintReport* report) {
   if (!plan.HasTwinClosure()) return;
@@ -552,8 +554,10 @@ void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
     }
     listed |= 1u << v;
   }
-  if (closure.size() < 3) {
-    fail("twin closure needs at least two twins and the vertex they close");
+  const int b = plan.TwinClosureB();
+  const size_t k = closure.size() - (b < 0 ? 0 : 1);
+  if (k < 2) {
+    fail("twin closure needs at least two twins");
     return;
   }
   if (plan.options.induced) {
@@ -564,25 +568,39 @@ void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
     fail("twin closure on a counted-tail plan: its terminal is the tail "
          "product");
   }
-  const size_t k = closure.size() - 1;
   const int t1 = closure[0];
-  const int b = closure[k];
-  const uint32_t twin_mask = listed & ~(1u << b);
+  const uint32_t twin_mask = b < 0 ? listed : listed & ~(1u << b);
   const std::string b_name = VertexName(b);
 
+  // sigma ends with the twins' MATs in chain order, then COMP(b) MAT(b)
+  // if there is a b.
   const ExecutionOrder& ops = plan.sigma;
-  bool shape = ops.size() >= k + 3;
+  const size_t tail = b < 0 ? 0 : 2;
+  bool shape = ops.size() >= k + tail + 1;
   for (size_t i = 0; shape && i < k; ++i) {
-    const Operation& op = ops[ops.size() - 2 - k + i];
+    const Operation& op = ops[ops.size() - tail - k + i];
     shape = op.type == OpType::kMaterialize && op.vertex == closure[i];
   }
-  shape = shape && ops[ops.size() - 2].type == OpType::kCompute &&
-          ops[ops.size() - 2].vertex == b &&
-          ops.back().type == OpType::kMaterialize && ops.back().vertex == b;
-  if (!shape) {
-    fail("sigma does not end MAT(t1) ... MAT(tk) COMP(" + b_name + ") MAT(" +
-             b_name + ") over the closure's twins in chain order",
-         b);
+  if (b < 0) {
+    if (!shape) {
+      fail("sigma does not end MAT(t1) ... MAT(tk) over the twin leaf's "
+               "twins in chain order",
+           closure[k - 1]);
+    }
+  } else {
+    shape = shape && ops[ops.size() - 2].type == OpType::kCompute &&
+            ops[ops.size() - 2].vertex == b &&
+            ops.back().type == OpType::kMaterialize && ops.back().vertex == b;
+    if (!shape) {
+      fail("sigma does not end MAT(t1) ... MAT(tk) COMP(" + b_name +
+               ") MAT(" + b_name + ") over the closure's twins in chain order",
+           b);
+    }
+  }
+  if (std::popcount(pattern.NeighborMask(t1)) < 2) {
+    fail("twins share fewer than two pattern neighbours: one-neighbour "
+         "(star) twins are left to the walk and the IEP tail",
+         t1);
   }
 
   for (size_t i = 0; i < k; ++i) {
@@ -597,17 +615,19 @@ void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
     }
   }
 
-  const Operands& b_ops = plan.operands[static_cast<size_t>(b)];
-  uint32_t k1_mask = 0;
-  for (const int x : b_ops.k1) {
-    if (x >= 0 && x < n) k1_mask |= 1u << x;
-  }
-  if (k1_mask != twin_mask || !b_ops.k2.empty() ||
-      b_ops.k1.size() != k || pattern.NeighborMask(b) != twin_mask) {
-    fail(b_name + " has an operand or a pattern neighbour that is not a "
-             "twin: its candidates are not the common neighbours of the "
-             "twins alone",
-         b);
+  if (b >= 0) {
+    const Operands& b_ops = plan.operands[static_cast<size_t>(b)];
+    uint32_t k1_mask = 0;
+    for (const int x : b_ops.k1) {
+      if (x >= 0 && x < n) k1_mask |= 1u << x;
+    }
+    if (k1_mask != twin_mask || !b_ops.k2.empty() ||
+        b_ops.k1.size() != k || pattern.NeighborMask(b) != twin_mask) {
+      fail(b_name + " has an operand or a pattern neighbour that is not a "
+               "twin: its candidates are not the common neighbours of the "
+               "twins alone",
+           b);
+    }
   }
 
   // The set each twin reads: its operands, or through a single K2 alias
@@ -632,11 +652,16 @@ void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
     return out;
   };
   const int t1_mat = sigma.mat_pos[static_cast<size_t>(t1)];
-  for (const int x : outer(plan.lower_bounds[static_cast<size_t>(t1)])) {
-    if (x < 0 || x >= n || sigma.mat_pos[static_cast<size_t>(x)] >= t1_mat) {
-      fail("outer bound " + VertexName(x) + " of the twins is not bound "
-               "before MAT(" + VertexName(t1) + ")",
-           t1, {x, t1});
+  for (const std::vector<int>* bounds :
+       {&plan.lower_bounds[static_cast<size_t>(t1)],
+        &plan.upper_bounds[static_cast<size_t>(t1)]}) {
+    for (const int x : outer(*bounds)) {
+      if (x < 0 || x >= n ||
+          sigma.mat_pos[static_cast<size_t>(x)] >= t1_mat) {
+        fail("outer bound " + VertexName(x) + " of the twins is not bound "
+                 "before MAT(" + VertexName(t1) + ")",
+             t1, {x, t1});
+      }
     }
   }
   for (size_t i = 1; i < k; ++i) {
@@ -684,6 +709,7 @@ void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
     }
   }
 
+  if (b < 0) return;
   const CompWindow no_window;
   const CompWindow& window = plan.comp_windows.empty()
                                  ? no_window

@@ -32,11 +32,14 @@
 ///                         the plan has a counted tail
 ///   twin-closure          the twin closure (twin_closure) is not exact:
 ///                         twins adjacent or with different neighbourhoods,
-///                         candidate sets or outer bounds, a chain
-///                         constraint missing, a non-twin operand of b, a
-///                         twin named in b's window, sigma not ending with
-///                         the twins' MATs, COMP(b), MAT(b), or the plan
-///                         induced or with a counted tail
+///                         candidate sets or outer bounds, an outer bound
+///                         not bound before MAT(t1), a chain constraint
+///                         missing, a non-twin operand of b, a twin named
+///                         in b's window, sigma not ending with the twins'
+///                         MATs (then COMP(b), MAT(b) if there is a b), or
+///                         the plan induced or with a counted tail; or out
+///                         of scope: twins sharing fewer than two
+///                         neighbours (stars)
 ///   sb-unkilled-automorphism   some automorphic image pair survives the
 ///                         constraints (overcount) — Grochow–Kellis check
 ///   sb-kills-valid-embedding   some subgraph instance has no surviving

@@ -187,19 +187,38 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   if (plan_.HasTwinClosure()) {
     // Labeled twins or b would need per-vertex label checks: such runs walk
     // sigma instead.
-    bool labeled = false;
-    for (int t : plan_.twin_closure) {
-      labeled |= data_labels_ != nullptr && plan_.pattern.Label(t) != 0;
-    }
-    if (!labeled) {
+    const bool labeled =
+        data_labels_ != nullptr && plan_.TwinClosureLabeled();
+    twin_b_ = plan_.TwinClosureB();
+    const std::vector<int>& closure = plan_.twin_closure;
+    const size_t k = closure.size() - (twin_b_ < 0 ? 0 : 1);
+    if (!labeled && twin_b_ >= 0) {
       // sigma ends MAT(t1) ... MAT(tk) COMP(b) MAT(b).
-      count_tail_op_ = num_ops_ - plan_.twin_closure.size() - 1;
+      count_tail_op_ = num_ops_ - k - 2;
       const size_t num_vertices = graph_.NumVertices();
       if (arena_ != nullptr) {
         wedge_counts_ = arena_->AcquireVertexBuffer(num_vertices);
         wedge_touched_ = arena_->AcquireVertexBuffer(0);
       }
       wedge_counts_.assign(num_vertices, 0);
+    } else if (!labeled) {
+      // sigma ends MAT(t1) ... MAT(tk). If before those it ends COMP(t1),
+      // then COMPs of t2..tk that alias C(t1) uncut, the leaf is entered at
+      // COMP(t1): C(t1) is counted, never stored, and the aliases skipped.
+      count_tail_op_ = num_ops_ - k;
+      const size_t comp = num_ops_ - 2 * k;
+      bool at_comp = num_ops_ > 2 * k &&
+                     plan_.sigma[comp].type == OpType::kCompute &&
+                     plan_.sigma[comp].vertex == closure[0];
+      for (size_t i = comp + 1; at_comp && i < count_tail_op_; ++i) {
+        const int t = plan_.sigma[i].vertex;
+        const Operands& ops = plan_.operands[static_cast<size_t>(t)];
+        at_comp = plan_.sigma[i].type == OpType::kCompute &&
+                  ops.k1.empty() && ops.k2 == std::vector<int>{closure[0]} &&
+                  (plan_.comp_windows.empty() ||
+                   plan_.comp_windows[static_cast<size_t>(t)].empty());
+      }
+      if (at_comp) count_tail_op_ = comp;
     }
   }
   SetVisitor(nullptr);  // count until a visitor is set
@@ -398,7 +417,7 @@ void Enumerator::RunCompute(size_t op_index) {
     return;
   }
   if (fused_leaf_ && visitor_ == nullptr && op_index + 2 == num_ops_) {
-    CountLeafCandidates(u);
+    AddLeafMatches(u, CountLeafCandidates(u));
     return;
   }
   if (ComputeCandidateSet(u) > 0) Run(op_index + 1);
@@ -487,16 +506,16 @@ uint32_t Enumerator::ComputeCandidateSet(int u) {
   return cand_size_[static_cast<size_t>(u)];
 }
 
-void Enumerator::CountLeafCandidates(int u) {
+uint64_t Enumerator::CountLeafCandidates(int u) {
   ++stats_.comp_counts[static_cast<size_t>(u)];
-  if (CheckDeadline()) return;
+  if (CheckDeadline()) return 0;
   // Nothing is bound between this COMP and its MAT, so the MAT window is
   // known here (it implies the COMP window).
   const auto [lo, hi] = Window(plan_.lower_bounds[static_cast<size_t>(u)],
                                plan_.upper_bounds[static_cast<size_t>(u)]);
   std::array<SetView, kMaxPatternVertices> sets;
   const size_t k = lo < hi ? GatherOperands(u, lo, hi, sets.data()) : 0;
-  if (k == 0) return;
+  if (k == 0) return 0;
   uint64_t count = sets[0].size();
   if (k > 1) {
     // Smallest first, as IntersectMultiwayHybrid chains them; only the last
@@ -530,7 +549,19 @@ void Enumerator::CountLeafCandidates(int u) {
     }
     if (in_all) --count;
   }
-  AddLeafMatches(u, count);
+  return count;
+}
+
+uint64_t Enumerator::CountUnbound(int u, const VertexID* begin,
+                                  const VertexID* end, VertexID lo,
+                                  VertexID hi) const {
+  uint64_t count = static_cast<uint64_t>(end - begin);
+  const std::vector<int>& distinct = distinct_[static_cast<size_t>(u)];
+  for (size_t i = 0; i < distinct.size() && count > 0; ++i) {
+    const VertexID b = mapping_[static_cast<size_t>(distinct[i])];
+    if (lo <= b && b < hi && Contains(begin, end, b)) --count;
+  }
+  return count;
 }
 
 void Enumerator::AddLeafMatches(int u, uint64_t count) {
@@ -562,19 +593,52 @@ void Enumerator::RunCountedTail() {
 
 void Enumerator::RunTwinClosure() {
   const std::vector<int>& closure = plan_.twin_closure;
-  const size_t k = closure.size() - 1;
+  const size_t k = closure.size() - (twin_b_ < 0 ? 0 : 1);
   const int t1 = closure[0];
-  const int b = closure[k];
+  uint64_t m = 0;  // |S|
+  uint64_t closed = 0;  // matches b closes
+  const bool at_comp = plan_.sigma[tail_begin_op_].type == OpType::kCompute;
+  if (at_comp) {
+    ScopedOpSpan span(trace_root_, "COMP", t1);
+    m = CountLeafCandidates(t1);
+  }
   ScopedOpSpan span(trace_root_, "MAT", t1);
-  // S: C(t1) inside the twins' shared window, minus the bound data vertices.
-  const auto [lo, hi] = Window(plan_.lower_bounds[static_cast<size_t>(t1)],
-                               plan_.upper_bounds[static_cast<size_t>(t1)]);
-  if (lo >= hi) return;
-  const VertexID* begin = cand_data_[static_cast<size_t>(t1)];
-  const VertexID* end = begin + cand_size_[static_cast<size_t>(t1)];
-  if (lo > 0) begin = LowerBound(begin, end, lo);
-  if (hi < graph_.NumVertices()) end = LowerBound(begin, end, hi);
-  const std::vector<int>& distinct = distinct_[static_cast<size_t>(t1)];
+  if (!at_comp) {
+    // S: C(t1) inside the twins' shared window, minus the bound data
+    // vertices.
+    const auto [lo, hi] = Window(plan_.lower_bounds[static_cast<size_t>(t1)],
+                                 plan_.upper_bounds[static_cast<size_t>(t1)]);
+    if (lo >= hi) return;
+    const VertexID* begin = cand_data_[static_cast<size_t>(t1)];
+    const VertexID* end = begin + cand_size_[static_cast<size_t>(t1)];
+    if (lo > 0) begin = LowerBound(begin, end, lo);
+    if (hi < graph_.NumVertices()) end = LowerBound(begin, end, hi);
+    if (twin_b_ >= 0) {
+      closed = ScatterTwins(begin, end, &m);
+    } else if (!CheckDeadline()) {
+      m = CountUnbound(t1, begin, end, lo, hi);
+    }
+  }
+  if (stop_) return;
+  // The twins bind, in chain order, to every i-subset of S.
+  for (size_t i = 1; i <= k; ++i) {
+    const uint64_t extensions = Choose(m, i);
+    stats_.mat_counts[static_cast<size_t>(closure[i - 1])] += extensions;
+    stats_.num_partial_results += extensions;
+  }
+  if (twin_b_ < 0) {
+    stats_.num_matches += Choose(m, k);
+  } else {
+    AddLeafMatches(twin_b_, closed);
+  }
+}
+
+uint64_t Enumerator::ScatterTwins(const VertexID* begin, const VertexID* end,
+                                  uint64_t* m) {
+  const size_t k = plan_.twin_closure.size() - 1;
+  const int b = twin_b_;
+  const std::vector<int>& distinct =
+      distinct_[static_cast<size_t>(plan_.twin_closure[0])];
   const auto [b_lo, b_hi] = Window(plan_.lower_bounds[static_cast<size_t>(b)],
                                    plan_.upper_bounds[static_cast<size_t>(b)]);
   // Scatter: cnt[w] = |N(w) cap S| over b's window. The twins' images are
@@ -591,14 +655,13 @@ void Enumerator::RunTwinClosure() {
   std::array<std::pair<const VertexID*, const VertexID*>, kMaxPatternVertices>
       waiting;
   size_t lists = 0;
-  uint64_t m = 0;
   for (const VertexID* it = begin; it != end; ++it) {
     if (CheckDeadline()) break;
     const VertexID s = *it;
     bool bound = false;
     for (int x : distinct) bound |= mapping_[static_cast<size_t>(x)] == s;
     if (bound) continue;
-    ++m;
+    ++*m;
     const std::span<const VertexID> nbrs = graph_.Neighbors(s);
     const VertexID* w = nbrs.data();
     const VertexID* w_end = w + nbrs.size();
@@ -628,14 +691,7 @@ void Enumerator::RunTwinClosure() {
     counts[w] = 0;
   }
   wedge_touched_.clear();
-  if (stop_) return;
-  // The twins bind, in chain order, to every i-subset of S.
-  for (size_t i = 1; i <= k; ++i) {
-    const uint64_t extensions = Choose(m, i);
-    stats_.mat_counts[static_cast<size_t>(closure[i - 1])] += extensions;
-    stats_.num_partial_results += extensions;
-  }
-  AddLeafMatches(b, matches);
+  return matches;
 }
 
 void Enumerator::RunMaterialize(size_t op_index) {
@@ -696,12 +752,7 @@ void Enumerator::RunMaterialize(size_t op_index) {
     // Count the leaf instead of walking it; injectivity subtracts the bound
     // vertices inside the window.
     if (CheckDeadline()) return;
-    uint64_t count = static_cast<uint64_t>(end - begin);
-    for (size_t i = 0; i < distinct.size() && count > 0; ++i) {
-      const VertexID b = mapping_[static_cast<size_t>(distinct[i])];
-      if (lo <= b && b < hi && Contains(begin, end, b)) --count;
-    }
-    AddLeafMatches(u, count);
+    AddLeafMatches(u, CountUnbound(u, begin, end, lo, hi));
     return;
   }
   for (const VertexID* it = begin; it != end && !stop_; ++it) {

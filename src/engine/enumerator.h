@@ -134,19 +134,31 @@ class Enumerator {
   /// kernel vertices inside it) into num_matches instead of recursing.
   void RunCountedTail();
   /// Terminal for count-only runs of a plan with a twin closure
-  /// (ExecutionPlan::twin_closure), entered at MAT(t1): adds the twins'
-  /// extensions by binomials of |S| and b's by one scatter pass over the
-  /// neighbour lists of S, instead of recursing.
+  /// (ExecutionPlan::twin_closure), entered at MAT(t1), or at COMP(t1) when
+  /// a leaf's COMPs end sigma and t2..tk alias C(t1): adds the twins'
+  /// extensions by binomials of |S|, and b's (if any) by one scatter pass
+  /// over the neighbour lists of S, instead of recursing.
   void RunTwinClosure();
+  /// The closing vertex's scatter over S = [begin, end) minus the bound
+  /// vertices (twin closure with b): sets *m = |S| and returns the number
+  /// of matches that b closes.
+  uint64_t ScatterTwins(const VertexID* begin, const VertexID* end,
+                        uint64_t* m);
   /// Intersection core shared by RunCompute and RunCountedTail: fills
   /// cand_data_/cand_size_ for non-universal vertex u, returns the size.
   /// Operands are first cut to u's COMP window (ExecutionPlan::comp_windows);
   /// an empty window or operand skips the intersection.
   uint32_t ComputeCandidateSet(int u);
-  /// Counted leaf whose COMP directly precedes its MAT (the plan's last two
-  /// ops): counts C(u) inside the MAT window without storing it, the last
-  /// pairwise step through a count-only kernel.
-  void CountLeafCandidates(int u);
+  /// Counts C(u) inside u's MAT window, minus the bound vertices there,
+  /// without storing it: the last pairwise step runs a count-only kernel.
+  /// Nothing may bind between COMP(u) and MAT(u). Serves a counted leaf
+  /// whose COMP directly precedes its MAT and a twin leaf entered at
+  /// COMP(t1).
+  uint64_t CountLeafCandidates(int u);
+  /// |[begin, end)| minus u's bound non-neighbours inside it: the sorted
+  /// range is C(u) cut to u's window [lo, hi).
+  uint64_t CountUnbound(int u, const VertexID* begin, const VertexID* end,
+                        VertexID lo, VertexID hi) const;
   /// Adds a counted leaf's `count` extensions of u to the stats (the same
   /// increments the per-candidate loop makes).
   void AddLeafMatches(int u, uint64_t count);
@@ -179,11 +191,13 @@ class Enumerator {
   IntersectKernel kernel_;
   size_t num_ops_ = 0;
   /// Index in sigma at which Run hands the rest of the plan to a closing
-  /// count: the first counted-tail COMP, or MAT(t1) of a twin closure in
-  /// count-only runs; num_ops_ when neither applies.
+  /// count: the first counted-tail COMP, or COMP(t1)/MAT(t1) of a twin
+  /// closure in count-only runs; num_ops_ when neither applies.
   size_t tail_begin_op_ = 0;
   /// tail_begin_op_ of count-only runs (SetVisitor switches between them).
   size_t count_tail_op_ = 0;
+  /// ExecutionPlan::TwinClosureB(), cached.
+  int twin_b_ = -1;
   /// The plan ends COMP(u), MAT(u) for a u whose leaf can be counted (no
   /// induced checks, real operands): counting runs fuse the two ops.
   bool fused_leaf_ = false;

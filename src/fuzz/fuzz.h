@@ -118,9 +118,13 @@ struct OracleOutcome {
   /// The LIGHT or SE plan cut some candidate set to a COMP window before
   /// intersecting (ExecutionPlan::comp_windows).
   bool comp_windows = false;
-  /// The LIGHT plan carries a twin closure (ExecutionPlan::twin_closure), so
-  /// the serial pivot counted through it.
+  /// The LIGHT plan carries a twin closure (ExecutionPlan::twin_closure)
+  /// with a closing vertex b, so the serial pivot counted through its
+  /// scatter.
   bool twin_closure = false;
+  /// The LIGHT plan carries a twin leaf (a twin closure without b), so the
+  /// serial pivot counted the twins by one binomial.
+  bool twin_leaf = false;
   /// True when the storage-engine leg ran: the case graph was written as an
   /// .lcsr2 snapshot, reopened as an mmap store, and its count
   /// cross-checked against the serial pivot (bit-identical heap/mmap is the
@@ -196,9 +200,12 @@ struct FuzzSummary {
   /// Cases whose plans carried COMP windows (CI asserts the smoke run
   /// exercises the windowed candidate computation).
   uint64_t comp_window_cases = 0;
-  /// Cases whose LIGHT plan carried a twin closure (CI asserts the smoke
-  /// run exercises the closing scatter count).
+  /// Cases whose LIGHT plan carried a twin closure with b (CI asserts the
+  /// smoke run exercises the closing scatter count).
   uint64_t twin_closure_cases = 0;
+  /// Cases whose LIGHT plan carried a twin leaf (CI asserts the smoke run
+  /// exercises the leaf binomial).
+  uint64_t twin_leaf_cases = 0;
   /// Cases the storage-engine parity leg ran on (CI asserts the smoke run
   /// exercises the mmap store path).
   uint64_t store_cases = 0;

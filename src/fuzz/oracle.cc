@@ -99,7 +99,8 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   OracleOutcome outcome;
   outcome.comp_windows =
       light_plan.HasCompWindows() || se_plan.HasCompWindows();
-  outcome.twin_closure = light_plan.HasTwinClosure();
+  outcome.twin_closure = light_plan.TwinClosureB() >= 0;
+  outcome.twin_leaf = light_plan.HasTwinLeaf();
 
   // Static lint soak: every plan the oracles execute must verify clean
   // (analysis/plan_linter.h). A finding here is a planner bug or a linter

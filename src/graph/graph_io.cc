@@ -268,8 +268,7 @@ Status SaveStoreFile(const Graph& graph, const std::string& path,
   return status;
 }
 
-Status LoadStoreFile(const std::string& path, Graph* out,
-                     std::vector<uint32_t>* labels) {
+Status LoadStoreFile(const std::string& path, Graph* out) {
   Lcsr2Header h;
   LIGHT_RETURN_IF_ERROR(ReadLcsr2Header(path, &h));
   FilePtr file(std::fopen(path.c_str(), "rb"));
@@ -293,19 +292,6 @@ Status LoadStoreFile(const std::string& path, Graph* out,
   }
   if (offsets.front() != 0 || offsets.back() != h.slots) {
     return Status::InvalidArgument("inconsistent CSR arrays in " + path);
-  }
-  if (labels != nullptr) {
-    labels->clear();
-    if ((h.flags & kLcsr2FlagLabels) != 0) {
-      labels->resize(h.n);
-      if (h.n > 0 &&
-          (std::fseek(file.get(), static_cast<long>(h.labels_off),
-                      SEEK_SET) != 0 ||
-           std::fread(labels->data(), sizeof(uint32_t), h.n, file.get()) !=
-               h.n)) {
-        return Status::IOError("truncated labels in " + path);
-      }
-    }
   }
   *out = Graph(std::move(offsets), std::move(neighbors));
   return Status::OK();

@@ -65,10 +65,9 @@ Status ReadLcsr2Header(const std::string& path, Lcsr2Header* out);
 Status SaveStoreFile(const Graph& graph, const std::string& path,
                      const std::vector<uint32_t>* labels = nullptr);
 
-/// Fully loads an .lcsr2 snapshot to the heap. `labels` (optional) receives
-/// the label section, cleared when the file has none.
-Status LoadStoreFile(const std::string& path, Graph* out,
-                     std::vector<uint32_t>* labels = nullptr);
+/// Fully loads an .lcsr2 snapshot's CSR arrays to the heap (labels stay on
+/// disk; a GraphStore serves them).
+Status LoadStoreFile(const std::string& path, Graph* out);
 
 /// On-disk graph formats LoadAuto distinguishes.
 enum class GraphFileFormat {

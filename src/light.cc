@@ -545,17 +545,29 @@ void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
                      bool on_pool) {
   const RunOptions& opts = s->opts;
   IepDecomposition dec;
+  // The enumeration plan, when kAuto resolved it to choose a strategy.
+  std::shared_ptr<const ExecutionPlan> enumeration_plan;
+  bool enumeration_hit = false;
   if (s->error.empty() &&
       opts.plan_options.count_strategy != CountStrategy::kEnumerate &&
       opts.visitor == nullptr && !opts.plan_options.induced &&
       opts.plan == nullptr) {
     // Counting-only query with IEP requested (or auto): decompose, and take
     // the IEP path when the decomposition exists and — under kAuto — the
-    // tail is big enough to plausibly pay for the extra term plans.
+    // tail is big enough to plausibly pay for the extra term plans, unless
+    // the enumeration plan counts its tail twins by one binomial (a twin
+    // leaf), which no set of term plans beats.
     dec = BuildIepDecomposition(s->pattern);
-    if (opts.plan_options.count_strategy == CountStrategy::kAuto &&
-        dec.tail.size() < 2) {
-      dec = IepDecomposition();
+    if (opts.plan_options.count_strategy == CountStrategy::kAuto) {
+      if (dec.valid() && dec.tail.size() >= 2) {
+        enumeration_plan = ResolvePlan(s->pattern, nullptr, opts, &s->error,
+                                       &enumeration_hit);
+      }
+      const bool twin_leaf =
+          enumeration_plan != nullptr && enumeration_plan->HasTwinLeaf() &&
+          (opts.data_labels == nullptr ||
+           !enumeration_plan->TwinClosureLabeled());
+      if (enumeration_plan == nullptr || twin_leaf) dec = IepDecomposition();
     }
   }
   // One part per IEP term, else one for the pattern itself. Every plan is
@@ -568,7 +580,12 @@ void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
     for (size_t i = 0; i < s->parts.size() && s->error.empty(); ++i) {
       const IepTerm* term = iep ? &dec.terms[i] : nullptr;
       bool hit = false;
-      s->parts[i].plan = ResolvePlan(s->pattern, term, opts, &s->error, &hit);
+      if (term == nullptr && enumeration_plan != nullptr) {
+        s->parts[i].plan = enumeration_plan;
+        hit = enumeration_hit;
+      } else {
+        s->parts[i].plan = ResolvePlan(s->pattern, term, opts, &s->error, &hit);
+      }
       s->plan_cache_hit = s->plan_cache_hit && hit;
       if (term != nullptr) s->parts[i].coefficient = term->coefficient;
     }

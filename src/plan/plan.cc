@@ -1,6 +1,7 @@
 #include "plan/plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -223,36 +224,54 @@ bool SameSet(std::vector<int> a, std::vector<int> b) {
 }
 
 /// The twin closure (ExecutionPlan::twin_closure): checks every condition
-/// listed there and records the twins in chain order, then b.
+/// listed there and records the twins in chain order, then b if the plan
+/// closes on one.
 void WireTwinClosure(ExecutionPlan* plan) {
   plan->twin_closure.clear();
   const ExecutionOrder& sigma = plan->sigma;
   const Pattern& pattern = plan->pattern;
-  if (plan->options.induced || plan->HasCountedTail() || sigma.size() < 5) {
+  if (plan->options.induced || plan->HasCountedTail() || sigma.size() < 4) {
     return;
   }
   const size_t last = sigma.size() - 1;
-  const int b = sigma[last].vertex;
-  if (sigma[last].type != OpType::kMaterialize ||
-      sigma[last - 1].type != OpType::kCompute ||
-      sigma[last - 1].vertex != b) {
-    return;
-  }
-  const Operands& b_ops = plan->operands[static_cast<size_t>(b)];
-  const size_t k = b_ops.k1.size();
-  if (k < 2 || !b_ops.k2.empty() || k + 3 > sigma.size()) return;
-  // The k MATs before COMP(b), in sigma order, must bind exactly b's K1
-  // operands, and b's pattern neighbours must be exactly those.
+  if (sigma[last].type != OpType::kMaterialize) return;
   std::vector<int> twins;
-  uint32_t twin_mask = 0;
-  for (size_t i = last - 1 - k; i < last - 1; ++i) {
-    if (sigma[i].type != OpType::kMaterialize) return;
-    twins.push_back(sigma[i].vertex);
-    twin_mask |= 1u << sigma[i].vertex;
+  int b = -1;
+  if (sigma[last - 1].type == OpType::kCompute) {
+    // Closing vertex: the k MATs before COMP(b), in sigma order, must bind
+    // exactly b's K1 operands, and b's pattern neighbours must be exactly
+    // those.
+    b = sigma[last].vertex;
+    const Operands& b_ops = plan->operands[static_cast<size_t>(b)];
+    const size_t k = b_ops.k1.size();
+    if (sigma[last - 1].vertex != b || k < 2 || !b_ops.k2.empty() ||
+        k + 3 > sigma.size()) {
+      return;
+    }
+    for (size_t i = last - 1 - k; i < last - 1; ++i) {
+      if (sigma[i].type != OpType::kMaterialize) return;
+      twins.push_back(sigma[i].vertex);
+    }
+  } else {
+    // Leaf: the trailing MATs of vertices with the last one's
+    // neighbourhood.
+    const uint32_t mask = pattern.NeighborMask(sigma[last].vertex);
+    size_t first = last;
+    while (first > 1 && sigma[first - 1].type == OpType::kMaterialize &&
+           pattern.NeighborMask(sigma[first - 1].vertex) == mask) {
+      --first;
+    }
+    for (size_t i = first; i <= last; ++i) twins.push_back(sigma[i].vertex);
+    if (twins.size() < 2) return;
   }
-  uint32_t k1_mask = 0;
-  for (int x : b_ops.k1) k1_mask |= 1u << x;
-  if (k1_mask != twin_mask || pattern.NeighborMask(b) != twin_mask) return;
+  const size_t k = twins.size();
+  uint32_t twin_mask = 0;
+  for (int t : twins) twin_mask |= 1u << t;
+  if (b >= 0) {
+    uint32_t k1_mask = 0;
+    for (int x : plan->operands[static_cast<size_t>(b)].k1) k1_mask |= 1u << x;
+    if (k1_mask != twin_mask || pattern.NeighborMask(b) != twin_mask) return;
+  }
   const int t1 = twins[0];
   // The candidate set a twin reads: its own operands, or those of the twin
   // it aliases through a single K2 operand.
@@ -268,7 +287,12 @@ void WireTwinClosure(ExecutionPlan* plan) {
     return t;
   };
   const Operands& set = plan->operands[static_cast<size_t>(source(t1))];
-  if (set.k1.empty() && set.k2.empty()) return;
+  // Twins with one neighbour (a star's leaves) are left to the walk:
+  // counting those is the IEP counted tail's job (ROADMAP item 2).
+  if ((set.k1.empty() && set.k2.empty()) ||
+      std::popcount(pattern.NeighborMask(t1)) < 2) {
+    return;
+  }
   const std::vector<int>& lower = plan->lower_bounds[static_cast<size_t>(t1)];
   const std::vector<int>& upper = plan->upper_bounds[static_cast<size_t>(t1)];
   const auto outer = [&](const std::vector<int>& bounds) {
@@ -305,20 +329,22 @@ void WireTwinClosure(ExecutionPlan* plan) {
     if (ry == rx + 1) links |= 1u << rx;
   }
   if (links != (1u << (k - 1)) - 1) return;
-  // b's window must not name a twin (b's order against the twins would then
-  // depend on which twin binds which vertex).
-  const CompWindow b_window = plan->comp_windows.empty()
-                                  ? CompWindow{}
-                                  : plan->comp_windows[static_cast<size_t>(b)];
-  const std::vector<int>* b_bounds[] = {
-      &plan->lower_bounds[static_cast<size_t>(b)],
-      &plan->upper_bounds[static_cast<size_t>(b)], &b_window.lower,
-      &b_window.upper};
-  for (const std::vector<int>* bounds : b_bounds) {
-    if (outer(*bounds).size() != bounds->size()) return;
+  if (b >= 0) {
+    // b's window must not name a twin (b's order against the twins would
+    // then depend on which twin binds which vertex).
+    const CompWindow b_window =
+        plan->comp_windows.empty() ? CompWindow{}
+                                   : plan->comp_windows[static_cast<size_t>(b)];
+    const std::vector<int>* b_bounds[] = {
+        &plan->lower_bounds[static_cast<size_t>(b)],
+        &plan->upper_bounds[static_cast<size_t>(b)], &b_window.lower,
+        &b_window.upper};
+    for (const std::vector<int>* bounds : b_bounds) {
+      if (outer(*bounds).size() != bounds->size()) return;
+    }
+    twins.push_back(b);
   }
-  plan->twin_closure = twins;
-  plan->twin_closure.push_back(b);
+  plan->twin_closure = std::move(twins);
 }
 
 ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
@@ -376,6 +402,18 @@ ExecutionPlan BuildPlanWithConstraints(const Pattern& pattern,
   return Assemble(pattern, pi, opts, std::move(constraints));
 }
 
+int ExecutionPlan::TwinClosureB() const {
+  return HasTwinClosure() &&
+                 pattern.HasEdge(twin_closure.front(), twin_closure.back())
+             ? twin_closure.back()
+             : -1;
+}
+
+bool ExecutionPlan::TwinClosureLabeled() const {
+  return std::any_of(twin_closure.begin(), twin_closure.end(),
+                     [&](int u) { return pattern.Label(u) != 0; });
+}
+
 bool ExecutionPlan::HasCompWindows() const {
   return std::any_of(comp_windows.begin(), comp_windows.end(),
                      [](const CompWindow& w) { return !w.empty(); });
@@ -430,11 +468,16 @@ std::string ExecutionPlan::ToString() const {
     out += "\n";
   }
   if (HasTwinClosure()) {
+    const int b = TwinClosureB();
     out += "twin closure: ";
-    for (size_t i = 0; i + 1 < twin_closure.size(); ++i) {
-      out += (i > 0 ? "<u" : "u") + std::to_string(twin_closure[i]);
+    for (size_t i = 0; i < twin_closure.size(); ++i) {
+      if (twin_closure[i] == b) {
+        out += " -> u" + std::to_string(b);
+      } else {
+        out += (i > 0 ? "<u" : "u") + std::to_string(twin_closure[i]);
+      }
     }
-    out += " -> u" + std::to_string(twin_closure.back()) + "\n";
+    out += "\n";
   }
   if (!counted_tail.empty()) {
     out += "counted tail:";

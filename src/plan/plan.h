@@ -33,7 +33,9 @@ inline constexpr uint32_t kBitmapDegreeAuto = kBitmapDegreeNever - 1;
 ///               Möbius weights — exact, and often orders of magnitude
 ///               fewer embeddings touched;
 ///   kAuto       kIep when the pattern has a profitable tail (>= 2
-///               independent counted vertices), else kEnumerate.
+///               independent counted vertices), else kEnumerate; also
+///               kEnumerate when the enumeration plan counts its last
+///               vertices by one binomial (ExecutionPlan::HasTwinLeaf).
 enum class CountStrategy : uint8_t {
   kEnumerate,
   kIep,
@@ -156,24 +158,38 @@ struct ExecutionPlan {
   /// recursing. Empty for ordinary plans.
   std::vector<int> counted_tail;
   /// Twin closure (empty when the plan has none): pattern vertices t1..tk
-  /// (k >= 2) in chain order, then b. The twins are pairwise non-adjacent
-  /// with identical pattern neighbourhoods, read one candidate set computed
-  /// before MAT(t1), and the restrictions order them t1 < ... < tk; every
-  /// other bound on a twin is shared and names only vertices bound before
-  /// MAT(t1). b's only neighbours and K1 operands are the twins, and none of
-  /// b's bounds names a twin. sigma ends MAT(t1) ... MAT(tk) COMP(b) MAT(b),
-  /// so a count-only run may close the match count from MAT(t1) on with one
-  /// pass over C(t1): with S = C(t1) cut to the twins' window minus the
-  /// bound data vertices and cnt[w] = |N(w) cap S|, the count is
-  /// sum over unbound w in b's window of C(cnt[w], k) (Chiba–Nishizeki's
-  /// quadrangle count for k = 2). Never set on induced or counted-tail
-  /// plans.
+  /// (k >= 2) in chain order, then the closing vertex b if there is one.
+  /// The twins are pairwise non-adjacent with identical pattern
+  /// neighbourhoods of at least two vertices, read one candidate set
+  /// computed before MAT(t1), and the restrictions order them
+  /// t1 < ... < tk; every other bound on a twin is shared and names only
+  /// vertices bound before MAT(t1). With S = C(t1) cut to the twins' window
+  /// minus the bound data vertices, the twins bind, in chain order, to every
+  /// i-subset of S, so a count-only run adds C(|S|, i) to MAT(t_i)'s
+  /// extension count instead of walking them.
+  ///  - Leaf (no b): sigma ends MAT(t1) ... MAT(tk) and the count is
+  ///    C(|S|, k) (a book's pages, the diamond's u1, u3).
+  ///  - Closing vertex b: b's only neighbours and K1 operands are the twins,
+  ///    and none of b's bounds names a twin. sigma ends MAT(t1) ... MAT(tk)
+  ///    COMP(b) MAT(b), and with cnt[w] = |N(w) cap S| the count is the sum
+  ///    over unbound w in b's window of C(cnt[w], k) (Chiba–Nishizeki's
+  ///    quadrangle count for k = 2).
+  /// Never set on induced or counted-tail plans.
   std::vector<int> twin_closure;
 
   int FirstVertex() const { return pi[0]; }
   bool HasCountedTail() const { return !counted_tail.empty(); }
   bool HasCompWindows() const;
   bool HasTwinClosure() const { return !twin_closure.empty(); }
+  /// The twin closure's closing vertex b, or -1 when the closure ends at
+  /// the twins' leaf (or there is none). b is adjacent to the twins; the
+  /// twins are not adjacent to each other.
+  int TwinClosureB() const;
+  /// A twin closure without b: the twins end sigma.
+  bool HasTwinLeaf() const { return HasTwinClosure() && TwinClosureB() < 0; }
+  /// Some vertex of the twin closure carries a label. On labeled data such
+  /// a run checks labels vertex by vertex, so it walks sigma instead.
+  bool TwinClosureLabeled() const;
 
   /// Multi-line human-readable plan description.
   std::string ToString() const;

@@ -64,29 +64,25 @@ Status GraphStore::Open(const std::string& path, const OpenOptions& options,
   store->mode_ = options.mode;
   store->path_ = path;
 
+  std::unique_ptr<MmapRegion> region;
   if (options.mode == Mode::kHeap) {
     // Heap mode accepts any sniffable on-disk format; labels only exist in
-    // .lcsr2 snapshots.
+    // .lcsr2 snapshots. A snapshot is copied whole into private memory and
+    // then used in place, exactly as a mapping is.
     GraphFileFormat format;
     LIGHT_RETURN_IF_ERROR(SniffGraphFormat(path, &format));
-    Graph graph;
-    if (format == GraphFileFormat::kLcsr2) {
-      LIGHT_RETURN_IF_ERROR(
-          LoadStoreFile(path, &graph, &store->owned_labels_));
-    } else {
-      LIGHT_RETURN_IF_ERROR(LoadAuto(path, &graph));
+    if (format != GraphFileFormat::kLcsr2) {
+      LIGHT_RETURN_IF_ERROR(LoadAuto(path, &store->graph_));
+      *out = std::move(store);
+      PublishOpenCounters(**out);
+      return Status::OK();
     }
-    store->graph_ = std::move(graph);
-    store->labels_ = store->owned_labels_;
-    *out = std::move(store);
-    PublishOpenCounters(**out);
-    return Status::OK();
+    LIGHT_RETURN_IF_ERROR(MmapRegion::ReadPrivate(path, &region));
+  } else {
+    // mmap mode requires the v2 layout (aligned, mappable sections).
+    LIGHT_CHECK(options.mode == Mode::kMmap);
+    LIGHT_RETURN_IF_ERROR(MmapRegion::Open(path, &region));
   }
-
-  // mmap mode requires the v2 layout (aligned, mappable sections).
-  LIGHT_CHECK(options.mode == Mode::kMmap);
-  std::unique_ptr<MmapRegion> region;
-  LIGHT_RETURN_IF_ERROR(MmapRegion::Open(path, &region));
   Lcsr2Header header;
   LIGHT_RETURN_IF_ERROR(
       ParseLcsr2Header(region->data(), region->size(), path, &header));
@@ -94,12 +90,14 @@ Status GraphStore::Open(const std::string& path, const OpenOptions& options,
       reinterpret_cast<const EdgeID*>(region->data() + header.offsets_off);
   const VertexID* neighbors = reinterpret_cast<const VertexID*>(
       region->data() + header.neighbors_off);
-  // Offsets stay resident (willneed); adjacency faults in on demand with
-  // random-access locality.
-  region->AdviseWillNeed(header.offsets_off,
-                         (header.n + 1) * sizeof(EdgeID));
-  region->AdviseRandom(header.neighbors_off,
-                       header.slots * sizeof(VertexID));
+  if (options.mode == Mode::kMmap) {
+    // Offsets stay resident (willneed); adjacency faults in on demand with
+    // random-access locality.
+    region->AdviseWillNeed(header.offsets_off,
+                           (header.n + 1) * sizeof(EdgeID));
+    region->AdviseRandom(header.neighbors_off,
+                         header.slots * sizeof(VertexID));
+  }
   LIGHT_RETURN_IF_ERROR(ValidateOffsets(offsets, header.n, header.slots,
                                         header.max_degree, path));
   store->region_ = std::move(region);

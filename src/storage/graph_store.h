@@ -5,8 +5,10 @@
 /// an immutable CSR snapshot (graph/graph_io.h's .lcsr2 format) opened in
 /// one of two modes:
 ///
-///   kHeap  — fully loaded into today's owning Graph. Highest throughput,
-///            O(file) open cost, private memory per process.
+///   kHeap  — the file is read whole into private anonymous memory and the
+///            CSR sections are used in place. Highest throughput, O(file)
+///            open cost, private memory per process, and closing it gives
+///            the memory straight back (no malloc heap in between).
 ///   kMmap  — the file is mapped read-only and the CSR sections are used in
 ///            place: open is instant (only the offsets array is touched for
 ///            validation), adjacency faults in on demand, and every Session
@@ -68,8 +70,8 @@ class GraphStore {
   /// The mode-blind engine seam.
   GraphView view() const { return GraphView(graph_); }
 
-  /// The backing Graph (heap: owning; mmap: borrowing the mapping). Never
-  /// null.
+  /// The backing Graph (borrowing the region; owning for an edge list or
+  /// FromGraph). Never null.
   const Graph* graph() const { return &graph_; }
 
   VertexID NumVertices() const { return graph_.NumVertices(); }
@@ -82,7 +84,7 @@ class GraphStore {
   /// Bytes of the file currently mapped into this process (mmap mode; 0
   /// otherwise) — the store.bytes_mapped counter.
   uint64_t bytes_mapped() const {
-    return region_ != nullptr ? region_->size() : 0;
+    return mode_ == Mode::kMmap && region_ != nullptr ? region_->size() : 0;
   }
 
   /// Lazily builds (once per distinct options) and shares a BitmapIndex
@@ -106,12 +108,12 @@ class GraphStore {
   Mode mode_ = Mode::kHeap;
   std::string path_;
 
-  // kHeap: owning graph. kMmap: borrowed graph over region_.
+  // A snapshot: graph borrowed over region_ (the file's mapping in kMmap,
+  // its private copy in kHeap). An edge list or FromGraph: owning graph.
   Graph graph_;
-  std::unique_ptr<MmapRegion> region_;  // kMmap only
+  std::unique_ptr<MmapRegion> region_;
 
-  // Labels: owned in heap mode, a view into the mapping in mmap mode.
-  std::vector<uint32_t> owned_labels_;
+  // A view into region_; empty when the snapshot has no labels.
   std::span<const uint32_t> labels_;
 
   // Shared bitmap cache, keyed by the build options. Rank 54 sits above

@@ -313,6 +313,68 @@ TEST(AnalysisTest, TwinClosureOnInducedOrCountedTailPlanIsCaught) {
   EXPECT_TRUE(HasRule(LintTwinClosure(tail), "twin-closure"));
 }
 
+// --- twin-closure, leaf form: twins that end sigma ------------------------
+
+ExecutionPlan BookPlan() {
+  Pattern p5;
+  EXPECT_TRUE(FindPattern("P5", &p5).ok());
+  return BuildPlan(p5, TestGraph(), TestStats(), PlanOptions::Light());
+}
+
+bool HasTwinMessage(const LintReport& report, const std::string& text) {
+  for (const LintDiagnostic& d : report.diagnostics) {
+    if (d.rule_id == "twin-closure" &&
+        d.message.find(text) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(AnalysisTest, BuiltTwinLeafLintsClean) {
+  const ExecutionPlan plan = BookPlan();
+  ASSERT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5}))
+      << plan.ToString();
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(report.empty()) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinLeafThatDoesNotEndSigmaIsCaught) {
+  // u5 is a page too, but the leaf stops at u4: MAT(u5) would run after it.
+  ExecutionPlan plan = BookPlan();
+  plan.twin_closure = {2, 3, 4};
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasTwinMessage(report, "does not end MAT(t1) ... MAT(tk) over "
+                                     "the twin leaf"))
+      << report.ToString();
+}
+
+TEST(AnalysisTest, TwinLeafOverOneNeighbourTwinsIsCaught) {
+  // The claw's leaves u2, u3 share only the centre u0: out of scope.
+  Pattern star3;
+  ASSERT_TRUE(FindPattern("star3", &star3).ok());
+  ExecutionPlan plan =
+      BuildPlanWithOrder(star3, {1, 0, 2, 3}, PlanOptions::Light());
+  ASSERT_FALSE(plan.HasTwinClosure()) << plan.ToString();
+  plan.twin_closure = {2, 3};
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasTwinMessage(report, "fewer than two pattern neighbours"))
+      << report.ToString();
+  EXPECT_EQ(CountRule(report, "twin-closure"), 1u) << report.ToString();
+}
+
+TEST(AnalysisTest, TwinClosureWithLateOuterUpperBoundIsCaught) {
+  // An upper bound naming b (bound after the twins) on both twins: the
+  // closure would read phi(u2) before it is bound.
+  ExecutionPlan plan = FourCyclePlan();
+  plan.upper_bounds[1].push_back(2);
+  plan.upper_bounds[3].push_back(2);
+  const LintReport report = LintTwinClosure(plan);
+  EXPECT_TRUE(HasTwinMessage(report, "outer bound u2 of the twins is not "
+                                     "bound before MAT(u1)"))
+      << report.ToString();
+}
+
 TEST(AnalysisTest, K2OverreachIsCaught) {
   // Diamond 0-1, 0-2, 1-2, 1-3, 2-3 under pi = (0, 1, 2, 3): u3's backward
   // neighbors are {1, 2} but C(u2) additionally enforces adjacency to

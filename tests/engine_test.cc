@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -393,6 +394,7 @@ std::vector<Graph> TwinTestGraphs() {
 
 TEST(TwinClosureTest, ClosureChangesWorkNotResults) {
   size_t closure_plans = 0;
+  size_t leaf_plans = 0;
   for (const Graph& g : TwinTestGraphs()) {
     Rng rng(g.NumVertices());
     std::vector<uint32_t> labels(g.NumVertices());
@@ -411,6 +413,7 @@ TEST(TwinClosureTest, ClosureChangesWorkNotResults) {
           options.induced = induced;
           const ExecutionPlan plan = BuildPlan(pattern, g, stats, options);
           closure_plans += plan.HasTwinClosure() ? 1 : 0;
+          leaf_plans += plan.HasTwinLeaf() ? 1 : 0;
           ExpectClosureKeepsResults(
               g, plan, labeled ? &labels : nullptr,
               entry.name + (induced ? " induced" : " edge") +
@@ -420,22 +423,29 @@ TEST(TwinClosureTest, ClosureChangesWorkNotResults) {
       }
     }
   }
-  EXPECT_GT(closure_plans, 0u);
+  EXPECT_GT(closure_plans, leaf_plans);
+  EXPECT_GT(leaf_plans, 0u);
 }
 
 // Ad-hoc shapes under every connected order: a square with a pendant on
 // u0 (with the pendant bound first, its image can lie in S or be a w, and
-// must count for neither) and K2,3 (three twins close on the far side).
+// must count for neither), K2,3 (three twins close on the far side, or two
+// end sigma as a leaf), a book with a pendant on a page (the pendant's
+// image can lie in the other pages' set) and a diamond with a pendant on
+// its spine.
 TEST(TwinClosureTest, EveryOrderOfPendantSquareAndK23) {
   const std::pair<const char*, const char*> shapes[] = {
       {"pendant square", "0-1,1-2,2-3,3-0,0-4"},
       {"K2,3", "0-2,0-3,0-4,1-2,1-3,1-4"},
+      {"book3 with a pendant page", "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-5"},
+      {"diamond with a pendant spine", "0-1,0-2,0-3,1-2,2-3,0-4"},
   };
   for (const auto& [name, edges] : shapes) {
     Pattern pattern;
     ASSERT_TRUE(ParsePattern(edges, &pattern).ok()) << edges;
     size_t closure_plans = 0;
-    std::vector<int> pi = {0, 1, 2, 3, 4};
+    std::vector<int> pi(static_cast<size_t>(pattern.NumVertices()));
+    std::iota(pi.begin(), pi.end(), 0);
     do {
       if (!IsConnectedOrder(pattern, pi)) continue;
       const ExecutionPlan plan =
@@ -447,6 +457,55 @@ TEST(TwinClosureTest, EveryOrderOfPendantSquareAndK23) {
       }
     } while (std::next_permutation(pi.begin(), pi.end()));
     EXPECT_GT(closure_plans, 0u) << name;
+  }
+}
+
+// A count-only P5 (book4) run takes the leaf at COMP(u2): the pages' alias
+// COMPs never run, and the pages' MAT extensions are binomials of the
+// spine's common neighbourhood.
+TEST(TwinClosureTest, BookLeafSkipsTheAliasComps) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(2000, 6, /*seed=*/45));
+  Pattern p5;
+  ASSERT_TRUE(FindPattern("P5", &p5).ok());
+  const ExecutionPlan plan = PlanFor(p5, g, PlanOptions::Light());
+  ASSERT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5}))
+      << plan.ToString();
+  ASSERT_LT(plan.TwinClosureB(), 0);
+  Enumerator leaf(g, plan);
+  ExecutionPlan cleared = plan;
+  cleared.twin_closure.clear();
+  Enumerator walk(g, cleared);
+  EXPECT_EQ(leaf.Count(), walk.Count());
+  EXPECT_GT(leaf.stats().num_matches, 0u);
+  EXPECT_EQ(leaf.stats().mat_counts, walk.stats().mat_counts);
+  EXPECT_EQ(leaf.stats().comp_counts[2], walk.stats().comp_counts[2]);
+  for (const int page : {3, 4, 5}) {
+    EXPECT_EQ(leaf.stats().comp_counts[static_cast<size_t>(page)], 0u);
+    EXPECT_GT(walk.stats().comp_counts[static_cast<size_t>(page)], 0u);
+  }
+}
+
+// A time limit stops a leaf too; a stopped run adds no partial binomials,
+// and the next run on the same enumerator counts in full.
+TEST(TwinClosureTest, TimeLimitStopsLeaf) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(6000, 8, /*seed=*/44));
+  for (const char* name : {"P5", "P2"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    const ExecutionPlan plan = PlanFor(pattern, g, PlanOptions::Light());
+    ASSERT_TRUE(plan.HasTwinLeaf()) << plan.ToString();
+    ExecutionPlan cleared = plan;
+    cleared.twin_closure.clear();
+    Enumerator walk(g, cleared);
+    const uint64_t expected = walk.Count();
+    Enumerator enumerator(g, plan);
+    enumerator.SetTimeLimit(1e-5);
+    EXPECT_LE(enumerator.Count(), expected) << name;
+    EXPECT_TRUE(enumerator.stats().timed_out) << name;
+    enumerator.SetTimeLimit(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(enumerator.Count(), expected) << name;
+    EXPECT_FALSE(enumerator.stats().timed_out) << name;
+    EXPECT_EQ(enumerator.stats().mat_counts, walk.stats().mat_counts) << name;
   }
 }
 

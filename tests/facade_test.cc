@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/generators.h"
 #include "pattern/parse.h"
 #include "pattern/symmetry_breaking.h"
@@ -207,6 +209,35 @@ TEST(FacadeTest, CountStrategyAutoMatchesEnumeration) {
   aut.plan_options.count_strategy = CountStrategy::kAuto;
   EXPECT_EQ(light::Run(g, star, aut).num_matches,
             light::Run(g, star, enumerate).num_matches);
+}
+
+// kAuto counts by enumeration when the enumeration plan ends in a twin
+// leaf (book4 = P5's pages, the diamond's u1 and u3), and by IEP terms for
+// a star, whose one-neighbour twins keep walking. A fresh session caches one
+// plan per part, plus the enumeration plan kAuto resolved to decide.
+TEST(FacadeTest, CountStrategyAutoEnumeratesTwinLeaves) {
+  const Graph g = TestGraph();
+  for (const char* name : {"book4", "P5", "diamond", "star4"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    const bool leaf = std::string(name) != "star4";
+    RunOptions options;
+    options.threads = 1;
+    options.lint_plan = true;
+    options.plan_options.count_strategy = CountStrategy::kIep;
+    const uint64_t expected = light::Run(g, pattern, options).num_matches;
+    EXPECT_GT(expected, 0u) << name;
+
+    options.plan_options.count_strategy = CountStrategy::kAuto;
+    Session session(g, {});
+    const RunResult result = session.RunSync(pattern, options);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.error;
+    EXPECT_EQ(result.num_matches, expected) << name;
+    const size_t terms = BuildIepDecomposition(pattern).terms.size();
+    ASSERT_GT(terms, 1u) << name;
+    EXPECT_EQ(session.stats().plan_cache_misses, leaf ? 1u : 1u + terms)
+        << name;
+  }
 }
 
 TEST(FacadeTest, DisconnectedPatternIsAnError) {

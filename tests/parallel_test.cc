@@ -325,6 +325,30 @@ TEST(WorkerPoolTest, PoolWorkersTakeTheTwinClosure) {
   EXPECT_EQ(result.stats.mat_counts, serial.stats().mat_counts);
 }
 
+// Pool workers take a twin leaf the same way: the parallel P5 (book4) run
+// never computes the pages' alias COMPs and matches the serial one.
+TEST(WorkerPoolTest, PoolWorkersTakeTheTwinLeaf) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(1500, 5, /*seed=*/43));
+  Pattern p5;
+  ASSERT_TRUE(FindPattern("P5", &p5).ok());
+  const ExecutionPlan plan =
+      BuildPlan(p5, g, ComputeGraphStats(g), PlanOptions::Light());
+  ASSERT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5}))
+      << plan.ToString();
+  Enumerator serial(g, plan);
+  const uint64_t expected = serial.Count();
+  ParallelOptions options;
+  options.num_threads = 4;
+  const ParallelResult result = ParallelCount(g, plan, options);
+  EXPECT_EQ(result.num_matches, expected);
+  EXPECT_EQ(result.stats.mat_counts, serial.stats().mat_counts);
+  EXPECT_EQ(result.stats.num_partial_results,
+            serial.stats().num_partial_results);
+  for (const size_t page : {3u, 4u, 5u}) {
+    EXPECT_EQ(result.stats.comp_counts[page], 0u) << "u" << page;
+  }
+}
+
 // A query capped at one lease never donates: the pool's other workers park
 // idle, but Pop skips a query at its cap, so a split would only halve its
 // range for workers that cannot take it.

@@ -11,6 +11,7 @@
 #include "graph/reorder.h"
 #include "light.h"
 #include "pattern/catalog.h"
+#include "pattern/parse.h"
 #include "plan/cardinality.h"
 #include "plan/execution_order.h"
 #include "plan/iep.h"
@@ -333,24 +334,53 @@ TEST(PlanTest, FourCyclePicksTheWedgeFirstUnderEveryNumbering) {
   }
 }
 
-// No other paper pattern ends in twins that only close on one vertex, and
-// without symmetry breaking no restriction orders the twins.
-TEST(PlanTest, TwinClosureOnlyOnTheRestrictedFourCycle) {
+// The twin closure's scope. Twins sharing >= 2 pattern neighbours get a
+// leaf when they end sigma (P2/diamond's u1, u3; the pages of book4 = P5;
+// K2,3's side of three), the 4-cycle keeps its closing vertex, and
+// one-neighbour twins (stars, paths) and IEP term plans get none. Without
+// symmetry breaking no restriction orders the twins, so no plan has one.
+TEST(PlanTest, TwinClosureScope) {
+  Pattern k23;
+  ASSERT_TRUE(ParsePattern("0-2,0-3,0-4,1-2,1-3,1-4", &k23).ok());
   for (const auto& [graph_name, raw] : FourCycleGraphs()) {
     const Graph g = RelabelByDegree(raw);
     const GraphStats stats = ComputeGraphStats(g);
-    for (const std::string& name : ExperimentPatternNames()) {
-      Pattern pattern;
-      ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    std::vector<std::pair<std::string, Pattern>> patterns = {{"K2,3", k23}};
+    for (const PatternEntry& entry : PatternCatalog()) {
+      patterns.emplace_back(entry.name, entry.pattern);
+    }
+    for (const auto& [name, pattern] : patterns) {
+      const std::string at = name + " " + graph_name;
       PlanOptions no_symmetry = PlanOptions::Light();
       no_symmetry.symmetry_breaking = false;
       EXPECT_FALSE(BuildPlan(pattern, g, stats, no_symmetry).HasTwinClosure())
-          << name << " " << graph_name;
-      if (name == "P1") continue;
+          << at;
       const ExecutionPlan plan =
           BuildPlan(pattern, g, stats, PlanOptions::Light());
-      EXPECT_FALSE(plan.HasTwinClosure())
-          << name << " " << graph_name << "\n" << plan.ToString();
+      const bool leaf = name == "P2" || name == "diamond" || name == "P5" ||
+                        name == "book4" || name == "K2,3";
+      const bool closes = name == "P1" || name == "square";
+      EXPECT_EQ(plan.HasTwinClosure(), leaf || closes) << at << "\n"
+                                                      << plan.ToString();
+      if (!plan.HasTwinClosure()) continue;
+      EXPECT_EQ(plan.TwinClosureB() >= 0, closes) << at;
+      if (name == "P5" || name == "book4") {
+        EXPECT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5})) << at;
+        EXPECT_NE(plan.ToString().find("\ntwin closure: u2<u3<u4<u5\n"),
+                  std::string::npos)
+            << at;
+      }
+    }
+    for (const char* name : {"star3", "star4", "star5", "book4", "P2"}) {
+      Pattern pattern;
+      ASSERT_TRUE(FindPattern(name, &pattern).ok());
+      const IepDecomposition dec = BuildIepDecomposition(pattern);
+      ASSERT_TRUE(dec.valid()) << name;
+      for (const IepTerm& term : dec.terms) {
+        EXPECT_FALSE(BuildIepTermPlan(term, g, stats, PlanOptions::Light())
+                         .HasTwinClosure())
+            << name << " " << graph_name;
+      }
     }
   }
 }

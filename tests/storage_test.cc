@@ -374,6 +374,29 @@ TEST(GraphStoreTest, SaveStoreFileLeavesMappedSnapshotIntact) {
   std::remove(path.c_str());
 }
 
+// A heap store is a private copy: it keeps serving the snapshot after the
+// file is gone, and repeated open/close cycles (a server reloading its
+// snapshot) all see the same graph.
+TEST(GraphStoreTest, HeapStoreOutlivesItsFile) {
+  const Graph g = TestGraph();
+  const std::string path = TempPath("heap_copy.lcsr2");
+  ASSERT_TRUE(SaveStoreFile(g, path).ok());
+  const uint64_t expected = CountOn(GraphView(g), g, "P1");
+
+  GraphStore::OpenOptions options;
+  options.mode = GraphStore::Mode::kHeap;
+  std::shared_ptr<const GraphStore> store;
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(GraphStore::Open(path, options, &store).ok());
+    EXPECT_EQ(CountOn(store->view(), g, "P1"), expected) << round;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(store->NumEdges(), g.NumEdges());
+  EXPECT_EQ(store->MaxDegree(), g.MaxDegree());
+  EXPECT_EQ(CountOn(store->view(), g, "P1"), expected);
+  EXPECT_EQ(store->bytes_mapped(), 0u);
+}
+
 TEST(GraphStoreTest, FromGraphWrapsHeapStore) {
   const std::shared_ptr<const GraphStore> store =
       GraphStore::FromGraph(TestGraph());
@@ -488,6 +511,9 @@ TEST(GraphIoTest, RejectsGarbageAndTruncation) {
   GraphStore::OpenOptions mmap_options;
   mmap_options.mode = GraphStore::Mode::kMmap;
   EXPECT_FALSE(GraphStore::Open(cut_path, mmap_options, &store).ok());
+  GraphStore::OpenOptions heap_options;
+  heap_options.mode = GraphStore::Mode::kHeap;
+  EXPECT_FALSE(GraphStore::Open(cut_path, heap_options, &store).ok());
 
   std::remove(empty_path.c_str());
   std::remove(garbage_path.c_str());

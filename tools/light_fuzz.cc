@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
       "light_fuzz: seed=%llu cases=%llu divergences=%llu bitmap_cases=%llu "
       "lint_violations=%llu session_cases=%llu deadline_cases=%llu "
       "iep_cases=%llu comp_window_cases=%llu twin_closure_cases=%llu "
-      "store_cases=%llu labeled_cases=%llu time=%.1fs\n",
+      "twin_leaf_cases=%llu store_cases=%llu labeled_cases=%llu "
+      "time=%.1fs\n",
       static_cast<unsigned long long>(options.seed),
       static_cast<unsigned long long>(summary.cases_run),
       static_cast<unsigned long long>(summary.divergences),
@@ -115,6 +116,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(summary.iep_cases),
       static_cast<unsigned long long>(summary.comp_window_cases),
       static_cast<unsigned long long>(summary.twin_closure_cases),
+      static_cast<unsigned long long>(summary.twin_leaf_cases),
       static_cast<unsigned long long>(summary.store_cases),
       static_cast<unsigned long long>(summary.labeled_cases),
       summary.elapsed_seconds);
