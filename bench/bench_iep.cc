@@ -1,14 +1,16 @@
-// Inclusion-exclusion counting benchmark (GraphPi-style, arXiv:2009.10955).
+// Count-only leaf benchmark (ExecutionPlan::leaf; GraphPi's partition sum,
+// arXiv:2009.10955, and the twins' binomials).
 //
-// Counting-only workloads whose patterns carry a large independent tail
-// (stars, books) are exactly where the IEP decomposition replaces an
-// exponential leaf enumeration with a handful of small kernel counts.
-// Each workload runs the light::Run facade twice at threads=1:
-//   enumerate  count_strategy=kEnumerate (classic tree enumeration)
-//   iep        count_strategy=kIep (signed kernel-term combination)
-// Unique counts must agree exactly; any mismatch is fatal. Acceptance:
-// with --check X, at least two workloads must reach an X-fold speedup
-// (CI passes --check 3 per the PR-8 gate).
+// Each workload builds one plan and runs it twice through light::Run at
+// threads=1:
+//   leaf  count only: the plan's leaf counts its tail per binding of the
+//         rest instead of walking it;
+//   walk  the same plan with a counting MatchVisitor, which walks every
+//         match (no leaf).
+// Counts must agree exactly; any mismatch is fatal. Acceptance: with
+// --check X, at least two workloads must reach an X-fold speedup (CI passes
+// --check 3). The patterns end in a leaf of >= 2 vertices: twins (stars,
+// books), or a path's two ends (partition form).
 //
 // Every timed run is appended to --json PATH as one JSONL record.
 
@@ -17,7 +19,6 @@
 #include <algorithm>
 
 #include "light.h"
-#include "plan/iep.h"
 
 namespace {
 
@@ -36,12 +37,13 @@ struct LegResult {
 };
 
 LegResult RunLeg(const Graph& graph, const Pattern& pattern,
-                 CountStrategy strategy, double time_limit) {
+                 const ExecutionPlan& plan, MatchVisitor* visitor,
+                 double time_limit) {
   RunOptions opts;
   opts.threads = 1;
   opts.time_limit_seconds = time_limit;
-  opts.unique_subgraphs = true;
-  opts.plan_options.count_strategy = strategy;
+  opts.plan = &plan;
+  opts.visitor = visitor;
   const light::RunResult r = Run(graph, pattern, opts);
   if (!r.ok()) {
     std::fprintf(stderr, "FATAL: %s\n", r.error.c_str());
@@ -63,81 +65,81 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = std::atof(argv[i + 1]);
   }
-  PrintHeader("Inclusion-exclusion vs enumeration counting", args);
+  PrintHeader("Count-only leaf vs walk", args);
 
-  // Hub-heavy generators make star/book counts explode combinatorially:
-  // a hub of degree d contributes C(d, k) embeddings of a (k+1)-star, so
-  // the enumeration leg scales super-linearly while the IEP leg only
-  // counts small kernels. All patterns here decompose with tail >= 2.
+  // Hub-heavy generators make star/book counts explode combinatorially: a
+  // hub of degree d contributes C(d, k) embeddings of a (k+1)-star, so the
+  // walk scales super-linearly while the leaf reads one set per hub.
   const Workload workloads[] = {
-      {"yt_s", "star4"},
-      {"eu_s", "star5"},
-      {"lj_s", "book4"},
-      {"yt_s", "P5"},
+      {"yt_s", "star3"}, {"yt_s", "star4"}, {"eu_s", "star5"},
+      {"lj_s", "book4"}, {"yt_s", "P5"},    {"yt_s", "path3"},
   };
 
-  std::printf("%-8s %-8s | %5s | %12s %12s | %8s\n", "dataset", "pattern",
-              "tail", "enumerate", "iep", "speedup");
+  std::printf("%-8s %-8s | %4s | %12s %12s | %8s\n", "dataset", "pattern",
+              "tail", "walk", "leaf", "speedup");
   int passing = 0;
   std::vector<double> speedups;
   for (const Workload& w : workloads) {
     const BenchGraph bg = LoadBenchGraph(w.dataset, args.scale);
     const Pattern pattern = LoadPattern(w.pattern);
-    const IepDecomposition dec = BuildIepDecomposition(pattern);
-    if (!dec.valid() || dec.tail.size() < 2) {
-      std::fprintf(stderr, "FATAL: %s lacks an IEP tail >= 2\n", w.pattern);
-      return 1;
-    }
-
-    const LegResult enumerate =
-        RunLeg(bg.graph, pattern, CountStrategy::kEnumerate,
-               args.time_limit_seconds);
-    const LegResult iep = RunLeg(bg.graph, pattern, CountStrategy::kIep,
-                                 args.time_limit_seconds);
-    if (iep.oot) {
-      std::fprintf(stderr, "FATAL: IEP leg timed out on %s/%s\n", w.dataset,
+    RunOptions build;
+    build.threads = 1;
+    const ExecutionPlan plan = BuildRunPlan(
+        bg.graph, ComputeGraphStats(bg.graph), pattern, build.Normalized());
+    if (plan.leaf.tail.size() < 2) {
+      std::fprintf(stderr, "FATAL: %s's plan lacks a leaf of >= 2 vertices\n",
                    w.pattern);
       return 1;
     }
-    if (!enumerate.oot && enumerate.matches != iep.matches) {
+
+    WalkVisitor visitor;
+    const LegResult walk = RunLeg(bg.graph, pattern, plan, &visitor,
+                                  args.time_limit_seconds);
+    const LegResult leaf = RunLeg(bg.graph, pattern, plan, nullptr,
+                                  args.time_limit_seconds);
+    if (leaf.oot) {
+      std::fprintf(stderr, "FATAL: leaf leg timed out on %s/%s\n", w.dataset,
+                   w.pattern);
+      return 1;
+    }
+    if (!walk.oot && walk.matches != leaf.matches) {
       std::fprintf(stderr,
-                   "FATAL: count mismatch on %s/%s (enumerate=%llu iep=%llu)\n",
+                   "FATAL: count mismatch on %s/%s (walk=%llu leaf=%llu)\n",
                    w.dataset, w.pattern,
-                   static_cast<unsigned long long>(enumerate.matches),
-                   static_cast<unsigned long long>(iep.matches));
+                   static_cast<unsigned long long>(walk.matches),
+                   static_cast<unsigned long long>(leaf.matches));
       return 1;
     }
 
-    // An enumeration timeout still lower-bounds the speedup: the leg ran
-    // for the full limit without finishing.
-    const double speedup =
-        iep.seconds > 0 ? enumerate.seconds / iep.seconds : 0.0;
-    std::printf("%-8s %-8s | %5zu | %12s %11.4fs | %7.2fx%s\n", w.dataset,
-                w.pattern, dec.tail.size(),
-                enumerate.oot ? "INF" : FormatSeconds(enumerate.seconds).c_str(),
-                iep.seconds, speedup, enumerate.oot ? " (floor)" : "");
+    // A walk timeout still lower-bounds the speedup: the leg ran for the
+    // full limit without finishing.
+    const double speedup = leaf.seconds > 0 ? walk.seconds / leaf.seconds : 0.0;
+    std::printf("%-8s %-8s | %4zu | %12s %11.4fs | %7.2fx%s\n", w.dataset,
+                w.pattern, plan.leaf.tail.size(),
+                walk.oot ? "INF" : FormatSeconds(walk.seconds).c_str(),
+                leaf.seconds, speedup, walk.oot ? " (floor)" : "");
     speedups.push_back(speedup);
     if (check > 0 && speedup >= check) ++passing;
 
     bench::RunResult rr;
-    rr.seconds = enumerate.seconds;
-    rr.matches = enumerate.matches;
-    rr.oot = enumerate.oot;
-    RecordRun(args, "bench_iep", w.dataset, w.pattern, "enumerate", 1, rr);
-    rr.seconds = iep.seconds;
-    rr.matches = iep.matches;
+    rr.seconds = walk.seconds;
+    rr.matches = walk.matches;
+    rr.oot = walk.oot;
+    RecordRun(args, "bench_iep", w.dataset, w.pattern, "walk", 1, rr);
+    rr.seconds = leaf.seconds;
+    rr.matches = leaf.matches;
     rr.oot = false;
-    RecordRun(args, "bench_iep", w.dataset, w.pattern, "iep", 1, rr);
+    RecordRun(args, "bench_iep", w.dataset, w.pattern, "leaf", 1, rr);
   }
 
   // The snapshot metric is the second-best speedup: "at least two dense
   // workloads clear the bar" rather than one outlier.
   std::sort(speedups.begin(), speedups.end(), std::greater<double>());
   const double second_best = speedups.size() >= 2 ? speedups[1] : 0.0;
-  std::printf("\nsecond-best IEP speedup: %.2fx\n", second_best);
+  std::printf("\nsecond-best leaf speedup: %.2fx\n", second_best);
   if (check > 0 && passing < 2) {
     std::fprintf(stderr,
-                 "FAIL: only %d workload(s) reached the %.2fx IEP speedup "
+                 "FAIL: only %d workload(s) reached the %.2fx leaf speedup "
                  "(need 2)\n",
                  passing, check);
     return 1;

@@ -90,7 +90,8 @@ fi
 if [[ "$skip_bench" -eq 0 ]]; then
   # ci/snapshot.sh runs the five CI-gated benches (each enforcing its own
   # acceptance gate: obs overhead < 3% with lifecycle armed, bitmap >= 1.3x,
-  # session batch >= 1.15x, IEP counting >= 3x on two dense workloads, warm
+  # session batch >= 1.15x, the count-only leaf >= 3x its walk on two dense
+  # workloads, warm
   # mmap enumeration within 1.10x of heap with bit-identical counts) plus
   # the light_server/light_client load-gen leg, consolidates their JSON into
   # one snapshot, and fails on >10% regression of any dimensionless metric
@@ -171,25 +172,33 @@ if [[ "$rc" -ne 1 ]] || ! grep -q "error: unknown flag --restriction" build/veri
   exit 1
 fi
 echo "flag smoke OK: --restriction rejected as an unknown flag"
-# The 4-cycle closes its last vertex by counting wedges: the printed plan
-# must carry the twin closure.
+# Inclusion-exclusion has one path, the count-only leaf: a second count
+# strategy is an unknown flag.
+rc=0
 ./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
-  --pattern P1 --show-plan >build/verify_plan.txt
-if ! grep -q "^twin closure: u1<u3 -> u2$" build/verify_plan.txt; then
-  echo "==> light_cli --pattern P1 --show-plan printed no twin closure" >&2
-  cat build/verify_plan.txt >&2
+  --pattern star3 --count-strategy iep \
+  >/dev/null 2>build/verify_flag.err || rc=$?
+if [[ "$rc" -ne 1 ]] || ! grep -q "unknown flag --count-strategy" build/verify_flag.err; then
+  echo "==> light_cli --count-strategy iep: expected a usage error, got exit $rc" >&2
+  cat build/verify_flag.err >&2
   exit 1
 fi
-echo "plan smoke OK: P1 prints its twin closure"
-# The book's pages end sigma as twins: P5 counts them by one binomial.
-./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
-  --pattern P5 --show-plan >build/verify_plan.txt
-if ! grep -q "^twin closure: u2<u3<u4<u5$" build/verify_plan.txt; then
-  echo "==> light_cli --pattern P5 --show-plan printed no twin leaf" >&2
-  cat build/verify_plan.txt >&2
-  exit 1
-fi
-echo "plan smoke OK: P5 prints its twin leaf"
+echo "flag smoke OK: --count-strategy rejected as an unknown flag"
+# Each leaf form prints its line: the 4-cycle closes on b by counting
+# wedges, the book's pages and the claw's leaves end sigma as twins counted
+# by one binomial, and a path's ends take GraphPi's partition sum.
+for expect in "P1:leaf: u1<u3 -> u2" "P5:leaf: u2<u3<u4<u5" \
+              "star3:leaf: u1<u2<u3" "path3:leaf: u0 + u3 (2 terms)"; do
+  pattern="${expect%%:*}"
+  ./build/tools/light_cli --graph-store build/verify_store.lcsr2 \
+    --pattern "$pattern" --show-plan >build/verify_plan.txt
+  if ! grep -qxF "${expect#*:}" build/verify_plan.txt; then
+    echo "==> light_cli --pattern $pattern --show-plan printed no '${expect#*:}'" >&2
+    cat build/verify_plan.txt >&2
+    exit 1
+  fi
+done
+echo "plan smoke OK: P1, P5, star3 and path3 print their leaves"
 # A misspelt bench flag is a usage error at once, not a silent full sweep.
 rc=0
 timeout 10 ./build/bench/bench_fig4_redundancy --bogus \
@@ -287,7 +296,8 @@ if [[ "$skip_tsan" -eq 0 ]]; then
   ./build-tsan/tests/parallel_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/session_test
-  # Parallel IEP: the term plans of one query run as concurrent pool parts.
+  # Count-only leaves (inclusion-exclusion, binomials) run on pool workers
+  # next to walks of the same query shape.
   ./build-tsan/tests/facade_test
   ./build-tsan/tests/net_test
   ./build-tsan/tests/concurrency_test
@@ -412,13 +422,6 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke printed no session-latency quantiles" >&2
     exit 1
   fi
-  # The inclusion-exclusion counting oracle (IEP decomposition
-  # linted for exactness, term-combined count vs direct enumeration).
-  iep_cases="$(sed -n 's/.*iep_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
-  if [[ -z "$iep_cases" || "$iep_cases" -lt 1 ]]; then
-    echo "==> fuzz smoke exercised no IEP-counting cases" >&2
-    exit 1
-  fi
   # COMP windows (symmetry-breaking bounds applied before intersecting)
   # must appear in the swept plans; zero means the windowed candidate
   # computation went untested.
@@ -427,10 +430,12 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
     echo "==> fuzz smoke exercised no COMP-window cases" >&2
     exit 1
   fi
-  # Twin closures (the last vertex counted by one scatter over the twins'
-  # candidates) and twin leaves (twins ending sigma, counted by one
-  # binomial) must appear in the swept LIGHT plans; zero means that count
-  # went unchecked against the other engines.
+  # Every leaf form must appear in the swept LIGHT plans, each checked
+  # against a walk of its plan and the other engines: closures (the last
+  # vertex counted by one scatter over the twins' candidates), twin leaves
+  # (twins ending sigma, counted by one binomial) and partition leaves
+  # (GraphPi's inclusion-exclusion over an independent tail); zero means
+  # that count went unchecked.
   twin_closure_cases="$(sed -n 's/.*twin_closure_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
   if [[ -z "$twin_closure_cases" || "$twin_closure_cases" -lt 1 ]]; then
     echo "==> fuzz smoke exercised no twin-closure cases" >&2
@@ -439,6 +444,11 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
   twin_leaf_cases="$(sed -n 's/.*twin_leaf_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
   if [[ -z "$twin_leaf_cases" || "$twin_leaf_cases" -lt 1 ]]; then
     echo "==> fuzz smoke exercised no twin-leaf cases" >&2
+    exit 1
+  fi
+  partition_leaf_cases="$(sed -n 's/.*partition_leaf_cases=\([0-9]*\).*/\1/p' "$fuzz_log")"
+  if [[ -z "$partition_leaf_cases" || "$partition_leaf_cases" -lt 1 ]]; then
+    echo "==> fuzz smoke exercised no partition-leaf cases" >&2
     exit 1
   fi
   # The store-parity oracle (every case spilled to .lcsr2, re-opened mmap,

@@ -117,97 +117,14 @@ void CheckOrder(const Pattern& pattern, const ExecutionPlan& plan,
 
 void CheckSigma(const Pattern& pattern, const ExecutionPlan& plan,
                 LintReport* report) {
-  if (!ValidateExecutionOrder(pattern, plan.pi, plan.sigma,
-                              plan.counted_tail)) {
+  if (!ValidateExecutionOrder(pattern, plan.pi, plan.sigma)) {
     report->Add(LintSeverity::kError, "sigma-structure",
                 "execution order violates the Section-IV invariants "
                 "(one MAT per vertex, COMP per non-first vertex in pi "
                 "order, backward neighbors materialized before COMP, "
-                "COMP before MAT; counted tail vertices close sigma with "
-                "bare COMP ops): " +
+                "COMP before MAT): " +
                     ExecutionOrderToString(plan.sigma));
   }
-}
-
-// --- Counted-tail (IEP term plan) rules ------------------------------------
-
-/// The counted tail trades materialization for a candidate-count product:
-/// tail candidates are never bound to data vertices, so no per-candidate
-/// check (symmetry bound, non-adjacency, another vertex's operand) may
-/// involve them, and the tail must be pattern-independent for the product
-/// to be exact. Returns false when the tail indices are unusable.
-bool CheckCountedTail(const Pattern& pattern, const ExecutionPlan& plan,
-                      LintReport* report) {
-  if (plan.counted_tail.empty()) return true;
-  const int n = pattern.NumVertices();
-  uint32_t tail_mask = 0;
-  for (const int t : plan.counted_tail) {
-    if (t < 0 || t >= n) {
-      report->Add(LintSeverity::kError, "plan-shape",
-                  "counted tail vertex " + std::to_string(t) +
-                      " is out of range for a " + std::to_string(n) +
-                      "-vertex pattern");
-      return false;
-    }
-    tail_mask |= 1u << t;
-  }
-
-  if (plan.options.symmetry_breaking) {
-    report->Add(LintSeverity::kError, "iep-tail-symmetry",
-                "counted-tail plan built with symmetry breaking: IEP "
-                "closure needs every kernel embedding, restrictions would "
-                "undercount");
-  }
-
-  for (size_t i = 0; i < plan.counted_tail.size(); ++i) {
-    for (size_t j = i + 1; j < plan.counted_tail.size(); ++j) {
-      const int a = plan.counted_tail[i];
-      const int b = plan.counted_tail[j];
-      if (pattern.HasEdge(a, b)) {
-        report->Add(LintSeverity::kError, "iep-tail-not-independent",
-                    "counted tail vertices " + VertexName(a) + " and " +
-                        VertexName(b) +
-                        " are adjacent: their candidate sets are not "
-                        "independent, so counting |C| products overcounts",
-                    a, {a, b});
-      }
-    }
-  }
-
-  auto constrained = [&](int u, const std::string& how) {
-    report->Add(LintSeverity::kError, "iep-tail-constrained",
-                "counted tail vertex " + VertexName(u) + " " + how +
-                    ": tail candidates are counted, never materialized, so "
-                    "per-candidate checks cannot run",
-                u);
-  };
-  for (const auto& [a, b] : plan.partial_order) {
-    if (a >= 0 && a < n && ((tail_mask >> a) & 1u)) {
-      constrained(a, "appears in the symmetry-breaking partial order");
-    }
-    if (b >= 0 && b < n && ((tail_mask >> b) & 1u)) {
-      constrained(b, "appears in the symmetry-breaking partial order");
-    }
-  }
-  for (int u = 0; u < n; ++u) {
-    const bool u_tail = ((tail_mask >> u) & 1u) != 0;
-    auto scan = [&](const std::vector<int>& list, const char* kind) {
-      if (u_tail && !list.empty()) {
-        constrained(u, std::string("carries ") + kind + " checks");
-        return;
-      }
-      for (const int w : list) {
-        if (w >= 0 && w < n && ((tail_mask >> w) & 1u)) {
-          constrained(w, std::string("is referenced by a ") + kind +
-                             " check of " + VertexName(u));
-        }
-      }
-    };
-    scan(plan.lower_bounds[static_cast<size_t>(u)], "lower-bound");
-    scan(plan.upper_bounds[static_cast<size_t>(u)], "upper-bound");
-    scan(plan.non_adjacent[static_cast<size_t>(u)], "non-adjacency");
-  }
-  return true;
 }
 
 // --- Symmetry-breaking rules ----------------------------------------------
@@ -345,16 +262,9 @@ bool EnforcedAtMat(const PartialOrder& order, const SigmaIndex& sigma, int at,
 /// vertex must be bound by then, and the order it imposes must already be
 /// enforced at MAT(w) for u and for every w that reads C(u) through K2
 /// operands; otherwise the cut drops candidates a MAT would have accepted.
-/// Counted-tail plans take no windows (the tail is never materialized).
 void CheckCompWindows(const Pattern& pattern, const ExecutionPlan& plan,
                       const SigmaIndex& sigma, LintReport* report) {
   if (!plan.HasCompWindows()) return;
-  if (plan.HasCountedTail()) {
-    report->Add(LintSeverity::kError, "sb-comp-window",
-                "counted-tail plan carries COMP windows: its tail is never "
-                "materialized, so no MAT enforces their order");
-    return;
-  }
   const int n = pattern.NumVertices();
   std::vector<uint32_t> readers(static_cast<size_t>(n), 0);
   for (int u = 0; u < n; ++u) readers[static_cast<size_t>(u)] = 1u << u;
@@ -523,193 +433,267 @@ void CheckAutomorphismConsistency(const Pattern& pattern,
 
 // --- Twin-closure rules -----------------------------------------------------
 
-bool SameSet(std::vector<int> a, std::vector<int> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+/// GraphPi's partition sum over positions 0..k-1, re-derived apart from
+/// plan/iep.h: every map of the positions onto block labels is expanded and
+/// only the first-occurrence-ordered ones (one per set partition) kept.
+/// Blocks are named by rep[] positions, as in PartitionSum.
+std::map<std::vector<uint32_t>, int64_t> ExpectedPartitionSum(
+    const std::vector<int>& rep) {
+  const int k = static_cast<int>(rep.size());
+  std::map<std::vector<uint32_t>, int64_t> sum;
+  int64_t maps = 1;
+  for (int i = 0; i < k; ++i) maps *= k;
+  for (int64_t code = 0; code < maps; ++code) {
+    std::vector<int> label(static_cast<size_t>(k));
+    int64_t rest = code;
+    int next = 0;
+    bool canonical = true;
+    for (int i = 0; i < k && canonical; ++i) {
+      label[static_cast<size_t>(i)] = static_cast<int>(rest % k);
+      rest /= k;
+      canonical = label[static_cast<size_t>(i)] <= next;
+      if (label[static_cast<size_t>(i)] == next) ++next;
+    }
+    if (!canonical) continue;
+    std::vector<uint32_t> blocks;
+    int64_t mu = 1;
+    for (int b = 0; b < next; ++b) {
+      uint32_t block = 0;
+      int size = 0;
+      for (int i = 0; i < k; ++i) {
+        if (label[static_cast<size_t>(i)] != b) continue;
+        block |= 1u << rep[static_cast<size_t>(i)];
+        ++size;
+      }
+      mu *= (size % 2 == 1 ? 1 : -1) *
+            static_cast<int64_t>(Factorial(size - 1));
+      blocks.push_back(block);
+    }
+    std::sort(blocks.begin(), blocks.end());
+    sum[blocks] += mu;
+  }
+  for (auto it = sum.begin(); it != sum.end();) {
+    it = it->second == 0 ? sum.erase(it) : std::next(it);
+  }
+  return sum;
 }
 
-/// A twin closure (ExecutionPlan::twin_closure) counts the twins by
-/// binomials over one shared candidate set, and b (if any) by a scatter
-/// over the twins' candidates, instead of walking them. That is exact only
-/// when the twins are interchangeable (non-adjacent, same neighbours, same
-/// candidate set, same outer bounds, chained by the restrictions), b meets
-/// nothing but the twins and no bound of b tells the twins apart, and the
-/// plan walks sigma to its last MAT with no non-edge or counted-tail
-/// terminal. Twins with one shared neighbour (stars) are out of scope.
-void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
-                      const SigmaIndex& sigma, LintReport* report) {
-  if (!plan.HasTwinClosure()) return;
+/// The count-only leaf (ExecutionPlan::leaf) adds binomials, a partition
+/// sum, or b's scatter count instead of walking the tail. That is exact
+/// only when the tail ends sigma as pairwise non-adjacent vertices with
+/// operands and no non-edge checks, bound after everything else; in the
+/// twin form when the twins read equal sets and the restrictions order
+/// them totally; in the partition form when no restriction orders two tail
+/// vertices and the stored terms are the partition lattice's Möbius sum
+/// (re-derived here, and checked against the falling-factorial identity);
+/// and with b when b meets nothing but the twins and no bound of b tells
+/// them apart.
+void CheckLeaf(const Pattern& pattern, const ExecutionPlan& plan,
+               const SigmaIndex& sigma, LintReport* report) {
+  const CountLeaf& leaf = plan.leaf;
+  if (leaf.empty()) return;
   const auto fail = [&](const std::string& message, int vertex = -1,
                         std::pair<int, int> edge = {-1, -1}) {
-    report->Add(LintSeverity::kError, "twin-closure", message, vertex, edge);
+    report->Add(LintSeverity::kError, "count-leaf", message, vertex, edge);
   };
   const int n = pattern.NumVertices();
-  const std::vector<int>& closure = plan.twin_closure;
-  uint32_t listed = 0;
-  for (const int v : closure) {
-    if (v < 0 || v >= n || (listed >> v & 1u) != 0) {
-      fail("twin closure lists an out-of-range or repeated vertex");
+  const size_t k = leaf.tail.size();
+  const int b = leaf.b;
+  uint32_t mask = 0;
+  for (const int t : leaf.tail) {
+    if (t < 0 || t >= n || (mask >> t & 1u) != 0 || t == b) {
+      fail("leaf lists an out-of-range or repeated vertex");
       return;
     }
-    listed |= 1u << v;
+    mask |= 1u << t;
   }
-  const int b = plan.TwinClosureB();
-  const size_t k = closure.size() - (b < 0 ? 0 : 1);
-  if (k < 2) {
-    fail("twin closure needs at least two twins");
+  if (k > static_cast<size_t>(kMaxLeafTail) || b >= n) {
+    fail("leaf has more than " + std::to_string(kMaxLeafTail) +
+         " tail vertices or an out-of-range b");
     return;
   }
-  if (plan.options.induced) {
-    fail("twin closure on an induced plan: the non-edge checks of the twins "
-         "and b need each candidate bound");
-  }
-  if (plan.HasCountedTail()) {
-    fail("twin closure on a counted-tail plan: its terminal is the tail "
-         "product");
-  }
-  const int t1 = closure[0];
-  const uint32_t twin_mask = b < 0 ? listed : listed & ~(1u << b);
-  const std::string b_name = VertexName(b);
+  const int t1 = leaf.tail[0];
 
-  // sigma ends with the twins' MATs in chain order, then COMP(b) MAT(b)
-  // if there is a b.
+  // sigma ends MAT(t1) ... MAT(tk), then COMP(b) MAT(b) if there is a b.
   const ExecutionOrder& ops = plan.sigma;
-  const size_t tail = b < 0 ? 0 : 2;
-  bool shape = ops.size() >= k + tail + 1;
+  const size_t after = b < 0 ? 0 : 2;
+  bool shape = ops.size() >= k + after + 1;
   for (size_t i = 0; shape && i < k; ++i) {
-    const Operation& op = ops[ops.size() - tail - k + i];
-    shape = op.type == OpType::kMaterialize && op.vertex == closure[i];
+    const Operation& op = ops[ops.size() - after - k + i];
+    shape = op.type == OpType::kMaterialize && op.vertex == leaf.tail[i];
   }
-  if (b < 0) {
-    if (!shape) {
-      fail("sigma does not end MAT(t1) ... MAT(tk) over the twin leaf's "
-               "twins in chain order",
-           closure[k - 1]);
-    }
-  } else {
+  if (b >= 0) {
     shape = shape && ops[ops.size() - 2].type == OpType::kCompute &&
             ops[ops.size() - 2].vertex == b &&
             ops.back().type == OpType::kMaterialize && ops.back().vertex == b;
-    if (!shape) {
-      fail("sigma does not end MAT(t1) ... MAT(tk) COMP(" + b_name +
-               ") MAT(" + b_name + ") over the closure's twins in chain order",
-           b);
-    }
   }
-  if (std::popcount(pattern.NeighborMask(t1)) < 2) {
-    fail("twins share fewer than two pattern neighbours: one-neighbour "
-         "(star) twins are left to the walk and the IEP tail",
+  if (!shape) {
+    fail("sigma does not end MAT(t1) ... MAT(tk)" +
+             std::string(b < 0 ? "" : " COMP(b) MAT(b)") +
+             " over the leaf's vertices in order",
          t1);
   }
-
   for (size_t i = 0; i < k; ++i) {
-    const int t = closure[i];
-    if ((pattern.NeighborMask(t) & twin_mask) != 0) {
-      fail("twin " + VertexName(t) + " is adjacent to another twin", t);
+    const int t = leaf.tail[i];
+    const Operands& o = plan.operands[static_cast<size_t>(t)];
+    if (o.k1.empty() && o.k2.empty()) {
+      fail("leaf vertex " + VertexName(t) +
+               " has no operands: its candidate set is implicit",
+           t);
     }
-    if (pattern.NeighborMask(t) != pattern.NeighborMask(t1)) {
-      fail("twins " + VertexName(t1) + " and " + VertexName(t) +
-               " have different pattern neighbourhoods",
-           t, {t1, t});
+    if (!plan.non_adjacent[static_cast<size_t>(t)].empty()) {
+      fail("leaf vertex " + VertexName(t) +
+               " carries non-edge checks, which need each candidate bound",
+           t);
     }
-  }
-
-  if (b >= 0) {
-    const Operands& b_ops = plan.operands[static_cast<size_t>(b)];
-    uint32_t k1_mask = 0;
-    for (const int x : b_ops.k1) {
-      if (x >= 0 && x < n) k1_mask |= 1u << x;
+    if ((pattern.NeighborMask(t) & mask) != 0) {
+      fail("leaf vertex " + VertexName(t) + " is adjacent to another one",
+           t);
     }
-    if (k1_mask != twin_mask || !b_ops.k2.empty() ||
-        b_ops.k1.size() != k || pattern.NeighborMask(b) != twin_mask) {
-      fail(b_name + " has an operand or a pattern neighbour that is not a "
-               "twin: its candidates are not the common neighbours of the "
-               "twins alone",
-           b);
-    }
-  }
-
-  // The set each twin reads: its operands, or through a single K2 alias
-  // those of another twin.
-  const auto source = [&](int t) {
-    for (size_t hops = 0; hops < k; ++hops) {
-      const Operands& o = plan.operands[static_cast<size_t>(t)];
-      if (!o.k1.empty() || o.k2.size() != 1 || o.k2[0] < 0 || o.k2[0] >= n ||
-          (twin_mask >> o.k2[0] & 1u) == 0) {
-        break;
+    for (const std::vector<int>* bounds :
+         {&plan.lower_bounds[static_cast<size_t>(t)],
+          &plan.upper_bounds[static_cast<size_t>(t)]}) {
+      for (const int x : *bounds) {
+        if (x < 0 || x >= n || (mask >> x & 1u) != 0) continue;
+        if (sigma.mat_pos[static_cast<size_t>(x)] >=
+            sigma.mat_pos[static_cast<size_t>(t1)]) {
+          fail("bound " + VertexName(x) + " of leaf vertex " + VertexName(t) +
+                   " is not bound before MAT(" + VertexName(t1) + ")",
+               t, {x, t});
+        }
       }
-      t = o.k2[0];
     }
-    return t;
-  };
-  const Operands& set = plan.operands[static_cast<size_t>(source(t1))];
+  }
+
   const auto outer = [&](const std::vector<int>& bounds) {
     std::vector<int> out;
     for (const int x : bounds) {
-      if (x < 0 || x >= n || (twin_mask >> x & 1u) == 0) out.push_back(x);
+      if (x < 0 || x >= n || (mask >> x & 1u) == 0) out.push_back(x);
     }
+    std::sort(out.begin(), out.end());
     return out;
   };
-  const int t1_mat = sigma.mat_pos[static_cast<size_t>(t1)];
-  for (const std::vector<int>* bounds :
-       {&plan.lower_bounds[static_cast<size_t>(t1)],
-        &plan.upper_bounds[static_cast<size_t>(t1)]}) {
-    for (const int x : outer(*bounds)) {
-      if (x < 0 || x >= n ||
-          sigma.mat_pos[static_cast<size_t>(x)] >= t1_mat) {
-        fail("outer bound " + VertexName(x) + " of the twins is not bound "
-                 "before MAT(" + VertexName(t1) + ")",
-             t1, {x, t1});
-      }
-    }
+  const auto same_set = [&](int a, int c) {
+    return pattern.NeighborMask(a) == pattern.NeighborMask(c) &&
+           pattern.Label(a) == pattern.Label(c) &&
+           outer(plan.lower_bounds[static_cast<size_t>(a)]) ==
+               outer(plan.lower_bounds[static_cast<size_t>(c)]) &&
+           outer(plan.upper_bounds[static_cast<size_t>(a)]) ==
+               outer(plan.upper_bounds[static_cast<size_t>(c)]);
+  };
+  // The restrictions among the tail, transitively closed.
+  std::vector<int> pos(static_cast<size_t>(n), -1);
+  for (size_t i = 0; i < k; ++i) {
+    pos[static_cast<size_t>(leaf.tail[i])] = static_cast<int>(i);
   }
-  for (size_t i = 1; i < k; ++i) {
-    const int t = closure[i];
-    const Operands& o = plan.operands[static_cast<size_t>(source(t))];
-    if (!SameSet(o.k1, set.k1) || !SameSet(o.k2, set.k2)) {
-      fail("twin " + VertexName(t) + " reads a different candidate set "
-               "than " + VertexName(t1),
-           t, {t1, t});
-    }
-    if (!SameSet(outer(plan.lower_bounds[static_cast<size_t>(t)]),
-                 outer(plan.lower_bounds[static_cast<size_t>(t1)])) ||
-        !SameSet(outer(plan.upper_bounds[static_cast<size_t>(t)]),
-                 outer(plan.upper_bounds[static_cast<size_t>(t1)]))) {
-      fail("twins " + VertexName(t1) + " and " + VertexName(t) +
-               " have different outer bounds: they are not interchangeable",
-           t, {t1, t});
+  std::vector<uint32_t> below(k, 0);
+  bool ordered = false;
+  for (const auto& [x, y] : plan.partial_order) {
+    if (x < 0 || x >= n || y < 0 || y >= n) continue;  // sb-constraint-range
+    const int px = pos[static_cast<size_t>(x)];
+    const int py = pos[static_cast<size_t>(y)];
+    if (px < 0 || py < 0) continue;
+    below[static_cast<size_t>(px)] |= 1u << py;
+    ordered = true;
+  }
+  for (size_t m = 0; m < k; ++m) {
+    for (size_t i = 0; i < k; ++i) {
+      if (below[i] >> m & 1u) below[i] |= below[m];
     }
   }
 
-  std::vector<int> rank(static_cast<size_t>(n), -1);
-  for (size_t i = 0; i < k; ++i) {
-    rank[static_cast<size_t>(closure[i])] = static_cast<int>(i);
-  }
-  uint32_t links = 0;
-  for (const auto& [x, y] : plan.partial_order) {
-    if (x < 0 || x >= n || y < 0 || y >= n) continue;  // sb-constraint-range
-    const int rx = rank[static_cast<size_t>(x)];
-    const int ry = rank[static_cast<size_t>(y)];
-    if (rx < 0 || ry < 0) continue;
-    if (rx > ry) {
-      fail("constraint " + PairName({x, y}) + " orders the twins against "
-               "the chain",
-           y, {x, y});
-    } else if (ry == rx + 1) {
-      links |= 1u << rx;
+  if (leaf.twins()) {
+    for (size_t i = 1; i < k; ++i) {
+      const int t = leaf.tail[i];
+      if (!same_set(t1, t)) {
+        fail("twins " + VertexName(t1) + " and " + VertexName(t) +
+                 " differ in neighbourhood, label or outer bounds: their "
+                 "candidate sets are not equal",
+             t, {t1, t});
+      }
+      for (size_t j = 0; j < i; ++j) {
+        if ((((below[i] >> j) ^ (below[j] >> i)) & 1u) == 0) {
+          fail("the restrictions do not order twins " +
+                   VertexName(leaf.tail[j]) + " and " + VertexName(t) +
+                   " one way: the binomial counts one order of each subset",
+               t, {leaf.tail[j], t});
+        }
+      }
     }
-  }
-  for (size_t i = 0; i + 1 < k; ++i) {
-    if ((links >> i & 1u) == 0) {
-      fail("chain constraint " + PairName({closure[i], closure[i + 1]}) +
-               " is missing: the twins' binomial counts only ordered "
-               "chains",
-           closure[i + 1], {closure[i], closure[i + 1]});
+  } else {
+    if (k < 2 || leaf.terms.size() != k || b >= 0) {
+      fail("partition-form leaf needs k >= 2 tail vertices, one term table "
+           "per prefix, and no b");
+      return;
+    }
+    if (ordered) {
+      fail("a restriction orders two vertices of a partition-form leaf: the "
+           "partition sum counts every injective binding");
+    }
+    std::vector<int> rep(k);
+    for (size_t i = 0; i < k; ++i) {
+      size_t j = 0;
+      while (!same_set(leaf.tail[j], leaf.tail[i])) ++j;
+      rep[i] = static_cast<int>(j);
+      const std::map<std::vector<uint32_t>, int64_t> expected =
+          ExpectedPartitionSum(
+              {rep.begin(), rep.begin() + static_cast<ptrdiff_t>(i) + 1});
+      std::map<std::vector<uint32_t>, int64_t> stored;
+      for (const LeafTerm& term : leaf.terms[i]) {
+        stored[term.blocks] += term.coefficient;
+      }
+      if (stored != expected) {
+        fail("the terms of prefix t1..t" + std::to_string(i + 1) +
+                 " differ from the partition lattice's Möbius sum",
+             leaf.tail[i]);
+      }
+      // Falling-factorial identity: with every |C_B| = x the sum is the
+      // number of injective bindings x (x-1) ... (x-i).
+      for (int64_t x = 0; x <= static_cast<int64_t>(i) + 3; ++x) {
+        int64_t lhs = 0;
+        for (const LeafTerm& term : leaf.terms[i]) {
+          int64_t power = term.coefficient;
+          for (size_t blk = 0; blk < term.blocks.size(); ++blk) power *= x;
+          lhs += power;
+        }
+        int64_t rhs = 1;
+        for (int64_t f = 0; f <= static_cast<int64_t>(i); ++f) rhs *= x - f;
+        if (lhs != rhs) {
+          fail("the terms of prefix t1..t" + std::to_string(i + 1) +
+                   " sum to " + std::to_string(lhs) + " at x = " +
+                   std::to_string(x) + ", not x(x-1)...(x-" +
+                   std::to_string(i) + ") = " + std::to_string(rhs),
+               leaf.tail[i]);
+          break;
+        }
+      }
     }
   }
 
   if (b < 0) return;
+  const std::string b_name = VertexName(b);
+  if (plan.options.induced) {
+    fail("leaf with " + b_name + " on an induced plan: b's non-edge checks "
+         "need each candidate bound",
+         b);
+  }
+  if (!leaf.twins() || k < 2 || std::popcount(pattern.NeighborMask(t1)) < 2) {
+    fail(b_name + " closes a leaf that is not >= 2 twins sharing >= 2 "
+                  "neighbours",
+         b);
+  }
+  const Operands& b_ops = plan.operands[static_cast<size_t>(b)];
+  uint32_t k1_mask = 0;
+  for (const int x : b_ops.k1) {
+    if (x >= 0 && x < n) k1_mask |= 1u << x;
+  }
+  if (k1_mask != mask || !b_ops.k2.empty() || b_ops.k1.size() != k ||
+      pattern.NeighborMask(b) != mask) {
+    fail(b_name + " has an operand or a pattern neighbour that is not a "
+                  "twin: its candidates are not the common neighbours of "
+                  "the twins alone",
+         b);
+  }
   const CompWindow no_window;
   const CompWindow& window = plan.comp_windows.empty()
                                  ? no_window
@@ -719,7 +703,7 @@ void CheckTwinClosure(const Pattern& pattern, const ExecutionPlan& plan,
         &plan.upper_bounds[static_cast<size_t>(b)], &window.lower,
         &window.upper}) {
     for (const int x : *bounds) {
-      if (x >= 0 && x < n && (twin_mask >> x & 1u) != 0) {
+      if (x >= 0 && x < n && (mask >> x & 1u) != 0) {
         fail(b_name + "'s window names twin " + VertexName(x) +
                  ": the scatter count cannot tell the twins apart",
              b, {x, b});
@@ -846,10 +830,7 @@ void CheckOperands(const Pattern& pattern, const ExecutionPlan& plan,
       vertex_ok = false;
     }
 
-    const bool counted =
-        std::find(plan.counted_tail.begin(), plan.counted_tail.end(), u) !=
-        plan.counted_tail.end();
-    if (vertex_ok && !counted && plan.options.minimum_set_cover &&
+    if (vertex_ok && plan.options.minimum_set_cover &&
         options.check_cover_minimality && universe != 0) {
       // Rebuild Algorithm 3's candidate collection and compare sizes.
       std::vector<uint32_t> sets;
@@ -1071,290 +1052,21 @@ LintReport LintPlan(const Pattern& pattern, const ExecutionPlan& plan,
   CheckOrder(p, plan, &report);
   CheckSigma(p, plan, &report);
   const SigmaIndex sigma(p.NumVertices(), plan.sigma);
-  CheckCountedTail(p, plan, &report);
 
   const bool sb_structurally_ok =
       CheckPartialOrderStructure(p, plan, &report);
   if (sb_structurally_ok) {
     CheckConstraintWiring(p, plan, sigma, &report);
     CheckCompWindows(p, plan, sigma, &report);
-    // The orbit check reasons about complete embeddings; a counted-tail
-    // plan never materializes the tail (and running it with symmetry
-    // breaking is already an iep-tail-symmetry error), so skip it there.
-    if (plan.options.symmetry_breaking && !plan.HasCountedTail()) {
+    if (plan.options.symmetry_breaking) {
       CheckAutomorphismConsistency(p, plan, options, &report);
     }
   }
 
   CheckOperands(p, plan, sigma, options, &report);
   CheckInducedWiring(p, plan, sigma, &report);
-  CheckTwinClosure(p, plan, sigma, &report);
+  CheckLeaf(p, plan, sigma, &report);
   CheckCardinality(p, plan, options, &report);
-  return report;
-}
-
-LintReport LintIepDecomposition(const Pattern& pattern,
-                                const IepDecomposition& dec) {
-  LintReport report;
-  const int n = pattern.NumVertices();
-
-  // --- iep-partition: kernel + tail must partition V(P), kernel non-empty.
-  if (dec.kernel.empty() || dec.tail.empty()) {
-    report.Add(LintSeverity::kError, "iep-partition",
-               dec.kernel.empty() ? "kernel is empty"
-                                  : "tail is empty (invalid decomposition)");
-    return report;
-  }
-  std::vector<int> seen(static_cast<size_t>(n), 0);
-  bool in_range = true;
-  for (const std::vector<int>* part : {&dec.kernel, &dec.tail}) {
-    for (const int u : *part) {
-      if (u < 0 || u >= n) {
-        report.Add(LintSeverity::kError, "iep-partition",
-                   "vertex " + std::to_string(u) + " is out of range");
-        in_range = false;
-      } else {
-        ++seen[static_cast<size_t>(u)];
-      }
-    }
-  }
-  if (!in_range) return report;
-  for (int u = 0; u < n; ++u) {
-    if (seen[static_cast<size_t>(u)] != 1) {
-      report.Add(LintSeverity::kError, "iep-partition",
-                 VertexName(u) + " appears " +
-                     std::to_string(seen[static_cast<size_t>(u)]) +
-                     " times across kernel and tail (must be exactly once)",
-                 u);
-    }
-  }
-  if (!report.ok()) return report;
-
-  // --- iep-tail-not-independent: no pattern edge inside the tail.
-  const int m = static_cast<int>(dec.tail.size());
-  for (int i = 0; i < m; ++i) {
-    for (int j = i + 1; j < m; ++j) {
-      const int a = dec.tail[static_cast<size_t>(i)];
-      const int b = dec.tail[static_cast<size_t>(j)];
-      if (pattern.HasEdge(a, b)) {
-        report.Add(LintSeverity::kError, "iep-tail-not-independent",
-                   "tail vertices " + VertexName(a) + " and " +
-                       VertexName(b) + " are adjacent",
-                   a, {a, b});
-      }
-    }
-  }
-
-  // --- iep-kernel-disconnected.
-  uint32_t kernel_mask = 0;
-  for (const int u : dec.kernel) kernel_mask |= 1u << u;
-  if (!pattern.InducedConnected(kernel_mask)) {
-    report.Add(LintSeverity::kError, "iep-kernel-disconnected",
-               "the kernel does not induce a connected sub-pattern: kernel "
-               "embeddings cannot be enumerated as one component");
-  }
-  if (!report.ok()) return report;
-
-  // --- iep-automorphism-count.
-  const uint64_t aut = FindAutomorphisms(pattern).size();
-  if (aut != dec.automorphism_count) {
-    report.Add(LintSeverity::kError, "iep-automorphism-count",
-               "decomposition stores |Aut(P)| = " +
-                   std::to_string(dec.automorphism_count) +
-                   " but the group has order " + std::to_string(aut) +
-                   ": the emb(P) -> unique division is wrong");
-  }
-
-  // --- Independent re-expansion of the partition lattice. A merged vertex
-  // is (kernel-neighborhood mask over kernel indices, required label); a
-  // term key is the sorted multiset of its merged vertices.
-  using Merged = std::pair<uint32_t, uint32_t>;
-  const int k = static_cast<int>(dec.kernel.size());
-  std::vector<int> old_to_kernel(static_cast<size_t>(n), -1);
-  for (int i = 0; i < k; ++i) {
-    old_to_kernel[static_cast<size_t>(dec.kernel[static_cast<size_t>(i)])] = i;
-  }
-  std::vector<Merged> tail_info(static_cast<size_t>(m));
-  for (int t = 0; t < m; ++t) {
-    const int u = dec.tail[static_cast<size_t>(t)];
-    uint32_t mask = 0;
-    for (int w = 0; w < n; ++w) {
-      if (pattern.HasEdge(u, w) && old_to_kernel[static_cast<size_t>(w)] >= 0) {
-        mask |= 1u << old_to_kernel[static_cast<size_t>(w)];
-      }
-    }
-    tail_info[static_cast<size_t>(t)] = {mask, pattern.Label(u)};
-  }
-
-  std::map<std::vector<Merged>, int64_t> expected;
-  std::vector<int> assign(static_cast<size_t>(m), 0);
-  auto expand = [&](auto&& self, int i, int num_blocks) -> void {
-    if (i == m) {
-      std::vector<Merged> key;
-      key.reserve(static_cast<size_t>(num_blocks));
-      int64_t coefficient = 1;
-      for (int b = 0; b < num_blocks; ++b) {
-        uint32_t mask = 0;
-        uint32_t label = 0;
-        int size = 0;
-        for (int t = 0; t < m; ++t) {
-          if (assign[static_cast<size_t>(t)] != b) continue;
-          ++size;
-          mask |= tail_info[static_cast<size_t>(t)].first;
-          const uint32_t member = tail_info[static_cast<size_t>(t)].second;
-          if (member == 0) continue;
-          if (label != 0 && label != member) {
-            coefficient = 0;  // conflicting labels: empty intersection
-            break;
-          }
-          label = member;
-        }
-        if (coefficient == 0) break;
-        int64_t fact = 1;
-        for (int f = 2; f < size; ++f) fact *= f;
-        coefficient *= (size % 2 == 1 ? 1 : -1) * fact;
-        key.emplace_back(mask, label);
-      }
-      if (coefficient != 0) {
-        std::sort(key.begin(), key.end());
-        expected[key] += coefficient;
-      }
-      return;
-    }
-    for (int b = 0; b <= num_blocks; ++b) {
-      assign[static_cast<size_t>(i)] = b;
-      self(self, i + 1, std::max(num_blocks, b + 1));
-    }
-  };
-  expand(expand, 0, 0);
-  for (auto it = expected.begin(); it != expected.end();) {
-    it = it->second == 0 ? expected.erase(it) : std::next(it);
-  }
-
-  // --- Extract the stored terms into the same key space, validating each
-  // term's structure along the way.
-  std::map<std::vector<Merged>, int64_t> actual;
-  for (size_t ti = 0; ti < dec.terms.size(); ++ti) {
-    const IepTerm& term = dec.terms[ti];
-    const std::string where = "term " + std::to_string(ti);
-    const int blocks = static_cast<int>(term.counted_tail.size());
-    bool shape_ok = term.pattern.NumVertices() == k + blocks && blocks >= 1;
-    for (int b = 0; shape_ok && b < blocks; ++b) {
-      shape_ok = term.counted_tail[static_cast<size_t>(b)] == k + b;
-    }
-    if (!shape_ok) {
-      report.Add(LintSeverity::kError, "iep-term-mismatch",
-                 where + " is malformed: counted tail must be the trailing "
-                         "vertices k..k+blocks-1 of the term pattern");
-      continue;
-    }
-    if (term.coefficient == 0) {
-      report.Add(LintSeverity::kError, "iep-term-mismatch",
-                 where + " carries a zero coefficient (should have been "
-                         "dropped)");
-      continue;
-    }
-    bool kernel_ok = true;
-    for (int i = 0; i < k && kernel_ok; ++i) {
-      const int u = dec.kernel[static_cast<size_t>(i)];
-      kernel_ok = term.pattern.Label(i) == pattern.Label(u);
-      for (int j = i + 1; j < k && kernel_ok; ++j) {
-        kernel_ok = term.pattern.HasEdge(i, j) ==
-                    pattern.HasEdge(u, dec.kernel[static_cast<size_t>(j)]);
-      }
-    }
-    if (!kernel_ok) {
-      report.Add(LintSeverity::kError, "iep-term-mismatch",
-                 where + "'s kernel sub-pattern differs from the induced "
-                         "kernel of the original pattern");
-      continue;
-    }
-    std::vector<Merged> key;
-    bool merged_ok = true;
-    const uint32_t kernel_bits = (1u << k) - 1u;  // k <= 31: blocks >= 1
-    for (int b = 0; b < blocks; ++b) {
-      const uint32_t neighbors = term.pattern.NeighborMask(k + b);
-      if (neighbors == 0 || (neighbors & ~kernel_bits) != 0) {
-        merged_ok = false;
-        break;
-      }
-      key.emplace_back(neighbors, term.pattern.Label(k + b));
-    }
-    if (!merged_ok) {
-      report.Add(LintSeverity::kError, "iep-term-mismatch",
-                 where + "'s merged vertices must be adjacent to kernel "
-                         "vertices only (and at least one)");
-      continue;
-    }
-    std::sort(key.begin(), key.end());
-    actual[key] += term.coefficient;
-  }
-
-  int reported = 0;
-  for (const auto& [key, coefficient] : expected) {
-    const auto it = actual.find(key);
-    const int64_t got = it == actual.end() ? 0 : it->second;
-    if (got != coefficient && reported < 5) {
-      ++reported;
-      report.Add(LintSeverity::kError, "iep-term-mismatch",
-                 "a " + std::to_string(key.size()) +
-                     "-block term has coefficient " + std::to_string(got) +
-                     " but the partition lattice requires " +
-                     std::to_string(coefficient));
-    }
-  }
-  for (const auto& [key, coefficient] : actual) {
-    if (expected.find(key) == expected.end() && reported < 5) {
-      ++reported;
-      report.Add(LintSeverity::kError, "iep-term-mismatch",
-                 "a " + std::to_string(key.size()) +
-                     "-block term (coefficient " +
-                     std::to_string(coefficient) +
-                     ") does not arise from any partition of the tail");
-    }
-  }
-
-  // --- Falling-factorial identity. Substituting a common candidate count x
-  // for every |C| turns the signed term sum into
-  //   sum_theta mu(theta) x^{#blocks(theta)},
-  // which by Mobius inversion equals the number of injective tail
-  // placements x (x-1) ... (x-|S|+1). Both sides are degree-|S|
-  // polynomials, so agreement at |S|+3 points proves the identity. Label
-  // conflicts legitimately drop partitions (their blocks intersect to the
-  // empty set for EVERY x), so the identity only binds label-compatible
-  // tails.
-  bool droppable = false;
-  for (int i = 0; i < m && !droppable; ++i) {
-    for (int j = i + 1; j < m && !droppable; ++j) {
-      const uint32_t a = tail_info[static_cast<size_t>(i)].second;
-      const uint32_t b = tail_info[static_cast<size_t>(j)].second;
-      droppable = a != 0 && b != 0 && a != b;
-    }
-  }
-  if (droppable) {
-    report.Add(LintSeverity::kInfo, "iep-sum-skipped",
-               "falling-factorial identity skipped: conflicting tail labels "
-               "legitimately dropped partition terms");
-  } else {
-    for (int64_t x = 0; x <= m + 2; ++x) {
-      int64_t lhs = 0;
-      for (const auto& [key, coefficient] : actual) {
-        int64_t power = 1;
-        for (size_t b = 0; b < key.size(); ++b) power *= x;
-        lhs += coefficient * power;
-      }
-      int64_t rhs = 1;
-      for (int64_t f = 0; f < m; ++f) rhs *= x - f;
-      if (lhs != rhs) {
-        report.Add(LintSeverity::kError, "iep-sum-inexact",
-                   "sign-weighted term sum at x = " + std::to_string(x) +
-                       " is " + std::to_string(lhs) +
-                       " but x(x-1)...(x-|S|+1) = " + std::to_string(rhs) +
-                       ": the inclusion-exclusion closure is not exact");
-        break;
-      }
-    }
-  }
   return report;
 }
 

@@ -28,18 +28,19 @@
 ///                         materialized before the COMP, or the order it
 ///                         imposes is not enforced (transitively, among the
 ///                         vertices bound by MAT(w)) for the vertex or for a
-///                         vertex w reading its candidate set through K2, or
-///                         the plan has a counted tail
-///   twin-closure          the twin closure (twin_closure) is not exact:
-///                         twins adjacent or with different neighbourhoods,
-///                         candidate sets or outer bounds, an outer bound
-///                         not bound before MAT(t1), a chain constraint
-///                         missing, a non-twin operand of b, a twin named
-///                         in b's window, sigma not ending with the twins'
-///                         MATs (then COMP(b), MAT(b) if there is a b), or
-///                         the plan induced or with a counted tail; or out
-///                         of scope: twins sharing fewer than two
-///                         neighbours (stars)
+///                         vertex w reading its candidate set through K2
+///   count-leaf            the count-only leaf (ExecutionPlan::leaf) is not
+///                         exact: sigma not ending with the tail's MATs
+///                         (then COMP(b), MAT(b)), a tail vertex adjacent
+///                         to another, without operands, with non-edge
+///                         checks or bounded by a later vertex; twins with
+///                         unequal sets or not ordered totally; a
+///                         partition form whose tail is ordered or whose
+///                         terms differ from the partition lattice's
+///                         Möbius sum (re-derived, and checked against the
+///                         falling-factorial identity); or a b with a
+///                         non-twin operand or neighbour, a twin in its
+///                         window, or on an induced plan
 ///   sb-unkilled-automorphism   some automorphic image pair survives the
 ///                         constraints (overcount) — Grochow–Kellis check
 ///   sb-kills-valid-embedding   some subgraph instance has no surviving
@@ -64,36 +65,6 @@
 ///                         every possible degree (warning)
 ///   bitmap-budget-zero    index enabled with a zero byte budget (warning)
 ///
-/// Counted-tail plans (plan/iep.h term plans) add:
-///
-///   iep-tail-not-independent  two counted tail vertices are adjacent in
-///                         the pattern (tail candidate sets would not be
-///                         independent, so the product closure is wrong)
-///   iep-tail-constrained  a counted tail vertex carries symmetry bounds or
-///                         non-adjacency checks (tail candidates are
-///                         counted, never materialized — nothing can be
-///                         checked per candidate)
-///   iep-tail-symmetry     counted-tail plan built with symmetry breaking
-///                         (IEP needs every kernel embedding; restrictions
-///                         would undercount)
-///
-/// LintIepDecomposition proves an inclusion–exclusion decomposition exact:
-///
-///   iep-partition         kernel + tail is not a partition of V(P), or the
-///                         kernel is empty
-///   iep-kernel-disconnected   the kernel does not induce a connected
-///                         sub-pattern
-///   iep-automorphism-count    stored |Aut(P)| differs from the recomputed
-///                         group order
-///   iep-term-mismatch     the term multiset differs from an independent
-///                         re-expansion of the partition lattice (missing,
-///                         extra, malformed, or mis-weighted term)
-///   iep-sum-inexact       the sign-weighted term sum violates the
-///                         falling-factorial identity
-///                         sum_theta mu(theta) x^{#blocks} = x^(|S|) falling
-///   iep-sum-skipped       the identity was skipped: label conflicts
-///                         legitimately dropped terms (info)
-///
 /// The automorphism consistency check is exhaustive and exact: a
 /// symmetry-breaking partial order is correct iff every orbit of the n!
 /// relative orderings of pattern vertices under Aut(P) contains exactly one
@@ -113,7 +84,6 @@
 #include <vector>
 
 #include "pattern/pattern.h"
-#include "plan/iep.h"
 #include "plan/plan.h"
 
 namespace light::analysis {
@@ -183,19 +153,6 @@ struct LintOptions {
 /// enumerate; checked against plan.pattern). Pure function, no I/O.
 LintReport LintPlan(const Pattern& pattern, const ExecutionPlan& plan,
                     const LintOptions& options = {});
-
-/// Proves an inclusion–exclusion decomposition (plan/iep.h) of `pattern`
-/// exact: the kernel/tail split partitions V(P) with an independent tail
-/// and a connected kernel, the stored |Aut(P)| matches the recomputed group
-/// order, the deduplicated term multiset matches an independent
-/// re-expansion of the partition lattice, and the sign-weighted term sum
-/// satisfies the falling-factorial identity
-///   sum_terms coeff * x^{#merged} = x (x-1) ... (x-|S|+1)
-/// at x = 0..|S|+2 (a degree-|S| polynomial identity, so |S|+3 points pin
-/// it; skipped with an info note when label conflicts legitimately dropped
-/// partition terms). Pure function, no I/O.
-LintReport LintIepDecomposition(const Pattern& pattern,
-                                const IepDecomposition& decomposition);
 
 /// Value-range lint of the facade's bitmap-routing knobs (the
 /// threshold/density/budget preconditions RunOptions::Validate enforces,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <span>
 #include <tuple>
@@ -124,9 +125,6 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   LIGHT_CHECK(num_ops_ >= 1);
   LIGHT_CHECK(plan_.sigma[0].type == OpType::kMaterialize);
   LIGHT_CHECK(plan_.sigma[0].vertex == plan_.FirstVertex());
-  LIGHT_CHECK(plan_.counted_tail.size() < num_ops_);
-  tail_begin_op_ = num_ops_ - plan_.counted_tail.size();
-  count_tail_op_ = tail_begin_op_;
   if (!KernelAvailable(kernel_)) kernel_ = IntersectKernel::kHybrid;
 
   mapping_.assign(static_cast<size_t>(n), kInvalidVertex);
@@ -164,61 +162,55 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
 
   distinct_.assign(static_cast<size_t>(n), {});
   uint32_t bound = 0;
-  for (size_t i = 0; i < num_ops_; ++i) {
-    const Operation& op = plan_.sigma[i];
-    if (op.type != OpType::kMaterialize && i < tail_begin_op_) continue;
+  for (const Operation& op : plan_.sigma) {
+    if (op.type != OpType::kMaterialize) continue;
     for (int x = 0; x < n; ++x) {
       if ((bound >> x & 1u) != 0 && !plan_.pattern.HasEdge(x, op.vertex)) {
         distinct_[static_cast<size_t>(op.vertex)].push_back(x);
       }
     }
-    if (op.type == OpType::kMaterialize) bound |= 1u << op.vertex;
+    bound |= 1u << op.vertex;
   }
 
-  if (num_ops_ >= 2 && !plan_.HasCountedTail()) {
-    const Operation& comp = plan_.sigma[num_ops_ - 2];
-    const int u = plan_.sigma[num_ops_ - 1].vertex;
-    fused_leaf_ = comp.type == OpType::kCompute && comp.vertex == u &&
-                  !universal_[static_cast<size_t>(u)] &&
-                  plan_.non_adjacent[static_cast<size_t>(u)].empty() &&
-                  (data_labels_ == nullptr || plan_.pattern.Label(u) == 0);
-  }
-
-  if (plan_.HasTwinClosure()) {
-    // Labeled twins or b would need per-vertex label checks: such runs walk
-    // sigma instead.
-    const bool labeled =
-        data_labels_ != nullptr && plan_.TwinClosureLabeled();
-    twin_b_ = plan_.TwinClosureB();
-    const std::vector<int>& closure = plan_.twin_closure;
-    const size_t k = closure.size() - (twin_b_ < 0 ? 0 : 1);
-    if (!labeled && twin_b_ >= 0) {
+  leaf_op_ = num_ops_;
+  const CountLeaf& leaf = plan_.leaf;
+  const auto labeled = [&](int u) {
+    return data_labels_ != nullptr && plan_.pattern.Label(u) != 0;
+  };
+  if (!leaf.empty() && !(leaf.b >= 0 && labeled(leaf.b))) {
+    const size_t k = leaf.tail.size();
+    const int t1 = leaf.tail[0];
+    if (leaf.b >= 0) {
       // sigma ends MAT(t1) ... MAT(tk) COMP(b) MAT(b).
-      count_tail_op_ = num_ops_ - k - 2;
+      leaf_op_ = num_ops_ - k - 2;
       const size_t num_vertices = graph_.NumVertices();
       if (arena_ != nullptr) {
         wedge_counts_ = arena_->AcquireVertexBuffer(num_vertices);
         wedge_touched_ = arena_->AcquireVertexBuffer(0);
       }
       wedge_counts_.assign(num_vertices, 0);
-    } else if (!labeled) {
-      // sigma ends MAT(t1) ... MAT(tk). If before those it ends COMP(t1),
-      // then COMPs of t2..tk that alias C(t1) uncut, the leaf is entered at
-      // COMP(t1): C(t1) is counted, never stored, and the aliases skipped.
-      count_tail_op_ = num_ops_ - k;
+    } else if (leaf.twins()) {
+      // If before MAT(t1) ... MAT(tk) sigma ends COMP(t1), then COMPs of
+      // t2..tk that alias C(t1) uncut, the leaf is entered at COMP(t1):
+      // C(t1) is counted, never stored, and the aliases skipped. That count
+      // filters no labels, so a labeled t1 on labeled data enters at MAT.
+      leaf_op_ = num_ops_ - k;
       const size_t comp = num_ops_ - 2 * k;
-      bool at_comp = num_ops_ > 2 * k &&
+      bool at_comp = num_ops_ > 2 * k && !labeled(t1) &&
                      plan_.sigma[comp].type == OpType::kCompute &&
-                     plan_.sigma[comp].vertex == closure[0];
-      for (size_t i = comp + 1; at_comp && i < count_tail_op_; ++i) {
+                     plan_.sigma[comp].vertex == t1;
+      for (size_t i = comp + 1; at_comp && i < leaf_op_; ++i) {
         const int t = plan_.sigma[i].vertex;
         const Operands& ops = plan_.operands[static_cast<size_t>(t)];
         at_comp = plan_.sigma[i].type == OpType::kCompute &&
-                  ops.k1.empty() && ops.k2 == std::vector<int>{closure[0]} &&
+                  ops.k1.empty() && ops.k2 == std::vector<int>{t1} &&
                   (plan_.comp_windows.empty() ||
                    plan_.comp_windows[static_cast<size_t>(t)].empty());
       }
-      if (at_comp) count_tail_op_ = comp;
+      if (at_comp) leaf_op_ = comp;
+    } else {
+      leaf_op_ = num_ops_ - k;
+      WirePartitionLeaf();
     }
   }
   SetVisitor(nullptr);  // count until a visitor is set
@@ -229,6 +221,105 @@ Enumerator::Enumerator(GraphView graph, const ExecutionPlan& plan,
   obs_root_ns_hist_ = registry.GetHistogram("engine.root_ns");
 
   ResetStats();
+}
+
+void Enumerator::WirePartitionLeaf() {
+  const CountLeaf& leaf = plan_.leaf;
+  const int n = plan_.pattern.NumVertices();
+  const size_t k = leaf.tail.size();
+  uint32_t tail_mask = 0;
+  for (int t : leaf.tail) tail_mask |= 1u << t;
+  // A block reads the sets of its members with the most neighbours:
+  // one member adjacent to every neighbour of the block (whose label
+  // filter, on labeled data, is the block's) reads C_B alone, since its
+  // set lies inside every other member's. Blocks that then read the
+  // same sets in the same window share one entry.
+  const auto block_of = [&](uint32_t key) {
+    LeafBlock block;
+    uint32_t neighbours = 0;
+    for (size_t p = 0; p < k; ++p) {
+      if (key >> p & 1u) {
+        block.members |= 1u << p;
+        block.sources.push_back(p);
+        neighbours |= plan_.pattern.NeighborMask(leaf.tail[p]);
+      }
+    }
+    for (const size_t p : block.sources) {
+      const int t = leaf.tail[p];
+      const uint32_t label = plan_.pattern.Label(t);
+      const bool covers =
+          plan_.pattern.NeighborMask(t) == neighbours &&
+          std::all_of(block.sources.begin(), block.sources.end(),
+                      [&](size_t q) {
+                        const uint32_t want =
+                            plan_.pattern.Label(leaf.tail[q]);
+                        return data_labels_ == nullptr || want == 0 ||
+                               want == label;
+                      });
+      if (covers) {
+        block.sources = {p};
+        break;
+      }
+    }
+    for (int x = 0; x < n; ++x) {
+      if ((tail_mask >> x & 1u) == 0 && (neighbours >> x & 1u) == 0) {
+        block.unbound.push_back(x);
+      }
+    }
+    return block;
+  };
+  const auto same_window = [&](uint32_t a, uint32_t b) {
+    const auto bounds = [&](uint32_t members, bool lower) {
+      std::vector<int> out;
+      for (size_t p = 0; p < k; ++p) {
+        if ((members >> p & 1u) == 0) continue;
+        const size_t t = static_cast<size_t>(leaf.tail[p]);
+        for (int x : lower ? plan_.lower_bounds[t] : plan_.upper_bounds[t]) {
+          out.push_back(x);
+        }
+      }
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+      return out;
+    };
+    return bounds(a, true) == bounds(b, true) &&
+           bounds(a, false) == bounds(b, false);
+  };
+  std::vector<uint32_t> keys;
+  std::vector<size_t> block_index;
+  for (const std::vector<LeafTerm>& prefix : leaf.terms) {
+    std::vector<LeafProduct>& products = leaf_terms_.emplace_back();
+    for (const LeafTerm& term : prefix) {
+      LeafProduct& product = products.emplace_back();
+      product.coefficient = static_cast<uint64_t>(term.coefficient);
+      for (const uint32_t key : term.blocks) {
+        const size_t j = static_cast<size_t>(
+            std::find(keys.begin(), keys.end(), key) - keys.begin());
+        if (j == keys.size()) {
+          keys.push_back(key);
+          LeafBlock block = block_of(key);
+          size_t same = 0;
+          while (same < leaf_blocks_.size() &&
+                 !(leaf_blocks_[same].sources == block.sources &&
+                   leaf_blocks_[same].unbound == block.unbound &&
+                   same_window(leaf_blocks_[same].members,
+                               block.members))) {
+            ++same;
+          }
+          if (same == leaf_blocks_.size()) {
+            if (block.sources.size() > 2 && leaf_buffer_.empty()) {
+              leaf_buffer_.resize(graph_.MaxDegree());
+            }
+            leaf_blocks_.push_back(std::move(block));
+          }
+          block_index.push_back(same);
+        }
+        product.blocks[product.num_blocks++] =
+            static_cast<uint8_t>(block_index[j]);
+      }
+    }
+  }
+  leaf_sizes_.assign(leaf_blocks_.size(), 0);
 }
 
 Enumerator::~Enumerator() {
@@ -268,10 +359,6 @@ uint64_t Enumerator::Count() {
 }
 
 uint64_t Enumerator::Enumerate(MatchVisitor* visitor) {
-  // Counted-tail plans never materialize their tail, so there is no full
-  // mapping to visit — they exist for counting only (light::Run routes
-  // visitor queries to ordinary plans).
-  LIGHT_CHECK(!plan_.HasCountedTail());
   ResetStats();
   SetVisitor(visitor);
   timer_.Restart();
@@ -286,9 +373,7 @@ uint64_t Enumerator::Enumerate(MatchVisitor* visitor) {
 
 void Enumerator::SetVisitor(MatchVisitor* visitor) {
   visitor_ = visitor;
-  tail_begin_op_ = visitor == nullptr
-                       ? count_tail_op_
-                       : num_ops_ - plan_.counted_tail.size();
+  tail_begin_op_ = visitor == nullptr ? leaf_op_ : num_ops_;
 }
 
 void Enumerator::SetBitmapIndex(const BitmapIndex* index) {
@@ -380,13 +465,7 @@ void Enumerator::EmitMatch() {
 
 void Enumerator::Run(size_t op_index) {
   if (op_index == tail_begin_op_) {
-    // Close the match count analytically: the kernel of a counted-tail
-    // plan is bound, or a count-only run reached a twin closure.
-    if (plan_.HasCountedTail()) {
-      RunCountedTail();
-    } else {
-      RunTwinClosure();
-    }
+    RunLeaf();
     return;
   }
   if (plan_.sigma[op_index].type == OpType::kCompute) {
@@ -414,10 +493,6 @@ void Enumerator::RunCompute(size_t op_index) {
     // Candidate set is V(G); nothing to compute (it is never empty; labels
     // are checked during materialization).
     Run(op_index + 1);
-    return;
-  }
-  if (fused_leaf_ && visitor_ == nullptr && op_index + 2 == num_ops_) {
-    AddLeafMatches(u, CountLeafCandidates(u));
     return;
   }
   if (ComputeCandidateSet(u) > 0) Run(op_index + 1);
@@ -516,19 +591,26 @@ uint64_t Enumerator::CountLeafCandidates(int u) {
   std::array<SetView, kMaxPatternVertices> sets;
   const size_t k = lo < hi ? GatherOperands(u, lo, hi, sets.data()) : 0;
   if (k == 0) return 0;
+  return CountIntersection(sets.data(), k, lo, hi,
+                           distinct_[static_cast<size_t>(u)],
+                           cand_buffer_[static_cast<size_t>(u)].data());
+}
+
+uint64_t Enumerator::CountIntersection(SetView* sets, size_t k, VertexID lo,
+                                       VertexID hi,
+                                       const std::vector<int>& unbound,
+                                       VertexID* buffer) {
   uint64_t count = sets[0].size();
   if (k > 1) {
     // Smallest first, as IntersectMultiwayHybrid chains them; only the last
     // pairwise step, against the largest operand, is counted.
-    std::sort(sets.begin(), sets.begin() + static_cast<ptrdiff_t>(k),
-              [](const SetView& a, const SetView& b) {
-                return a.size() < b.size();
-              });
+    std::sort(sets, sets + k, [](const SetView& a, const SetView& b) {
+      return a.size() < b.size();
+    });
     SetView partial = sets[0];
     if (k > 2) {
-      VertexID* buffer = cand_buffer_[static_cast<size_t>(u)].data();
       const size_t size = IntersectMultiwayHybrid(
-          {sets.data(), k - 1}, buffer, scratch_.data(),
+          {sets, k - 1}, buffer, scratch_.data(),
           word_scratch_.empty() ? nullptr : word_scratch_.data(),
           word_scratch_.size(), kernel_, &stats_.intersections);
       // A bitmap AND of whole rows can reach outside the window: cut again.
@@ -538,10 +620,9 @@ uint64_t Enumerator::CountLeafCandidates(int u) {
     count = CountHybridPair(partial, sets[k - 1], word_scratch_.size(),
                             kernel_, &stats_.intersections);
   }
-  // Injectivity: a bound vertex in every operand was counted as a candidate.
-  const std::vector<int>& distinct = distinct_[static_cast<size_t>(u)];
-  for (size_t i = 0; i < distinct.size() && count > 0; ++i) {
-    const VertexID b = mapping_[static_cast<size_t>(distinct[i])];
+  // Injectivity: a bound vertex in every set was counted as a candidate.
+  for (size_t i = 0; i < unbound.size() && count > 0; ++i) {
+    const VertexID b = mapping_[static_cast<size_t>(unbound[i])];
     bool in_all = lo <= b && b < hi;
     for (size_t j = 0; j < k && in_all; ++j) {
       const std::span<const VertexID> set = sets[j].sorted;
@@ -552,13 +633,12 @@ uint64_t Enumerator::CountLeafCandidates(int u) {
   return count;
 }
 
-uint64_t Enumerator::CountUnbound(int u, const VertexID* begin,
-                                  const VertexID* end, VertexID lo,
-                                  VertexID hi) const {
+uint64_t Enumerator::CountUnbound(const std::vector<int>& unbound,
+                                  const VertexID* begin, const VertexID* end,
+                                  VertexID lo, VertexID hi) const {
   uint64_t count = static_cast<uint64_t>(end - begin);
-  const std::vector<int>& distinct = distinct_[static_cast<size_t>(u)];
-  for (size_t i = 0; i < distinct.size() && count > 0; ++i) {
-    const VertexID b = mapping_[static_cast<size_t>(distinct[i])];
+  for (size_t i = 0; i < unbound.size() && count > 0; ++i) {
+    const VertexID b = mapping_[static_cast<size_t>(unbound[i])];
     if (lo <= b && b < hi && Contains(begin, end, b)) --count;
   }
   return count;
@@ -570,31 +650,113 @@ void Enumerator::AddLeafMatches(int u, uint64_t count) {
   stats_.num_matches += count;
 }
 
-void Enumerator::RunCountedTail() {
-  if (CheckDeadline()) return;
-  // Every tail candidate set is a kernel-neighborhood intersection, so it
-  // is sorted and disjoint from other tails' injectivity concerns (terms
-  // account for tail-tail collisions by construction); only bound KERNEL
-  // vertices must be subtracted, and of those only t's non-neighbors.
-  uint64_t product = 1;
-  for (int t : plan_.counted_tail) {
-    const uint32_t size = ComputeCandidateSet(t);
-    const VertexID* data = cand_data_[static_cast<size_t>(t)];
-    uint64_t count = size;
-    for (int x : distinct_[static_cast<size_t>(t)]) {
-      const VertexID b = mapping_[static_cast<size_t>(x)];
-      if (std::binary_search(data, data + size, b)) --count;
+void Enumerator::RunPartitionLeaf() {
+  const std::vector<int>& tail = plan_.leaf.tail;
+  const size_t k = tail.size();
+  // S(t): C(t) cut to t's window, per tail position.
+  std::array<VertexID, kMaxLeafTail> lo;
+  std::array<VertexID, kMaxLeafTail> hi;
+  std::array<std::span<const VertexID>, kMaxLeafTail> cut;
+  for (size_t p = 0; p < k; ++p) {
+    const size_t t = static_cast<size_t>(tail[p]);
+    std::tie(lo[p], hi[p]) =
+        Window(plan_.lower_bounds[t], plan_.upper_bounds[t]);
+    const VertexID* begin = cand_data_[t];
+    const VertexID* end = begin + cand_size_[t];
+    if (lo[p] >= hi[p]) {
+      end = begin;
+    } else {
+      if (lo[p] > 0) begin = CutFront(begin, end, lo[p]);
+      if (hi[p] < graph_.NumVertices()) end = CutBack(begin, end, hi[p]);
     }
-    if (count == 0) return;
-    product *= count;
+    cut[p] = {begin, end};
   }
-  stats_.num_matches += product;
+  // Block 0 is {t1}; when S(t1) is empty no prefix has a binding.
+  uint32_t empty = 0;
+  for (size_t j = 0; j < leaf_blocks_.size(); ++j) {
+    const LeafBlock& block = leaf_blocks_[j];
+    uint64_t size = 0;
+    if ((block.members & empty) == 0) {
+      VertexID block_lo = 0;
+      VertexID block_hi = graph_.NumVertices();
+      for (size_t p = 0; p < k; ++p) {
+        if (block.members >> p & 1u) {
+          block_lo = std::max(block_lo, lo[p]);
+          block_hi = std::min(block_hi, hi[p]);
+        }
+      }
+      std::array<std::span<const VertexID>, kMaxLeafTail> sets;
+      size_t num_sets = 0;
+      for (const size_t p : block.sources) {
+        const VertexID* begin = cut[p].data();
+        const VertexID* end = begin + cut[p].size();
+        if (block_lo > lo[p]) begin = CutFront(begin, end, block_lo);
+        if (block_hi < hi[p]) end = CutBack(begin, end, block_hi);
+        if (begin == end) {
+          num_sets = 0;
+          break;
+        }
+        sets[num_sets++] = {begin, end};
+      }
+      if (num_sets == 1) {
+        size = CountUnbound(block.unbound, sets[0].data(),
+                            sets[0].data() + sets[0].size(), block_lo,
+                            block_hi);
+      } else if (num_sets == 2 &&
+                 std::min(sets[0].size(), sets[1].size()) <= 8) {
+        // A few candidates: probe them into the other set, as the walk
+        // would, instead of calling an intersection kernel.
+        const bool first = sets[0].size() <= sets[1].size();
+        const std::span<const VertexID> few = sets[first ? 0 : 1];
+        const std::span<const VertexID> many = sets[first ? 1 : 0];
+        for (const VertexID v : few) {
+          if (!Contains(many.data(), many.data() + many.size(), v)) continue;
+          bool bound = false;
+          for (int x : block.unbound) {
+            bound |= mapping_[static_cast<size_t>(x)] == v;
+          }
+          size += bound ? 0 : 1;
+        }
+      } else if (num_sets > 0) {
+        std::array<SetView, kMaxLeafTail> views;
+        for (size_t i = 0; i < num_sets; ++i) views[i] = SetView(sets[i]);
+        size = CountIntersection(views.data(), num_sets, block_lo, block_hi,
+                                 block.unbound, leaf_buffer_.data());
+      }
+    }
+    if (size == 0) {
+      if (j == 0) return;
+      if (std::popcount(block.members) == 1) empty |= block.members;
+    }
+    leaf_sizes_[j] = size;
+  }
+  // Every prefix's sum is an exact count, so the wrapping unsigned
+  // arithmetic returns it whenever it fits in 64 bits.
+  for (size_t i = 0; i < k; ++i) {
+    uint64_t extensions = 0;
+    for (const LeafProduct& term : leaf_terms_[i]) {
+      uint64_t product = term.coefficient;
+      for (uint8_t b = 0; b < term.num_blocks; ++b) {
+        product *= leaf_sizes_[term.blocks[b]];
+      }
+      extensions += product;
+    }
+    stats_.mat_counts[static_cast<size_t>(tail[i])] += extensions;
+    stats_.num_partial_results += extensions;
+    if (i + 1 == k) stats_.num_matches += extensions;
+  }
 }
 
-void Enumerator::RunTwinClosure() {
-  const std::vector<int>& closure = plan_.twin_closure;
-  const size_t k = closure.size() - (twin_b_ < 0 ? 0 : 1);
-  const int t1 = closure[0];
+void Enumerator::RunLeaf() {
+  const std::vector<int>& tail = plan_.leaf.tail;
+  const size_t k = tail.size();
+  const int t1 = tail[0];
+  const int b = plan_.leaf.b;
+  if (!plan_.leaf.twins()) {
+    ScopedOpSpan span(trace_root_, "MAT", t1);
+    if (!CheckDeadline()) RunPartitionLeaf();
+    return;
+  }
   uint64_t m = 0;  // |S|
   uint64_t closed = 0;  // matches b closes
   const bool at_comp = plan_.sigma[tail_begin_op_].type == OpType::kCompute;
@@ -613,32 +775,35 @@ void Enumerator::RunTwinClosure() {
     const VertexID* end = begin + cand_size_[static_cast<size_t>(t1)];
     if (lo > 0) begin = LowerBound(begin, end, lo);
     if (hi < graph_.NumVertices()) end = LowerBound(begin, end, hi);
-    if (twin_b_ >= 0) {
+    if (b >= 0) {
       closed = ScatterTwins(begin, end, &m);
     } else if (!CheckDeadline()) {
-      m = CountUnbound(t1, begin, end, lo, hi);
+      m = CountUnbound(distinct_[static_cast<size_t>(t1)], begin, end, lo,
+                       hi);
     }
   }
   if (stop_) return;
-  // The twins bind, in chain order, to every i-subset of S.
+  // The twins bind, in chain order, to every i-subset of S: C(m, i) from
+  // C(m, i - 1), exactly, with no division for the common k = 1.
+  uint64_t extensions = m;
   for (size_t i = 1; i <= k; ++i) {
-    const uint64_t extensions = Choose(m, i);
-    stats_.mat_counts[static_cast<size_t>(closure[i - 1])] += extensions;
+    if (i > 1) extensions = extensions * (m - (i - 1)) / i;
+    stats_.mat_counts[static_cast<size_t>(tail[i - 1])] += extensions;
     stats_.num_partial_results += extensions;
   }
-  if (twin_b_ < 0) {
-    stats_.num_matches += Choose(m, k);
+  if (b < 0) {
+    stats_.num_matches += extensions;
   } else {
-    AddLeafMatches(twin_b_, closed);
+    AddLeafMatches(b, closed);
   }
 }
 
 uint64_t Enumerator::ScatterTwins(const VertexID* begin, const VertexID* end,
                                   uint64_t* m) {
-  const size_t k = plan_.twin_closure.size() - 1;
-  const int b = twin_b_;
+  const size_t k = plan_.leaf.tail.size();
+  const int b = plan_.leaf.b;
   const std::vector<int>& distinct =
-      distinct_[static_cast<size_t>(plan_.twin_closure[0])];
+      distinct_[static_cast<size_t>(plan_.leaf.tail[0])];
   const auto [b_lo, b_hi] = Window(plan_.lower_bounds[static_cast<size_t>(b)],
                                    plan_.upper_bounds[static_cast<size_t>(b)]);
   // Scatter: cnt[w] = |N(w) cap S| over b's window. The twins' images are
@@ -748,13 +913,6 @@ void Enumerator::RunMaterialize(size_t op_index) {
   const VertexID* end = data + size;
   if (lo > 0) begin = LowerBound(begin, end, lo);
   if (hi < graph_.NumVertices()) end = LowerBound(begin, end, hi);
-  if (counting_leaf && plan_.non_adjacent[static_cast<size_t>(u)].empty()) {
-    // Count the leaf instead of walking it; injectivity subtracts the bound
-    // vertices inside the window.
-    if (CheckDeadline()) return;
-    AddLeafMatches(u, CountUnbound(u, begin, end, lo, hi));
-    return;
-  }
   for (const VertexID* it = begin; it != end && !stop_; ++it) {
     if (CheckDeadline()) return;
     try_vertex(*it);

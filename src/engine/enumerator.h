@@ -1,6 +1,7 @@
 #ifndef LIGHT_ENGINE_ENUMERATOR_H_
 #define LIGHT_ENGINE_ENUMERATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -129,35 +130,42 @@ class Enumerator {
   void Run(size_t op_index);
   void RunCompute(size_t op_index);
   void RunMaterialize(size_t op_index);
-  /// Terminal for counted-tail (IEP term) plans: with the whole kernel
-  /// bound, multiplies each tail vertex's candidate-set size (minus bound
-  /// kernel vertices inside it) into num_matches instead of recursing.
-  void RunCountedTail();
-  /// Terminal for count-only runs of a plan with a twin closure
-  /// (ExecutionPlan::twin_closure), entered at MAT(t1), or at COMP(t1) when
-  /// a leaf's COMPs end sigma and t2..tk alias C(t1): adds the twins'
-  /// extensions by binomials of |S|, and b's (if any) by one scatter pass
-  /// over the neighbour lists of S, instead of recursing.
-  void RunTwinClosure();
-  /// The closing vertex's scatter over S = [begin, end) minus the bound
-  /// vertices (twin closure with b): sets *m = |S| and returns the number
-  /// of matches that b closes.
+  /// The count-only leaf (ExecutionPlan::leaf), entered at MAT(t1), or at
+  /// COMP(t1) when the twin form's COMPs end sigma before its MATs and
+  /// t2..tk alias C(t1): adds the tail's extensions by binomials of |S|
+  /// (twins), by the partition sum over the blocks' set sizes, or with b's
+  /// scatter pass, instead of recursing.
+  void RunLeaf();
+  /// The leaf's closing vertex b: scatters S = [begin, end) minus the
+  /// bound vertices, sets *m = |S| and returns the number of matches that
+  /// b closes.
   uint64_t ScatterTwins(const VertexID* begin, const VertexID* end,
                         uint64_t* m);
-  /// Intersection core shared by RunCompute and RunCountedTail: fills
-  /// cand_data_/cand_size_ for non-universal vertex u, returns the size.
+  /// Intersection core of RunCompute: fills cand_data_/cand_size_ for
+  /// non-universal vertex u, returns the size.
   /// Operands are first cut to u's COMP window (ExecutionPlan::comp_windows);
   /// an empty window or operand skips the intersection.
   uint32_t ComputeCandidateSet(int u);
   /// Counts C(u) inside u's MAT window, minus the bound vertices there,
   /// without storing it: the last pairwise step runs a count-only kernel.
-  /// Nothing may bind between COMP(u) and MAT(u). Serves a counted leaf
-  /// whose COMP directly precedes its MAT and a twin leaf entered at
-  /// COMP(t1).
+  /// Nothing may bind between COMP(u) and MAT(u). Serves a twin-form leaf
+  /// entered at COMP(t1).
   uint64_t CountLeafCandidates(int u);
-  /// |[begin, end)| minus u's bound non-neighbours inside it: the sorted
-  /// range is C(u) cut to u's window [lo, hi).
-  uint64_t CountUnbound(int u, const VertexID* begin, const VertexID* end,
+  /// |sets[0] cap ... cap sets[k-1]| minus the data vertices of `unbound`
+  /// in it, for k >= 1 sorted sets inside [lo, hi); `buffer` (d_max
+  /// entries) holds the partial intersection when k > 2.
+  uint64_t CountIntersection(SetView* sets, size_t k, VertexID lo,
+                             VertexID hi, const std::vector<int>& unbound,
+                             VertexID* buffer);
+  /// The partition form: the blocks' sizes |C_B| from the tail's sets
+  /// S(t), then every prefix's partition sum.
+  void RunPartitionLeaf();
+  /// Builds leaf_blocks_ and leaf_terms_ from the plan's partition form.
+  void WirePartitionLeaf();
+  /// |[begin, end)| minus the data vertices of `unbound` inside it: the
+  /// sorted range is a candidate set cut to the window [lo, hi).
+  uint64_t CountUnbound(const std::vector<int>& unbound,
+                        const VertexID* begin, const VertexID* end,
                         VertexID lo, VertexID hi) const;
   /// Adds a counted leaf's `count` extensions of u to the stats (the same
   /// increments the per-candidate loop makes).
@@ -190,22 +198,34 @@ class Enumerator {
   std::vector<uint64_t> word_scratch_;  // BitmapWords(|V|) when index attached
   IntersectKernel kernel_;
   size_t num_ops_ = 0;
-  /// Index in sigma at which Run hands the rest of the plan to a closing
-  /// count: the first counted-tail COMP, or COMP(t1)/MAT(t1) of a twin
-  /// closure in count-only runs; num_ops_ when neither applies.
+  /// Index in sigma at which Run hands the rest of the plan to RunLeaf:
+  /// leaf_op_ in count-only runs, num_ops_ (never) with a visitor.
   size_t tail_begin_op_ = 0;
-  /// tail_begin_op_ of count-only runs (SetVisitor switches between them).
-  size_t count_tail_op_ = 0;
-  /// ExecutionPlan::TwinClosureB(), cached.
-  int twin_b_ = -1;
-  /// The plan ends COMP(u), MAT(u) for a u whose leaf can be counted (no
-  /// induced checks, real operands): counting runs fuse the two ops.
-  bool fused_leaf_ = false;
-  /// Per pattern vertex u: the vertices bound before u binds (or before a
-  /// counted-tail COMP(u)) that are not u's pattern neighbours. Only their
-  /// data vertices can lie in C(u): C(u) is inside N(phi(x)) for every
-  /// bound neighbour x, and the CSR has no self-loops. So injectivity
-  /// checks compare against these alone.
+  /// COMP(t1) or MAT(t1) of the leaf; num_ops_ when the run walks it (no
+  /// leaf, or b with a label to check on labeled data).
+  size_t leaf_op_ = 0;
+  /// Partition-form leaf: the distinct blocks of the plan's terms (one
+  /// entry for blocks that read the same set), their per-binding sizes,
+  /// and the terms over them per tail prefix.
+  struct LeafBlock {
+    uint32_t members = 0;         // tail positions: the window is theirs
+    std::vector<size_t> sources;  // tail positions whose S(t) intersect
+    std::vector<int> unbound;     // bound vertices whose image may be in C_B
+  };
+  struct LeafProduct {
+    uint64_t coefficient = 0;  // two's complement: the sum wraps exactly
+    std::array<uint8_t, kMaxLeafTail> blocks{};  // indices into leaf_blocks_
+    uint8_t num_blocks = 0;
+  };
+  std::vector<LeafBlock> leaf_blocks_;
+  std::vector<uint64_t> leaf_sizes_;
+  std::vector<std::vector<LeafProduct>> leaf_terms_;
+  /// Partial intersection of a block with >= 3 sources.
+  std::vector<VertexID> leaf_buffer_;
+  /// Per pattern vertex u: the vertices bound before u binds that are not
+  /// u's pattern neighbours. Only their data vertices can lie in C(u): C(u)
+  /// is inside N(phi(x)) for every bound neighbour x, and the CSR has no
+  /// self-loops. So injectivity checks compare against these alone.
   std::vector<std::vector<int>> distinct_;
 
   // Per pattern vertex.
@@ -216,7 +236,7 @@ class Enumerator {
   std::vector<bool> universal_;  // COMP with no operands: candidates = V(G)
 
   std::vector<VertexID> scratch_;
-  /// Twin-closure scatter state (count-only closure plans only): a zeroed
+  /// Closing-vertex scatter state (count-only leaves with b only): a zeroed
   /// per-data-vertex counter array and the vertices whose counter is set.
   std::vector<uint32_t> wedge_counts_;
   std::vector<VertexID> wedge_touched_;

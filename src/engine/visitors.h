@@ -21,6 +21,14 @@ class MatchVisitor {
   virtual bool OnMatch(std::span<const VertexID> mapping) = 0;
 };
 
+/// Accepts every match and keeps none. A run with it walks sigma to every
+/// match instead of ending in the plan's count-only leaf, which makes it the
+/// reference the leaf is checked and benchmarked against.
+class WalkVisitor : public MatchVisitor {
+ public:
+  bool OnMatch(std::span<const VertexID>) override { return true; }
+};
+
 /// Collects up to `limit` matches (0 = unlimited). Used by tests, examples,
 /// and the BSP join engine's unit materialization.
 class CollectingVisitor : public MatchVisitor {

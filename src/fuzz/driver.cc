@@ -22,10 +22,10 @@ Status RunFuzz(const FuzzOptions& options, FuzzSummary* summary) {
     const OracleOutcome outcome = RunOracles(c);
     ++summary->cases_run;
     if (outcome.bitmap_routed > 0) ++summary->bitmap_routed_cases;
-    if (outcome.iep_checked) ++summary->iep_cases;
     if (outcome.comp_windows) ++summary->comp_window_cases;
     if (outcome.twin_closure) ++summary->twin_closure_cases;
     if (outcome.twin_leaf) ++summary->twin_leaf_cases;
+    if (outcome.partition_leaf) ++summary->partition_leaf_cases;
     if (outcome.store_checked) ++summary->store_cases;
     if (!c.labels.empty()) ++summary->labeled_cases;
     if (outcome.session_checked) {

@@ -110,21 +110,18 @@ struct OracleOutcome {
   /// skipped. The driver aggregates these into a latency histogram so every
   /// fuzz sweep doubles as a serving-latency soak.
   uint64_t session_latency_ns = 0;
-  /// True when the IEP leg ran: the pattern admitted an inclusion–exclusion
-  /// decomposition (plan/iep.h) and count_strategy=kIep — serial and
-  /// parallel light::Run, plus a caching Session::RunSync run twice — was
-  /// cross-checked against the enumerated pivot.
-  bool iep_checked = false;
   /// The LIGHT or SE plan cut some candidate set to a COMP window before
   /// intersecting (ExecutionPlan::comp_windows).
   bool comp_windows = false;
-  /// The LIGHT plan carries a twin closure (ExecutionPlan::twin_closure)
-  /// with a closing vertex b, so the serial pivot counted through its
-  /// scatter.
+  /// The LIGHT plan's leaf (ExecutionPlan::leaf) closes on a vertex b, so
+  /// the serial pivot counted through its scatter.
   bool twin_closure = false;
-  /// The LIGHT plan carries a twin leaf (a twin closure without b), so the
-  /// serial pivot counted the twins by one binomial.
+  /// The LIGHT plan's leaf is >= 2 twins without b, so the serial pivot
+  /// counted them by one binomial.
   bool twin_leaf = false;
+  /// The LIGHT plan's leaf is in partition form, so the serial pivot
+  /// counted it by the partition sum.
+  bool partition_leaf = false;
   /// True when the storage-engine leg ran: the case graph was written as an
   /// .lcsr2 snapshot, reopened as an mmap store, and its count
   /// cross-checked against the serial pivot (bit-identical heap/mmap is the
@@ -194,18 +191,18 @@ struct FuzzSummary {
   /// deadline (OracleOutcome::deadline_fired); the rest beat the deadline
   /// and had to reproduce the pivot count exactly.
   uint64_t deadline_cases = 0;
-  /// Cases the inclusion–exclusion leg ran on (CI asserts the smoke run
-  /// exercises the IEP counting path).
-  uint64_t iep_cases = 0;
   /// Cases whose plans carried COMP windows (CI asserts the smoke run
   /// exercises the windowed candidate computation).
   uint64_t comp_window_cases = 0;
-  /// Cases whose LIGHT plan carried a twin closure with b (CI asserts the
+  /// Cases whose LIGHT plan's leaf closed on a vertex b (CI asserts the
   /// smoke run exercises the closing scatter count).
   uint64_t twin_closure_cases = 0;
   /// Cases whose LIGHT plan carried a twin leaf (CI asserts the smoke run
   /// exercises the leaf binomial).
   uint64_t twin_leaf_cases = 0;
+  /// Cases whose LIGHT plan carried a partition-form leaf (CI asserts the
+  /// smoke run exercises the partition sum).
+  uint64_t partition_leaf_cases = 0;
   /// Cases the storage-engine parity leg ran on (CI asserts the smoke run
   /// exercises the mmap store path).
   uint64_t store_cases = 0;

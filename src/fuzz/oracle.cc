@@ -63,6 +63,28 @@ EngineCount RunBsp(const std::string& name, const Graph& graph,
   return e;
 }
 
+/// "" when `got` has the walk's count, per-vertex MAT extensions and
+/// partial results, else what differs.
+std::string LeafMismatch(const EngineStats& got, const EngineStats& walk) {
+  if (got.num_matches != walk.num_matches) {
+    return "count " + std::to_string(got.num_matches) + " vs walk " +
+           std::to_string(walk.num_matches);
+  }
+  for (size_t u = 0; u < walk.mat_counts.size(); ++u) {
+    const uint64_t have = u < got.mat_counts.size() ? got.mat_counts[u] : 0;
+    if (have != walk.mat_counts[u]) {
+      return "mat_counts[u" + std::to_string(u) + "] " +
+             std::to_string(have) + " vs walk " +
+             std::to_string(walk.mat_counts[u]);
+    }
+  }
+  if (got.num_partial_results != walk.num_partial_results) {
+    return "partial results " + std::to_string(got.num_partial_results) +
+           " vs walk " + std::to_string(walk.num_partial_results);
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string OracleOutcome::Describe() const {
@@ -99,8 +121,11 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   OracleOutcome outcome;
   outcome.comp_windows =
       light_plan.HasCompWindows() || se_plan.HasCompWindows();
-  outcome.twin_closure = light_plan.TwinClosureB() >= 0;
-  outcome.twin_leaf = light_plan.HasTwinLeaf();
+  outcome.twin_closure = light_plan.leaf.b >= 0;
+  outcome.twin_leaf = light_plan.leaf.twins() &&
+                      light_plan.leaf.tail.size() >= 2 &&
+                      light_plan.leaf.b < 0;
+  outcome.partition_leaf = !light_plan.leaf.terms.empty();
 
   // Static lint soak: every plan the oracles execute must verify clean
   // (analysis/plan_linter.h). A finding here is a planner bug or a linter
@@ -125,62 +150,51 @@ OracleOutcome RunOracles(const FuzzCase& c) {
   outcome.engines.push_back(RunSerial("serial_light", graph, light_plan, c));
   outcome.engines.push_back(RunSerial("serial_se", graph, se_plan, c));
 
-  // Inclusion–exclusion leg: when the pattern decomposes (independent
-  // counted tail + connected kernel), light::Run with count_strategy=kIep
-  // must reproduce the pivot count through an entirely different evaluation
-  // (signed kernel-embedding sums instead of full enumeration). lint_plan
-  // is forced on so every counted-tail term plan passes the linter.
-  if (const IepDecomposition dec = BuildIepDecomposition(c.pattern);
-      dec.valid()) {
-    // Decomposition-level proof first: partition/independence/connectivity
-    // plus the exactness of the signed term expansion
-    // (analysis::LintIepDecomposition). A violation here is a planner bug
-    // even when the counts happen to agree.
-    {
-      const analysis::LintReport report =
-          analysis::LintIepDecomposition(c.pattern, dec);
-      const uint64_t violations = report.errors() + report.warnings();
-      if (violations > 0) {
-        outcome.lint_violations += violations;
-        outcome.lint_text += "iep_decomposition:\n" + report.ToString();
-      }
-    }
-    RunOptions iep_options;
-    iep_options.threads = 1;
-    iep_options.unique_subgraphs = c.symmetry_breaking;
-    iep_options.data_labels = c.Labeled() ? &c.labels : nullptr;
-    iep_options.lint_plan = true;
-    iep_options.plan_options.kernel = c.kernel;
-    iep_options.plan_options.auto_kernel = false;
-    iep_options.plan_options.bitmap_min_degree = c.bitmap_min_degree;
-    iep_options.plan_options.count_strategy = CountStrategy::kIep;
-    // The same count with the terms as pool parts of one query (a hostile
-    // negative thread count means "whole pool" here), and twice through a
-    // caching session: the repeat serves every term plan from the cache.
-    RunOptions parallel_options = iep_options;
-    parallel_options.threads = std::max(0, c.parallel.num_threads);
+  // Leaf leg: the count-only runs of the LIGHT plan (serial, through the
+  // pool, and through a session given the plan) end in its leaf
+  // (ExecutionPlan::leaf); a walk of the same plan through a visitor must
+  // see the same count, per-vertex MAT extensions and partial results.
+  {
+    const std::vector<uint32_t>* labels = c.Labeled() ? &c.labels : nullptr;
+    Enumerator walker(graph, light_plan, labels);
+    WalkVisitor visitor;
+    walker.Enumerate(&visitor);
+    Enumerator counter(graph, light_plan, labels);
+    counter.Count();
+    ParallelOptions parallel = c.parallel;
+    parallel.time_limit_seconds = 0;
+    const ParallelResult pooled =
+        ParallelCount(graph, light_plan, parallel, labels);
     SessionOptions session_options;
     session_options.threads = 2;
-    session_options.plan_options.bitmap_min_degree = c.bitmap_min_degree;
     Session session(graph, session_options);
-    const std::pair<const char*, RunResult> legs[] = {
-        {"iep", Run(graph, c.pattern, iep_options)},
-        {"iep_parallel", Run(graph, c.pattern, parallel_options)},
-        {"iep_session", session.RunSync(c.pattern, parallel_options)},
-        {"iep_session_cached", session.RunSync(c.pattern, parallel_options)},
+    RunOptions query;
+    query.data_labels = labels;
+    query.plan = &light_plan;
+    obs::RunReport report;
+    query.report = &report;
+    const RunResult submitted = session.RunSync(c.pattern, query);
+    const std::pair<const char*, const EngineStats*> legs[] = {
+        {"leaf_serial", &counter.stats()},
+        {"leaf_parallel", &pooled.stats},
+        {"leaf_session", submitted.ok() ? &report.engine : nullptr},
     };
-    for (const auto& [name, result] : legs) {
+    for (const auto& [name, stats] : legs) {
       EngineCount e;
       e.name = name;
-      if (result.ok()) {
-        e.count = result.num_matches;
-      } else {
+      if (walker.stats().timed_out || (stats != nullptr && stats->timed_out)) {
+        e.skipped = true;
+        e.note = "timed out";
+      } else if (stats == nullptr) {
         e.count = std::numeric_limits<uint64_t>::max();
-        e.note = result.error;
+        e.note = submitted.error;
+      } else {
+        e.count = stats->num_matches;
+        e.note = LeafMismatch(*stats, walker.stats());
+        if (!e.note.empty()) outcome.divergent = true;
       }
       outcome.engines.push_back(std::move(e));
     }
-    outcome.iep_checked = true;
   }
 
   {

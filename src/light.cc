@@ -22,16 +22,6 @@ const char* AlgorithmName(const PlanOptions& options) {
   return "se";
 }
 
-/// Exact-structure key of a pattern (edge list plus labels, no
-/// canonicalization).
-std::string ExactKey(const Pattern& pattern) {
-  std::string key = pattern.ToString();
-  for (int u = 0; u < pattern.NumVertices(); ++u) {
-    key += ":" + std::to_string(pattern.Label(u));
-  }
-  return key;
-}
-
 }  // namespace
 
 Status RunOptions::Validate() const {
@@ -119,21 +109,12 @@ uint64_t LiveQueryStates() {
 
 /// Shared state behind one admitted query (and its Ticket): the normalized
 /// options and lifecycle stamps from admission, a pre-execution error or
-/// the query's parts, and the final RunResult once delivered. A query has
-/// one part per plan it runs: one for an enumeration, one per term for an
-/// inclusion–exclusion count. Inline parts hold their result as soon as
-/// they ran; pool parts hold a handle that Wait (or the async on_done)
-/// resolves.
+/// the query's plan, and the final RunResult once delivered. An inline run
+/// holds its engine result as soon as it ran; a pool run holds a handle
+/// that Wait (or the async on_done) resolves.
 struct SessionQueryState {
   SessionQueryState() { g_live_query_states.fetch_add(1); }
   ~SessionQueryState() { g_live_query_states.fetch_sub(1); }
-
-  struct Part {
-    std::shared_ptr<const ExecutionPlan> plan;
-    int64_t coefficient = 1;
-    WorkerPool::QueryHandle handle;
-    ParallelResult result;
-  };
 
   Session* session = nullptr;
   const char* tool = "light::Session";
@@ -145,9 +126,9 @@ struct SessionQueryState {
   bool plan_cache_hit = false;
   /// Validation, lint, or visitor-on-Submit failure: nothing runs.
   std::string error;
-  std::vector<Part> parts;
-  /// Divisor of the signed part sum (|Aut(P)| for unique IEP counts).
-  uint64_t automorphisms = 1;
+  std::shared_ptr<const ExecutionPlan> plan;
+  WorkerPool::QueryHandle handle;
+  ParallelResult run;
   bool on_pool = false;
   const BitmapIndex* bitmap = nullptr;
 
@@ -159,25 +140,19 @@ struct SessionQueryState {
   /// Async completion sink (SubmitAsync); fires exactly once, inside
   /// Finalize.
   std::function<void(const RunResult&)> callback;
-  /// Async pool parts whose on_done has not run yet; the last one to finish
-  /// finalizes the query (acq_rel: it sees every other part's result).
-  std::atomic<size_t> pending_parts{0};
 
   Mutex mutex{lockrank::kSessionQueryState, "SessionQueryState::mutex"};
   bool finalized LIGHT_GUARDED_BY(mutex) = false;
   RunResult result LIGHT_GUARDED_BY(mutex);
 
-  /// Combines the parts into the final RunResult exactly once — callable
-  /// from Wait (caller thread) and from the pool's on_done (worker thread);
-  /// later calls return the cached result. The winning call fills the
-  /// report sink, records the query with the session, and fires the async
-  /// callback.
+  /// Turns the engine result into the final RunResult exactly once —
+  /// callable from Wait (caller thread) and from the pool's on_done (worker
+  /// thread); later calls return the cached result. The winning call fills
+  /// the report sink, records the query with the session, and fires the
+  /// async callback.
   RunResult Finalize() LIGHT_EXCLUDES(mutex) {
     MutexLock lock(mutex);
     if (finalized) return result;
-    // Pre-execution failures carry no parts (Launch clears them).
-    const ExecutionPlan* plan =
-        parts.empty() ? nullptr : parts.front().plan.get();
     // Every result carries its query id, so a caller can match even a
     // pre-execution error to its submission.
     result.query_stats.query_id = query_id;
@@ -185,48 +160,19 @@ struct SessionQueryState {
       result.error = error;
       result.outcome = QueryOutcome::kError;
     } else {
-      __int128 total = 0;
-      EngineStats stats;
-      std::vector<obs::WorkerStats> workers;
-      bool aborted = false;
-      bool rejected = false;
+      result.num_matches = run.num_matches;
+      result.elapsed_seconds = run.elapsed_seconds;
+      result.timed_out = run.timed_out;
       obs::QueryStats& q = result.query_stats;
-      for (const Part& part : parts) {
-        const ParallelResult& r = part.result;
-        total += static_cast<__int128>(part.coefficient) *
-                 static_cast<__int128>(r.num_matches);
-        stats.Add(r.stats);
-        result.elapsed_seconds += r.elapsed_seconds;
-        result.timed_out = result.timed_out || r.timed_out;
-        aborted = aborted || r.aborted;
-        rejected = rejected || r.rejected;
-        if (workers.empty()) {
-          workers = r.workers;
-        } else {
-          for (size_t w = 0; w < workers.size() && w < r.workers.size(); ++w) {
-            workers[w].Add(r.workers[w]);
-          }
-        }
-        const obs::QueryStats& lc = r.lifecycle;
-        q.queue_wait_ns += lc.queue_wait_ns;
-        q.execute_ns += lc.execute_ns;
-        q.total_ns = std::max(q.total_ns, lc.total_ns);
-        q.ranges_executed += lc.ranges_executed;
-        q.steals += lc.steals;
-        q.busy_ns += lc.busy_ns;
-        q.park_ns += lc.park_ns;
-      }
+      q = run.lifecycle;
+      q.query_id = query_id;
       q.plan_ns = plan_ns;
       q.plan_cache_hit = plan_cache_hit;
-      // The signed sum is exact for complete runs; a timeout leaves a
-      // partial (possibly negative) sum — clamp, like partial counts.
-      result.num_matches =
-          static_cast<uint64_t>(std::max<__int128>(total, 0)) / automorphisms;
-      if (rejected) {
+      if (run.rejected) {
         result.outcome = QueryOutcome::kOverloadRejected;
         result.error = std::string(kOverloadRejectedPrefix) +
                        " session admission limit reached";
-      } else if (on_pool && (aborted || result.timed_out)) {
+      } else if (on_pool && (run.aborted || result.timed_out)) {
         // An abort with no recorded reason is the enumerator tripping the
         // wall-clock budget itself — the same deadline, enforced from
         // inside a range instead of by the timer thread. (Inline runs keep
@@ -254,12 +200,10 @@ struct SessionQueryState {
         report->bitmap_rows = bitmap->num_rows();
         report->bitmap_memory_bytes =
             bitmap->empty() ? 0 : bitmap->MemoryBytes();
-        obs::FillFromEngine(*plan, stats, report);
+        obs::FillFromEngine(*plan, run.stats, report);
         obs::SnapshotCounters(report);
         report->elapsed_seconds = result.elapsed_seconds;
-        // The combined signed count, not the raw per-part engine sum.
-        report->num_matches = result.num_matches;
-        report->workers = std::move(workers);
+        report->workers = run.workers;
         // No workers: the caller thread ran the query inline.
         report->summary = report->workers.empty()
                               ? obs::WorkerSummary{1, 1, 1.0, 0, 0}
@@ -267,7 +211,8 @@ struct SessionQueryState {
       }
     }
     finalized = true;
-    session->RecordQueryDone(result, pattern, plan);
+    // Pre-execution failures carry no plan (Launch clears it).
+    session->RecordQueryDone(result, pattern, plan.get());
     if (callback) {
       // Fire under the state lock: the callback sees the final result and
       // a second finalize attempt can never overtake it.
@@ -284,9 +229,7 @@ struct SessionQueryState {
     }
     // Block outside the state lock — the pool's on_done path (async
     // submits) takes it to finalize and must not deadlock against us.
-    if (on_pool) {
-      for (Part& part : parts) part.result = part.handle.Wait();
-    }
+    if (on_pool) run = handle.Wait();
     return Finalize();
   }
 };
@@ -437,8 +380,8 @@ bool Session::Lint(const Pattern& pattern, const ExecutionPlan& plan,
 }
 
 std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
-    const Pattern& pattern, const IepTerm* term, const RunOptions& opts,
-    std::string* error, bool* cache_hit) {
+    const Pattern& pattern, const RunOptions& opts, std::string* error,
+    bool* cache_hit) {
   *cache_hit = false;
   if (opts.plan != nullptr) {
     // Caller-supplied plan: never cached, structural lint only (no stats).
@@ -449,22 +392,12 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
     return std::shared_ptr<const ExecutionPlan>(
         std::shared_ptr<const ExecutionPlan>(), opts.plan);
   }
-  // The plan is linted against the numbering it was built for: the
-  // linter checks the plan's wiring vertex-by-vertex.
-  const Pattern& plan_pattern = term != nullptr ? term->pattern : pattern;
   std::string key;
   if (options_.plan_cache_capacity > 0 && opts.visitor == nullptr) {
-    // Pattern plans share one entry across isomorphic submissions: the
-    // canonical shape plus the plan-shaping options (unique_subgraphs is
-    // folded into plan_options.symmetry_breaking by Normalized). Term plans
-    // key on the exact structure instead — two isomorphic submissions with
-    // different numberings decompose differently, and their term plans
-    // must not mix.
-    key = term == nullptr ? Canonicalize(pattern).Key()
-                          : "iep-term:" + ExactKey(pattern) + "|" +
-                                ExactKey(term->pattern) + "|t" +
-                                std::to_string(term->counted_tail.size());
-    key += opts.plan_options.CacheKey();
+    // Isomorphic submissions share one entry: the canonical shape plus the
+    // plan-shaping options (unique_subgraphs is folded into
+    // plan_options.symmetry_breaking by Normalized).
+    key = Canonicalize(pattern).Key() + opts.plan_options.CacheKey();
     std::shared_ptr<const ExecutionPlan> cached;
     Pattern cached_pattern;  // the numbering the cached plan was built for
     bool linted = false;
@@ -514,11 +447,11 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
   const GraphStats stats = ComputeGraphStats(view_);
   auto built = std::make_shared<const ExecutionPlan>([&] {
     obs::TraceSpan span("build_plan");
-    return term != nullptr
-               ? BuildIepTermPlan(*term, *graph_ptr_, stats, opts.plan_options)
-               : BuildRunPlan(*graph_ptr_, stats, pattern, opts);
+    return BuildRunPlan(*graph_ptr_, stats, pattern, opts);
   }());
-  if (opts.lint_plan && !Lint(plan_pattern, *built, &stats, error)) {
+  // The plan is linted against the numbering it was built for: the linter
+  // checks the plan's wiring vertex-by-vertex.
+  if (opts.lint_plan && !Lint(pattern, *built, &stats, error)) {
     return nullptr;
   }
   if (key.empty()) return built;
@@ -529,7 +462,7 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
   // plan (this query still runs its own identical build).
   if (!inserted) return built;
   it->second.plan = built;
-  it->second.pattern = plan_pattern;
+  it->second.pattern = pattern;
   it->second.linted = opts.lint_plan;
   while (plan_cache_.size() > options_.plan_cache_capacity) {
     auto victim = plan_cache_.begin();
@@ -544,57 +477,13 @@ std::shared_ptr<const ExecutionPlan> Session::ResolvePlan(
 void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
                      bool on_pool) {
   const RunOptions& opts = s->opts;
-  IepDecomposition dec;
-  // The enumeration plan, when kAuto resolved it to choose a strategy.
-  std::shared_ptr<const ExecutionPlan> enumeration_plan;
-  bool enumeration_hit = false;
-  if (s->error.empty() &&
-      opts.plan_options.count_strategy != CountStrategy::kEnumerate &&
-      opts.visitor == nullptr && !opts.plan_options.induced &&
-      opts.plan == nullptr) {
-    // Counting-only query with IEP requested (or auto): decompose, and take
-    // the IEP path when the decomposition exists and — under kAuto — the
-    // tail is big enough to plausibly pay for the extra term plans, unless
-    // the enumeration plan counts its tail twins by one binomial (a twin
-    // leaf), which no set of term plans beats.
-    dec = BuildIepDecomposition(s->pattern);
-    if (opts.plan_options.count_strategy == CountStrategy::kAuto) {
-      if (dec.valid() && dec.tail.size() >= 2) {
-        enumeration_plan = ResolvePlan(s->pattern, nullptr, opts, &s->error,
-                                       &enumeration_hit);
-      }
-      const bool twin_leaf =
-          enumeration_plan != nullptr && enumeration_plan->HasTwinLeaf() &&
-          (opts.data_labels == nullptr ||
-           !enumeration_plan->TwinClosureLabeled());
-      if (enumeration_plan == nullptr || twin_leaf) dec = IepDecomposition();
-    }
-  }
-  // One part per IEP term, else one for the pattern itself. Every plan is
-  // resolved before any part runs, so a lint failure aborts before any
-  // counting work.
-  const bool iep = dec.valid() && !dec.terms.empty();
   if (s->error.empty()) {
-    s->parts.resize(iep ? dec.terms.size() : 1);
-    s->plan_cache_hit = true;
-    for (size_t i = 0; i < s->parts.size() && s->error.empty(); ++i) {
-      const IepTerm* term = iep ? &dec.terms[i] : nullptr;
-      bool hit = false;
-      if (term == nullptr && enumeration_plan != nullptr) {
-        s->parts[i].plan = enumeration_plan;
-        hit = enumeration_hit;
-      } else {
-        s->parts[i].plan = ResolvePlan(s->pattern, term, opts, &s->error, &hit);
-      }
-      s->plan_cache_hit = s->plan_cache_hit && hit;
-      if (term != nullptr) s->parts[i].coefficient = term->coefficient;
-    }
-    if (iep && opts.unique_subgraphs) s->automorphisms = dec.automorphism_count;
+    s->plan = ResolvePlan(s->pattern, opts, &s->error, &s->plan_cache_hit);
   }
   if (!s->error.empty()) {
     // Pre-execution failure: delivered now to an async callback, else by
     // Wait.
-    s->parts.clear();
+    s->plan = nullptr;
     if (s->callback) s->Finalize();
     return;
   }
@@ -606,21 +495,15 @@ void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
     // stuck from its very first range still has context on record).
     InflightQuery info;
     info.pattern = s->pattern;
-    info.plan_sigma = obs::PlanSigmaString(*s->parts.front().plan);
+    info.plan_sigma = obs::PlanSigmaString(*s->plan);
     info.admit_ns = s->admit_ns;
     MutexLock lock(inflight_mutex_);
     inflight_.emplace(s->query_id, std::move(info));
   }
-  s->pending_parts.store(s->parts.size(), std::memory_order_relaxed);
-  for (size_t i = 0; i < s->parts.size(); ++i) {
-    Execute(s, i);
-    // Inline parts run in turn; once the shared budget is spent the rest
-    // are skipped (their zero counts join the partial sum).
-    if (!on_pool && s->parts[i].result.timed_out) break;
-  }
+  Execute(s);
   if (!on_pool) return;
   {
-    // Cancel index entry after the handles exist (Kill dereferences them;
+    // Cancel index entry after the handle exists (Kill dereferences it;
     // cancel_mutex_ publishes the writes). Callers can only know this id
     // once Submit returned, so nothing is missed. Retired by
     // RecordQueryDone — which can already have run for queries the pool
@@ -638,44 +521,39 @@ void Session::Launch(const std::shared_ptr<detail::SessionQueryState>& s,
   }
 }
 
-void Session::Execute(const std::shared_ptr<detail::SessionQueryState>& s,
-                      size_t i) {
+void Session::Execute(const std::shared_ptr<detail::SessionQueryState>& s) {
   const RunOptions& opts = s->opts;
-  detail::SessionQueryState::Part& part = s->parts[i];
   if (s->on_pool) {
     WorkerPool::QuerySpec spec;
     spec.graph = view_;
-    spec.plan = part.plan.get();
-    spec.plan_holder = part.plan;
+    spec.plan = s->plan.get();
+    spec.plan_holder = s->plan;
     spec.data_labels = opts.data_labels;
     spec.bitmap_index = s->bitmap;
     spec.options.num_threads = opts.threads;  // 0 = the whole pool
-    // 0 = unlimited (ParallelOptions::Normalized); every part spends the
-    // one budget anchored at the query's admit.
+    // 0 = unlimited (ParallelOptions::Normalized); the budget is anchored
+    // at the query's admit.
     spec.options.time_limit_seconds = opts.time_limit_seconds;
     spec.admit_ns = s->admit_ns;
     spec.query_id = s->query_id;
     spec.priority = opts.priority;
     if (s->callback) {
-      // Push-style completion: each part's finalizer (worker thread, or
-      // Submit itself for immediate completions) stores its result, and
-      // the last part to finish drives Finalize. The captured shared_ptr
-      // keeps the state alive until then.
-      spec.on_done = [self = s, i](const ParallelResult& presult) {
-        self->parts[i].result = presult;
-        if (self->pending_parts.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          self->Finalize();
-        }
+      // Push-style completion: the query's finalizer (worker thread, or
+      // Submit itself for immediate completions) stores the result and
+      // drives Finalize. The captured shared_ptr keeps the state alive
+      // until then.
+      spec.on_done = [self = s](const ParallelResult& presult) {
+        self->run = presult;
+        self->Finalize();
       };
     }
-    part.handle = EnsurePool().Submit(spec);
+    s->handle = EnsurePool().Submit(spec);
     return;
   }
   // Inline on the caller thread. The budget is anchored at admit: plan
-  // resolution and earlier parts already consumed part of it, so the limit
-  // a query observes is true wall clock from entry, matching the pool.
-  Enumerator enumerator(view_, *part.plan, opts.data_labels);
+  // resolution already consumed part of it, so the limit a query observes
+  // is true wall clock from entry, matching the pool.
+  Enumerator enumerator(view_, *s->plan, opts.data_labels);
   enumerator.SetBitmapIndex(s->bitmap);
   const uint64_t start_ns = MonotonicNs();
   enumerator.SetTimeLimit(
@@ -683,7 +561,7 @@ void Session::Execute(const std::shared_ptr<detail::SessionQueryState>& s,
           ? opts.time_limit_seconds -
                 static_cast<double>(start_ns - s->admit_ns) * 1e-9
           : std::numeric_limits<double>::infinity());
-  ParallelResult& r = part.result;
+  ParallelResult& r = s->run;
   r.num_matches = opts.visitor != nullptr ? enumerator.Enumerate(opts.visitor)
                                           : enumerator.Count();
   r.stats = enumerator.stats();
@@ -741,12 +619,7 @@ bool Session::Kill(detail::SessionQueryState& s, int reason) {
   int expected = detail::kKillNone;
   s.kill_reason.compare_exchange_strong(expected, reason,
                                         std::memory_order_acq_rel);
-  WorkerPool& pool = EnsurePool();
-  bool delivered = false;
-  for (const detail::SessionQueryState::Part& part : s.parts) {
-    delivered = pool.Cancel(part.handle) || delivered;
-  }
-  return delivered;
+  return EnsurePool().Cancel(s.handle);
 }
 
 RunResult Session::RunSyncWithTool(const Pattern& pattern,

@@ -10,7 +10,7 @@
 /// RunOptions carries the execution knobs (threads, time limit, labels,
 /// visitor, report sink) plus a nested light::PlanOptions
 /// (RunOptions::plan_options) holding every plan-shaping knob — algorithm
-/// variant, kernel, count strategy, bitmap thresholds — with
+/// variant, kernel, bitmap thresholds — with
 /// Validate()/Normalized() on both layers, and one
 /// RunResult carries every outcome (matches, elapsed, timed_out, error
 /// string). For a stream of queries against one data graph, light::Session
@@ -58,7 +58,6 @@
 #include "pattern/catalog.h"
 #include "pattern/parse.h"
 #include "pattern/pattern.h"
-#include "plan/iep.h"
 #include "plan/plan.h"
 #include "storage/graph_store.h"
 
@@ -94,15 +93,9 @@ struct RunOptions {
 
   // --- Plan shaping ---
   /// Every plan-shaping knob in one struct (plan/plan.h): algorithm
-  /// variant (lazy/msc), induced semantics, intersection kernel, count
-  /// strategy, bitmap-index thresholds. Shared verbatim with
-  /// SessionOptions; the session plan cache keys on
-  /// PlanOptions::CacheKey().
-  ///
-  /// count_strategy is honored by every entry point: kIep/kAuto count
-  /// through an inclusion–exclusion decomposition whose term plans run as
-  /// parts of the one query (in turn inline for a threads == 1
-  /// Run/RunSync, else concurrently on the pool).
+  /// variant (lazy/msc), induced semantics, intersection kernel,
+  /// bitmap-index thresholds. Shared verbatim with SessionOptions; the
+  /// session plan cache keys on PlanOptions::CacheKey().
   PlanOptions plan_options;
   /// Precompiled plan override (e.g. from BuildRunPlan or a baseline plan
   /// builder); must outlive the call and match `pattern`. When set, the
@@ -115,8 +108,10 @@ struct RunOptions {
   /// automorphism group, set-cover completeness, constraint wiring, and the
   /// bitmap-config value ranges. Any error-severity finding fails the run
   /// with the diagnostics in RunResult::error instead of executing a plan
-  /// that would miscount. Defaults on in debug builds; off in release (the
-  /// automorphism rule costs up to n! * |Aut| per run).
+  /// that would miscount. Defaults on unless NDEBUG is defined (the
+  /// automorphism rule costs up to n! * |Aut| per run). The shipped CMake
+  /// Release flags are "-O3" alone, which defines no NDEBUG, so lint is on
+  /// in that build too.
 #ifdef NDEBUG
   bool lint_plan = false;
 #else
@@ -319,10 +314,9 @@ uint64_t LiveQueryStates();
 ///
 /// Every query, whatever the entry point, follows one lifecycle: admit
 /// (validate, normalize, stamp id and admit time, count the submission),
-/// resolve its plans through the one plan cache, execute them — inline on
-/// the caller for serial RunSync, else on the pool — and deliver one
-/// RunResult that is counted and logged once. An inclusion–exclusion count
-/// is one such query whose K term plans are its parts.
+/// resolve its plan through the one plan cache, execute it — inline on the
+/// caller for serial RunSync, else on the pool — and deliver one RunResult
+/// that is counted and logged once.
 ///
 /// Thread safety: Submit/RunSync/RunBatch/stats may be called concurrently
 /// from any number of caller threads. The graph (and any data_labels /
@@ -460,7 +454,7 @@ class Session {
   };
 
   // The query lifecycle every entry point shares: Admit, then Launch
-  // (resolve each part's plan, Execute each part), then delivery through
+  // (resolve the plan, Execute it), then delivery through
   // SessionQueryState::Finalize, which calls RecordQueryDone.
 
   /// Validates and normalizes the options, stamps the query id and admit
@@ -470,20 +464,16 @@ class Session {
       const Pattern& pattern, const RunOptions& options, const char* tool,
       std::function<void(const RunResult&)> callback)
       LIGHT_EXCLUDES(stats_mutex_);
-  /// Resolves the plans of an admitted query — one per IEP term when the
-  /// count strategy picks inclusion–exclusion, else one — and executes
-  /// them: inline on the caller thread, or as pool queries sharing the
-  /// query's id and admit time (then registered for Cancel and the timer).
+  /// Resolves the plan of an admitted query and executes it: inline on the
+  /// caller thread, or as a pool query with the query's id and admit time
+  /// (then registered for Cancel and the timer).
   void Launch(const std::shared_ptr<detail::SessionQueryState>& s,
               bool on_pool);
   /// The one plan resolver: a caller-supplied RunOptions::plan (linted,
-  /// never cached), else a cache lookup keyed by canonical form (pattern
-  /// plans) or exact structure ("iep-term:" keys, when `term` is set), or
-  /// no key when caching is off or a visitor is attached; build + lint on
-  /// miss, LRU eviction at insert. On lint failure returns null with
-  /// `error` set.
+  /// never cached), else a cache lookup keyed by canonical form, or no key
+  /// when caching is off or a visitor is attached; build + lint on miss,
+  /// LRU eviction at insert. On lint failure returns null with `error` set.
   std::shared_ptr<const ExecutionPlan> ResolvePlan(const Pattern& pattern,
-                                                   const IepTerm* term,
                                                    const RunOptions& opts,
                                                    std::string* error,
                                                    bool* cache_hit)
@@ -492,10 +482,10 @@ class Session {
   /// cardinality rules. False with `error` set on any error finding.
   bool Lint(const Pattern& pattern, const ExecutionPlan& plan,
             const GraphStats* stats, std::string* error) const;
-  /// The one executor: runs part `i` of `s` inline (budget anchored at the
-  /// query's admit) or submits it to the pool.
-  void Execute(const std::shared_ptr<detail::SessionQueryState>& s, size_t i);
-  /// Aborts every pool part of `s`; true when an abort was delivered.
+  /// The one executor: runs `s` inline (budget anchored at the query's
+  /// admit) or submits it to the pool.
+  void Execute(const std::shared_ptr<detail::SessionQueryState>& s);
+  /// Aborts the pool run of `s`; true when an abort was delivered.
   bool Kill(detail::SessionQueryState& s, int reason)
       LIGHT_EXCLUDES(init_mutex_);
 

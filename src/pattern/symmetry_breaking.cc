@@ -6,18 +6,22 @@
 
 namespace light {
 
-PartialOrder ComputeSymmetryBreaking(const Pattern& pattern) {
+PartialOrder ComputeSymmetryBreaking(const Pattern& pattern, uint32_t late) {
   std::vector<Permutation> group = FindAutomorphisms(pattern);
   PartialOrder constraints;
   const int n = pattern.NumVertices();
   while (group.size() > 1) {
-    // Smallest vertex moved by some automorphism in the remaining group.
+    // Smallest vertex moved by some automorphism in the remaining group,
+    // the `late` ones last.
     int pivot = -1;
-    for (int u = 0; u < n && pivot < 0; ++u) {
-      for (const Permutation& perm : group) {
-        if (perm[u] != u) {
-          pivot = u;
-          break;
+    for (int pass = 0; pass < 2 && pivot < 0; ++pass) {
+      for (int u = 0; u < n && pivot < 0; ++u) {
+        if ((late >> u & 1u) != static_cast<uint32_t>(pass)) continue;
+        for (const Permutation& perm : group) {
+          if (perm[u] != u) {
+            pivot = u;
+            break;
+          }
         }
       }
     }

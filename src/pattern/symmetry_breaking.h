@@ -1,6 +1,7 @@
 #ifndef LIGHT_PATTERN_SYMMETRY_BREAKING_H_
 #define LIGHT_PATTERN_SYMMETRY_BREAKING_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,14 @@ using PartialOrder = std::vector<std::pair<int, int>>;
 /// constraints enforced, every subgraph of G isomorphic to P is reported by
 /// exactly one match, i.e.
 ///   count(no constraints) == count(with constraints) * |Aut(P)|.
-PartialOrder ComputeSymmetryBreaking(const Pattern& pattern);
+///
+/// Vertices in `late` (a bit mask) are pivoted only once no other vertex is
+/// moved. The plan pivots a pairwise non-adjacent tail this way: the group
+/// left then fixes every other vertex, so it only permutes tail vertices
+/// with equal neighbourhoods, and the tail's own constraints are chains of
+/// such twins (ExecutionPlan::leaf).
+PartialOrder ComputeSymmetryBreaking(const Pattern& pattern,
+                                     uint32_t late = 0);
 
 /// Number of automorphisms of the pattern.
 size_t AutomorphismCount(const Pattern& pattern);

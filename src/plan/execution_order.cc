@@ -130,67 +130,29 @@ bool ValidateExecutionOrder(const Pattern& pattern, const std::vector<int>& pi,
   return true;
 }
 
-bool ValidateExecutionOrder(const Pattern& pattern, const std::vector<int>& pi,
-                            const ExecutionOrder& sigma,
-                            const std::vector<int>& counted_tail) {
-  if (counted_tail.empty()) return ValidateExecutionOrder(pattern, pi, sigma);
-  const int n = pattern.NumVertices();
-  const int m = static_cast<int>(counted_tail.size());
-  const int k = n - m;
-  if (k < 1 || static_cast<int>(pi.size()) != n ||
-      static_cast<int>(sigma.size()) != 2 * k - 1 + m) {
-    return false;
+std::vector<int> IndependentMatSuffix(const Pattern& pattern,
+                                      const std::vector<int>& pi,
+                                      const ExecutionOrder& sigma) {
+  uint32_t placed = 0;
+  uint32_t has_backward = 0;
+  for (const int u : pi) {
+    if ((pattern.NeighborMask(u) & placed) != 0) has_backward |= 1u << u;
+    placed |= 1u << u;
   }
-  uint32_t tail_mask = 0;
-  for (int t : counted_tail) {
-    if (t < 0 || t >= n || ((tail_mask >> t) & 1u) != 0) return false;
-    tail_mask |= 1u << t;
-  }
-  // Tail vertices fill the last m slots of pi and their COMP ops close
-  // sigma in pi order; they appear nowhere else.
-  for (int i = 0; i < m; ++i) {
-    const int t = pi[static_cast<size_t>(k + i)];
-    if (((tail_mask >> t) & 1u) == 0) return false;
-    const Operation& op = sigma[static_cast<size_t>(2 * k - 1 + i)];
-    if (op.type != OpType::kCompute || op.vertex != t) return false;
-  }
-  for (int i = 0; i < 2 * k - 1; ++i) {
-    const int v = sigma[static_cast<size_t>(i)].vertex;
-    if (v < 0 || v >= n || ((tail_mask >> v) & 1u) != 0) return false;
-  }
-  // The kernel prefix must validate as an ordinary plan over the induced
-  // kernel sub-pattern (renumbered to 0..k-1).
-  std::vector<int> old_to_new(static_cast<size_t>(n), -1);
-  std::vector<int> kernel_vertices;
-  for (int u = 0; u < n; ++u) {
-    if (((tail_mask >> u) & 1u) == 0) {
-      old_to_new[static_cast<size_t>(u)] =
-          static_cast<int>(kernel_vertices.size());
-      kernel_vertices.push_back(u);
+  std::vector<int> tail;
+  uint32_t mask = 0;
+  const size_t max_tail = static_cast<size_t>(kMaxLeafTail);
+  for (size_t i = sigma.size(); i-- > 0 && tail.size() < max_tail;) {
+    const Operation& op = sigma[i];
+    if (op.type != OpType::kMaterialize ||
+        (has_backward >> op.vertex & 1u) == 0 ||
+        (pattern.NeighborMask(op.vertex) & mask) != 0) {
+      break;
     }
+    tail.insert(tail.begin(), op.vertex);
+    mask |= 1u << op.vertex;
   }
-  Pattern kernel_pattern(k);
-  for (int i = 0; i < k; ++i) {
-    for (int j = i + 1; j < k; ++j) {
-      if (pattern.HasEdge(kernel_vertices[static_cast<size_t>(i)],
-                          kernel_vertices[static_cast<size_t>(j)])) {
-        kernel_pattern.AddEdge(i, j);
-      }
-    }
-  }
-  std::vector<int> kernel_pi;
-  for (int i = 0; i < k; ++i) {
-    const int u = pi[static_cast<size_t>(i)];
-    if (u < 0 || u >= n || ((tail_mask >> u) & 1u) != 0) return false;
-    kernel_pi.push_back(old_to_new[static_cast<size_t>(u)]);
-  }
-  ExecutionOrder kernel_sigma;
-  for (int i = 0; i < 2 * k - 1; ++i) {
-    const Operation& op = sigma[static_cast<size_t>(i)];
-    kernel_sigma.push_back(
-        {op.type, old_to_new[static_cast<size_t>(op.vertex)]});
-  }
-  return ValidateExecutionOrder(kernel_pattern, kernel_pi, kernel_sigma);
+  return tail;
 }
 
 std::vector<uint32_t> AnchorVertices(const Pattern& pattern,

@@ -55,13 +55,16 @@ ExecutionOrder GenerateEagerExecutionOrder(const Pattern& pattern,
 bool ValidateExecutionOrder(const Pattern& pattern, const std::vector<int>& pi,
                             const ExecutionOrder& sigma);
 
-/// Counted-tail variant (plan/iep.h): the tail vertices must fill the last
-/// |tail| slots of pi with their COMP ops closing sigma in pi order (no MAT
-/// ops), and the kernel prefix must validate as an ordinary plan over the
-/// induced kernel sub-pattern. With an empty tail this is the plain check.
-bool ValidateExecutionOrder(const Pattern& pattern, const std::vector<int>& pi,
-                            const ExecutionOrder& sigma,
-                            const std::vector<int>& counted_tail);
+/// Largest tail the count-only leaf takes (ExecutionPlan::leaf): its
+/// partition sum has Bell(k) terms, 52 for k = 5.
+inline constexpr int kMaxLeafTail = 5;
+
+/// The longest run of MATs ending sigma, at most kMaxLeafTail of them, whose
+/// vertices are pairwise non-adjacent and each have a backward neighbour in
+/// pi, in sigma order: what the count-only leaf may count instead of walk.
+std::vector<int> IndependentMatSuffix(const Pattern& pattern,
+                                      const std::vector<int>& pi,
+                                      const ExecutionOrder& sigma);
 
 /// Anchor vertices A^pi(u) (Definition IV.1): vertices before u in pi whose
 /// MAT precedes COMP(u) in sigma. For pi[1] this is empty. Returned as a

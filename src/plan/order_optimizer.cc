@@ -81,13 +81,40 @@ OrderCost EvaluateOrderCost(const Pattern& pattern, const std::vector<int>& pi,
                                   restrictions);
   }
   // Materialization follows pi', the MAT sequence of sigma (Section VI).
+  // A count-only leaf of k >= 2 vertices is not walked: per binding of the
+  // rest it reads one candidate set per block of its partition sum, one in
+  // all for twins (ExecutionPlan::leaf).
+  const std::vector<int> tail = IndependentMatSuffix(pattern, pi, sigma);
+  uint32_t tail_mask = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> sets;
+  for (int t : tail) {
+    tail_mask |= 1u << t;
+    const std::pair<uint32_t, uint32_t> set{pattern.NeighborMask(t),
+                                            pattern.Label(t)};
+    if (std::find(sets.begin(), sets.end(), set) == sets.end()) {
+      sets.push_back(set);
+    }
+  }
+  if (tail.size() < 2) tail_mask = 0;
   const std::vector<int> mat_order = MaterializationOrder(sigma);
   uint32_t mask = 0;
+  double rest = 0.0;  // the partial results bound before the tail
+  double walk = 0.0;
   for (int u : mat_order) {
     mask |= 1u << u;
-    cost.materialization +=
+    const double matches =
         estimator.EstimateMatches(pattern, mask, restrictions);
+    if (tail_mask >> u & 1u) {
+      walk += matches;
+    } else {
+      cost.materialization += matches;
+      rest = matches;
+    }
   }
+  // The leaf runs only where every tail candidate set is non-empty, so it
+  // never costs more than the walk it replaces.
+  const double blocks = static_cast<double>((1u << sets.size()) - 1);
+  cost.materialization += std::min(walk, blocks * rest);
   return cost;
 }
 

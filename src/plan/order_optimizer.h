@@ -16,7 +16,9 @@ namespace light {
 /// Equation 7 (or 4 without set cover), and |R(.)| is estimated by the
 /// CardinalityEstimator under the plan's restriction set: the partial
 /// results the engine enumerates satisfy every constraint whose endpoints
-/// are both bound.
+/// are both bound. A count-only leaf of k >= 2 vertices
+/// (IndependentMatSuffix) is scored as one candidate set per block of its
+/// partition sum per binding of the rest, capped at the walk it replaces.
 struct OrderCost {
   double computation = 0.0;
   double materialization = 0.0;

@@ -10,18 +10,6 @@
 
 namespace light {
 
-const char* CountStrategyName(CountStrategy strategy) {
-  switch (strategy) {
-    case CountStrategy::kEnumerate:
-      return "enumerate";
-    case CountStrategy::kIep:
-      return "iep";
-    case CountStrategy::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
 Status PlanOptions::Validate() const {
   if (std::isnan(bitmap_density) || bitmap_density < 0.0 ||
       bitmap_density > 1.0) {
@@ -58,7 +46,6 @@ std::string PlanOptions::CacheKey() const {
                                   (induced ? 8 : 0) |
                                   (auto_kernel ? 16 : 0)));
   key.push_back(static_cast<char>(kernel));
-  key.push_back(static_cast<char>(count_strategy));
   return key;
 }
 namespace {
@@ -223,128 +210,150 @@ bool SameSet(std::vector<int> a, std::vector<int> b) {
   return a == b;
 }
 
-/// The twin closure (ExecutionPlan::twin_closure): checks every condition
-/// listed there and records the twins in chain order, then b if the plan
-/// closes on one.
-void WireTwinClosure(ExecutionPlan* plan) {
-  plan->twin_closure.clear();
+/// The bounds in `bounds` on vertices outside `tail`.
+std::vector<int> Outer(const std::vector<int>& bounds, uint32_t tail) {
+  std::vector<int> out;
+  for (int x : bounds) {
+    if ((tail >> x & 1u) == 0) out.push_back(x);
+  }
+  return out;
+}
+
+/// Whether tail vertices a and b read equal sets S(t): equal pattern
+/// neighbourhoods, labels and outer bounds.
+bool SameLeafSet(const ExecutionPlan& plan, uint32_t tail, int a, int b) {
+  const size_t ua = static_cast<size_t>(a);
+  const size_t ub = static_cast<size_t>(b);
+  return plan.pattern.NeighborMask(a) == plan.pattern.NeighborMask(b) &&
+         plan.pattern.Label(a) == plan.pattern.Label(b) &&
+         SameSet(Outer(plan.lower_bounds[ua], tail),
+                 Outer(plan.lower_bounds[ub], tail)) &&
+         SameSet(Outer(plan.upper_bounds[ua], tail),
+                 Outer(plan.upper_bounds[ub], tail));
+}
+
+/// Sets plan->leaf to `tail` in the form its restrictions allow (see
+/// CountLeaf); false when neither form fits.
+bool SetLeaf(ExecutionPlan* plan, const std::vector<int>& tail) {
+  const size_t k = tail.size();
+  uint32_t mask = 0;
+  for (int t : tail) mask |= 1u << t;
+  // reach[i] bit j: the restrictions among the tail order t_i below t_j.
+  std::vector<uint32_t> reach(k, 0);
+  bool ordered = false;
+  for (const auto& [x, y] : plan->partial_order) {
+    if ((mask >> x & 1u) == 0 || (mask >> y & 1u) == 0) continue;
+    const auto pos = [&](int v) {
+      return static_cast<size_t>(std::find(tail.begin(), tail.end(), v) -
+                                 tail.begin());
+    };
+    reach[pos(x)] |= 1u << pos(y);
+    ordered = true;
+  }
+  if (!ordered) {
+    plan->leaf.tail = tail;
+    if (k == 1) return true;
+    std::vector<int> same_set(k);
+    for (size_t i = 0; i < k; ++i) {
+      size_t j = 0;
+      while (!SameLeafSet(*plan, mask, tail[j], tail[i])) ++j;
+      same_set[i] = static_cast<int>(j);
+      plan->leaf.terms.push_back(PartitionSum(
+          {same_set.begin(),
+           same_set.begin() + static_cast<ptrdiff_t>(i) + 1}));
+    }
+    return true;
+  }
+  // Twin form: equal sets, and the restrictions order every pair.
+  for (size_t m = 0; m < k; ++m) {
+    for (size_t i = 0; i < k; ++i) {
+      if (reach[i] >> m & 1u) reach[i] |= reach[m];
+    }
+  }
+  for (size_t i = 0; i < k; ++i) {
+    if (!SameLeafSet(*plan, mask, tail[0], tail[i]) || (reach[i] >> i & 1u)) {
+      return false;
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if ((((reach[i] >> j) ^ (reach[j] >> i)) & 1u) == 0) return false;
+    }
+  }
+  plan->leaf.tail = tail;
+  return true;
+}
+
+/// The 4-cycle form of the leaf: sigma ends MAT(t1) ... MAT(tk) COMP(b)
+/// MAT(b) over twins t_i sharing >= 2 neighbours, b's only neighbours and
+/// K1 operands, and no bound of b names a twin.
+bool SetClosingVertex(ExecutionPlan* plan) {
   const ExecutionOrder& sigma = plan->sigma;
   const Pattern& pattern = plan->pattern;
-  if (plan->options.induced || plan->HasCountedTail() || sigma.size() < 4) {
-    return;
-  }
   const size_t last = sigma.size() - 1;
-  if (sigma[last].type != OpType::kMaterialize) return;
+  if (sigma.size() < 4 || sigma[last - 1].type != OpType::kCompute) {
+    return false;
+  }
+  const int b = sigma[last].vertex;
+  const Operands& b_ops = plan->operands[static_cast<size_t>(b)];
+  const size_t k = b_ops.k1.size();
+  if (sigma[last - 1].vertex != b || k < 2 || !b_ops.k2.empty() ||
+      k + 3 > sigma.size()) {
+    return false;
+  }
   std::vector<int> twins;
-  int b = -1;
-  if (sigma[last - 1].type == OpType::kCompute) {
-    // Closing vertex: the k MATs before COMP(b), in sigma order, must bind
-    // exactly b's K1 operands, and b's pattern neighbours must be exactly
-    // those.
-    b = sigma[last].vertex;
-    const Operands& b_ops = plan->operands[static_cast<size_t>(b)];
-    const size_t k = b_ops.k1.size();
-    if (sigma[last - 1].vertex != b || k < 2 || !b_ops.k2.empty() ||
-        k + 3 > sigma.size()) {
-      return;
-    }
-    for (size_t i = last - 1 - k; i < last - 1; ++i) {
-      if (sigma[i].type != OpType::kMaterialize) return;
-      twins.push_back(sigma[i].vertex);
-    }
-  } else {
-    // Leaf: the trailing MATs of vertices with the last one's
-    // neighbourhood.
-    const uint32_t mask = pattern.NeighborMask(sigma[last].vertex);
-    size_t first = last;
-    while (first > 1 && sigma[first - 1].type == OpType::kMaterialize &&
-           pattern.NeighborMask(sigma[first - 1].vertex) == mask) {
-      --first;
-    }
-    for (size_t i = first; i <= last; ++i) twins.push_back(sigma[i].vertex);
-    if (twins.size() < 2) return;
-  }
-  const size_t k = twins.size();
   uint32_t twin_mask = 0;
-  for (int t : twins) twin_mask |= 1u << t;
-  if (b >= 0) {
-    uint32_t k1_mask = 0;
-    for (int x : plan->operands[static_cast<size_t>(b)].k1) k1_mask |= 1u << x;
-    if (k1_mask != twin_mask || pattern.NeighborMask(b) != twin_mask) return;
+  for (size_t i = last - 1 - k; i < last - 1; ++i) {
+    if (sigma[i].type != OpType::kMaterialize) return false;
+    twins.push_back(sigma[i].vertex);
+    twin_mask |= 1u << sigma[i].vertex;
   }
-  const int t1 = twins[0];
-  // The candidate set a twin reads: its own operands, or those of the twin
-  // it aliases through a single K2 operand.
-  const auto source = [&](int t) {
-    for (size_t hops = 0; hops < k; ++hops) {
-      const Operands& ops = plan->operands[static_cast<size_t>(t)];
-      if (!ops.k1.empty() || ops.k2.size() != 1 ||
-          (twin_mask >> ops.k2[0] & 1u) == 0) {
-        break;
-      }
-      t = ops.k2[0];
-    }
-    return t;
-  };
-  const Operands& set = plan->operands[static_cast<size_t>(source(t1))];
-  // Twins with one neighbour (a star's leaves) are left to the walk:
-  // counting those is the IEP counted tail's job (ROADMAP item 2).
-  if ((set.k1.empty() && set.k2.empty()) ||
-      std::popcount(pattern.NeighborMask(t1)) < 2) {
-    return;
+  uint32_t k1_mask = 0;
+  for (int x : b_ops.k1) k1_mask |= 1u << x;
+  if (k1_mask != twin_mask || pattern.NeighborMask(b) != twin_mask ||
+      std::popcount(pattern.NeighborMask(twins[0])) < 2 ||
+      (pattern.NeighborMask(twins[0]) & twin_mask) != 0 ||
+      !SetLeaf(plan, twins) || !plan->leaf.twins()) {
+    plan->leaf = {};
+    return false;
   }
-  const std::vector<int>& lower = plan->lower_bounds[static_cast<size_t>(t1)];
-  const std::vector<int>& upper = plan->upper_bounds[static_cast<size_t>(t1)];
-  const auto outer = [&](const std::vector<int>& bounds) {
-    std::vector<int> out;
-    for (int x : bounds) {
-      if ((twin_mask >> x & 1u) == 0) out.push_back(x);
+  // b's order against the twins would depend on which twin binds which
+  // vertex.
+  const CompWindow b_window =
+      plan->comp_windows.empty() ? CompWindow{}
+                                 : plan->comp_windows[static_cast<size_t>(b)];
+  const std::vector<int>* b_bounds[] = {
+      &plan->lower_bounds[static_cast<size_t>(b)],
+      &plan->upper_bounds[static_cast<size_t>(b)], &b_window.lower,
+      &b_window.upper};
+  for (const std::vector<int>* bounds : b_bounds) {
+    if (Outer(*bounds, twin_mask).size() != bounds->size()) {
+      plan->leaf = {};
+      return false;
     }
-    return out;
-  };
-  for (size_t i = 0; i < k; ++i) {
-    // Equal neighbourhoods also make the twins pairwise non-adjacent: the
-    // pattern has no self-loops.
-    const int t = twins[i];
-    if (pattern.NeighborMask(t) != pattern.NeighborMask(t1)) return;
-    const Operands& ops = plan->operands[static_cast<size_t>(source(t))];
-    if (!SameSet(ops.k1, set.k1) || !SameSet(ops.k2, set.k2)) return;
-    if (!SameSet(outer(plan->lower_bounds[static_cast<size_t>(t)]), lower) ||
-        !SameSet(outer(plan->upper_bounds[static_cast<size_t>(t)]), upper)) {
+  }
+  plan->leaf.b = b;
+  return true;
+}
+
+/// The count-only leaf (ExecutionPlan::leaf): the closing-vertex form, else
+/// the longest suffix of IndependentMatSuffix without non-edge checks that
+/// one of the forms fits (a single vertex always does).
+void WireLeaf(ExecutionPlan* plan) {
+  plan->leaf = {};
+  if (!plan->options.induced && SetClosingVertex(plan)) return;
+  std::vector<int> tail =
+      IndependentMatSuffix(plan->pattern, plan->pi, plan->sigma);
+  for (size_t i = tail.size(); i-- > 0;) {
+    if (!plan->non_adjacent[static_cast<size_t>(tail[i])].empty()) {
+      tail.erase(tail.begin(), tail.begin() + static_cast<ptrdiff_t>(i) + 1);
+      break;
+    }
+  }
+  for (size_t first = 0; first < tail.size(); ++first) {
+    if (SetLeaf(plan, {tail.begin() + static_cast<ptrdiff_t>(first),
+                       tail.end()})) {
       return;
     }
   }
-  // Chain: t_i < t_{i+1} for every i, and no twin pair ordered the other
-  // way, so the twins bound up to each MAT are totally ordered.
-  std::vector<int> rank(static_cast<size_t>(pattern.NumVertices()), -1);
-  for (size_t i = 0; i < k; ++i) {
-    rank[static_cast<size_t>(twins[i])] = static_cast<int>(i);
-  }
-  uint32_t links = 0;
-  for (const auto& [x, y] : plan->partial_order) {
-    const int rx = rank[static_cast<size_t>(x)];
-    const int ry = rank[static_cast<size_t>(y)];
-    if (rx < 0 || ry < 0) continue;
-    if (rx > ry) return;
-    if (ry == rx + 1) links |= 1u << rx;
-  }
-  if (links != (1u << (k - 1)) - 1) return;
-  if (b >= 0) {
-    // b's window must not name a twin (b's order against the twins would
-    // then depend on which twin binds which vertex).
-    const CompWindow b_window =
-        plan->comp_windows.empty() ? CompWindow{}
-                                   : plan->comp_windows[static_cast<size_t>(b)];
-    const std::vector<int>* b_bounds[] = {
-        &plan->lower_bounds[static_cast<size_t>(b)],
-        &plan->upper_bounds[static_cast<size_t>(b)], &b_window.lower,
-        &b_window.upper};
-    for (const std::vector<int>* bounds : b_bounds) {
-      if (outer(*bounds).size() != bounds->size()) return;
-    }
-    twins.push_back(b);
-  }
-  plan->twin_closure = std::move(twins);
 }
 
 ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
@@ -365,8 +374,27 @@ ExecutionPlan Assemble(const Pattern& pattern, const std::vector<int>& pi,
   plan.partial_order = std::move(partial_order);
   WireConstraints(&plan);
   WireInducedChecks(&plan);
-  WireTwinClosure(&plan);
+  WireLeaf(&plan);
   return plan;
+}
+
+/// Assemble under Grochow–Kellis constraints. When they order two tail
+/// vertices that are not twins and so cut the leaf short, the tail is
+/// pivoted last instead (see BuildPlan).
+ExecutionPlan AssembleGk(const Pattern& pattern, const std::vector<int>& pi,
+                         const PlanOptions& options) {
+  if (!options.symmetry_breaking) return Assemble(pattern, pi, options, {});
+  ExecutionPlan plan =
+      Assemble(pattern, pi, options, ComputeSymmetryBreaking(pattern));
+  if (options.induced || plan.leaf.b >= 0) return plan;
+  const std::vector<int> tail = IndependentMatSuffix(pattern, pi, plan.sigma);
+  if (plan.leaf.tail.size() == tail.size()) return plan;
+  uint32_t late = 0;
+  for (int t : tail) late |= 1u << t;
+  ExecutionPlan repivoted =
+      Assemble(pattern, pi, options, ComputeSymmetryBreaking(pattern, late));
+  return repivoted.leaf.tail.size() > plan.leaf.tail.size() ? repivoted
+                                                            : plan;
 }
 
 }  // namespace
@@ -382,15 +410,13 @@ ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
   const std::vector<int> pi = OptimizeEnumerationOrder(
       pattern, estimator, partial_order, options.lazy_materialization,
       options.minimum_set_cover);
-  return Assemble(pattern, pi, options, std::move(partial_order));
+  return AssembleGk(pattern, pi, options);
 }
 
 ExecutionPlan BuildPlanWithOrder(const Pattern& pattern,
                                  const std::vector<int>& pi,
                                  const PlanOptions& options) {
-  return Assemble(pattern, pi, options,
-                  options.symmetry_breaking ? ComputeSymmetryBreaking(pattern)
-                                            : PartialOrder{});
+  return AssembleGk(pattern, pi, options);
 }
 
 ExecutionPlan BuildPlanWithConstraints(const Pattern& pattern,
@@ -400,18 +426,6 @@ ExecutionPlan BuildPlanWithConstraints(const Pattern& pattern,
   PlanOptions opts = options;
   opts.symmetry_breaking = true;  // wire the provided constraints
   return Assemble(pattern, pi, opts, std::move(constraints));
-}
-
-int ExecutionPlan::TwinClosureB() const {
-  return HasTwinClosure() &&
-                 pattern.HasEdge(twin_closure.front(), twin_closure.back())
-             ? twin_closure.back()
-             : -1;
-}
-
-bool ExecutionPlan::TwinClosureLabeled() const {
-  return std::any_of(twin_closure.begin(), twin_closure.end(),
-                     [&](int u) { return pattern.Label(u) != 0; });
 }
 
 bool ExecutionPlan::HasCompWindows() const {
@@ -467,21 +481,17 @@ std::string ExecutionPlan::ToString() const {
     }
     out += "\n";
   }
-  if (HasTwinClosure()) {
-    const int b = TwinClosureB();
-    out += "twin closure: ";
-    for (size_t i = 0; i < twin_closure.size(); ++i) {
-      if (twin_closure[i] == b) {
-        out += " -> u" + std::to_string(b);
-      } else {
-        out += (i > 0 ? "<u" : "u") + std::to_string(twin_closure[i]);
-      }
+  if (!leaf.empty()) {
+    // Twins print as their chain, the partition form as a sum, b after ->.
+    out += "leaf:";
+    for (size_t i = 0; i < leaf.tail.size(); ++i) {
+      out += (i == 0 ? " u" : leaf.twins() ? "<u" : " + u") +
+             std::to_string(leaf.tail[i]);
     }
-    out += "\n";
-  }
-  if (!counted_tail.empty()) {
-    out += "counted tail:";
-    for (int t : counted_tail) out += " u" + std::to_string(t);
+    if (leaf.b >= 0) out += " -> u" + std::to_string(leaf.b);
+    if (!leaf.terms.empty()) {
+      out += " (" + std::to_string(leaf.terms.back().size()) + " terms)";
+    }
     out += "\n";
   }
   return out;

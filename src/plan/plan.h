@@ -12,6 +12,7 @@
 #include "pattern/pattern.h"
 #include "pattern/symmetry_breaking.h"
 #include "plan/execution_order.h"
+#include "plan/iep.h"
 #include "plan/set_cover.h"
 
 namespace light {
@@ -23,26 +24,6 @@ inline constexpr double kDefaultBitmapDensity = 0.1;
 /// bitmap_min_degree sentinel: derive the threshold from bitmap_density.
 /// (kBitmapDegreeNever, from graph/bitmap_index.h, disables the index.)
 inline constexpr uint32_t kBitmapDegreeAuto = kBitmapDegreeNever - 1;
-
-/// How counting-only queries are evaluated:
-///   kEnumerate  walk every embedding (the default; required for visitors
-///               and induced matching);
-///   kIep        inclusion–exclusion over a counted tail of the pattern
-///               (plan/iep.h): enumerate only a kernel sub-pattern and
-///               combine tail candidate-set sizes by the partition-lattice
-///               Möbius weights — exact, and often orders of magnitude
-///               fewer embeddings touched;
-///   kAuto       kIep when the pattern has a profitable tail (>= 2
-///               independent counted vertices), else kEnumerate; also
-///               kEnumerate when the enumeration plan counts its last
-///               vertices by one binomial (ExecutionPlan::HasTwinLeaf).
-enum class CountStrategy : uint8_t {
-  kEnumerate,
-  kIep,
-  kAuto,
-};
-
-const char* CountStrategyName(CountStrategy strategy);
 
 /// Knobs selecting the algorithm variant of Section VIII-B1:
 ///   SE    = {lazy=false, set_cover=false}
@@ -73,10 +54,6 @@ struct PlanOptions {
   /// remains the default. Automorphisms are identical under both semantics,
   /// so symmetry breaking composes unchanged.
   bool induced = false;
-  /// Counting evaluation strategy; ignored (treated as kEnumerate) for
-  /// visitor queries and induced matching.
-  CountStrategy count_strategy = CountStrategy::kEnumerate;
-
   /// Bitmap-index routing (execution-level: NOT part of CacheKey, the
   /// compiled plan is bitmap-agnostic). min_degree: absolute degree
   /// threshold, kBitmapDegreeAuto = derive from density, kBitmapDegreeNever
@@ -117,6 +94,37 @@ struct CompWindow {
   bool empty() const { return lower.empty() && upper.empty(); }
 };
 
+/// The count-only terminal (ExecutionPlan::leaf): what a run without a
+/// visitor adds per binding of the vertices before it instead of walking
+/// them. The tail t1..tk (1 <= k <= kMaxLeafTail) is a run of MATs that
+/// ends sigma (before COMP(b) MAT(b) when there is a b): pairwise
+/// non-adjacent vertices with operands and no non-edge checks, so every
+/// other vertex is bound when the leaf runs and each C(t) is final. With
+/// S(t) = C(t) cut to t's window (its bounds on non-tail vertices) minus the
+/// bound data vertices:
+///  - Twin form (terms empty): the tail is one chain of twins, equal in
+///    pattern neighbourhood, label and outer bounds, and totally ordered by
+///    the restrictions among them. They bind, in that order, to every
+///    i-subset of S = S(t1), so MAT(t_i) extends by C(|S|, i). k = 1 is the
+///    counted last vertex; one-neighbour twins are a star's leaves.
+///  - Partition form (terms set, k >= 2): no restriction orders two tail
+///    vertices, and MAT(t_i) extends by terms[i-1], GraphPi's partition sum
+///    (plan/iep.h) over t1..t_i with |C_B| read as |cap of S(t), t in B|.
+///  - Closing vertex b (twin form, k >= 2, twins sharing >= 2 neighbours):
+///    b's only neighbours and K1 operands are the twins and none of b's
+///    bounds names a twin. sigma ends MAT(t1) ... MAT(tk) COMP(b) MAT(b),
+///    and with cnt[w] = |N(w) cap S| the count is the sum over unbound w in
+///    b's window of C(cnt[w], k) (Chiba–Nishizeki's quadrangle count for
+///    k = 2).
+struct CountLeaf {
+  std::vector<int> tail;
+  std::vector<std::vector<LeafTerm>> terms;
+  int b = -1;
+
+  bool empty() const { return tail.empty(); }
+  bool twins() const { return !tail.empty() && terms.empty(); }
+};
+
 /// The compiled, immutable artifact the enumeration engine executes: the
 /// enumeration order pi, the execution order sigma, per-vertex operands
 /// (K1/K2), and symmetry-breaking constraints wired to the MAT operation at
@@ -137,13 +145,12 @@ struct ExecutionPlan {
   /// MAT(x)/MAT(y) precedes MAT(u) in sigma.
   std::vector<std::vector<int>> lower_bounds;
   std::vector<std::vector<int>> upper_bounds;
-  /// COMP-time windows, indexed by pattern vertex u (empty when the plan
-  /// has none: no symmetry breaking, or a counted tail). Every x in
-  /// comp_windows[u] is materialized before COMP(u) in sigma, and the
-  /// relation phi(x) < phi(u) (lower) or phi(u) < phi(x) (upper) follows,
-  /// by transitivity, from the constraints among the vertices bound by
-  /// MAT(w), for w = u and for every w that reads C(u) through a chain of
-  /// K2 operands. So cutting C(u) to the window before intersecting drops
+  /// COMP-time windows, indexed by pattern vertex u (empty without
+  /// symmetry breaking). Every x in comp_windows[u] is materialized before
+  /// COMP(u) in sigma, and the relation phi(x) < phi(u) (lower) or
+  /// phi(u) < phi(x) (upper) follows, by transitivity, from the
+  /// constraints among the vertices bound by MAT(w), for w = u and for
+  /// every w that reads C(u) through a chain of K2 operands. So cutting C(u) to the window before intersecting drops
   /// only candidates that MAT(w) would reject anyway: every MAT extension
   /// count is unchanged.
   std::vector<CompWindow> comp_windows;
@@ -151,45 +158,12 @@ struct ExecutionPlan {
   /// vertices w with no (u, w) pattern edge whose MAT precedes MAT(u) in
   /// sigma; binding u to v requires e(v, phi(w)) to be absent from E(G).
   std::vector<std::vector<int>> non_adjacent;
-  /// IEP term plans only (plan/iep.h): pattern vertices that are never
-  /// materialized. They sit at the end of pi, their COMP ops close sigma,
-  /// and per kernel embedding the engine multiplies their candidate-set
-  /// sizes (minus already-bound vertices) into the count instead of
-  /// recursing. Empty for ordinary plans.
-  std::vector<int> counted_tail;
-  /// Twin closure (empty when the plan has none): pattern vertices t1..tk
-  /// (k >= 2) in chain order, then the closing vertex b if there is one.
-  /// The twins are pairwise non-adjacent with identical pattern
-  /// neighbourhoods of at least two vertices, read one candidate set
-  /// computed before MAT(t1), and the restrictions order them
-  /// t1 < ... < tk; every other bound on a twin is shared and names only
-  /// vertices bound before MAT(t1). With S = C(t1) cut to the twins' window
-  /// minus the bound data vertices, the twins bind, in chain order, to every
-  /// i-subset of S, so a count-only run adds C(|S|, i) to MAT(t_i)'s
-  /// extension count instead of walking them.
-  ///  - Leaf (no b): sigma ends MAT(t1) ... MAT(tk) and the count is
-  ///    C(|S|, k) (a book's pages, the diamond's u1, u3).
-  ///  - Closing vertex b: b's only neighbours and K1 operands are the twins,
-  ///    and none of b's bounds names a twin. sigma ends MAT(t1) ... MAT(tk)
-  ///    COMP(b) MAT(b), and with cnt[w] = |N(w) cap S| the count is the sum
-  ///    over unbound w in b's window of C(cnt[w], k) (Chiba–Nishizeki's
-  ///    quadrangle count for k = 2).
-  /// Never set on induced or counted-tail plans.
-  std::vector<int> twin_closure;
+  /// The count-only leaf; empty when the last MAT's vertex has non-edge
+  /// checks (induced plans) or no operands.
+  CountLeaf leaf;
 
   int FirstVertex() const { return pi[0]; }
-  bool HasCountedTail() const { return !counted_tail.empty(); }
   bool HasCompWindows() const;
-  bool HasTwinClosure() const { return !twin_closure.empty(); }
-  /// The twin closure's closing vertex b, or -1 when the closure ends at
-  /// the twins' leaf (or there is none). b is adjacent to the twins; the
-  /// twins are not adjacent to each other.
-  int TwinClosureB() const;
-  /// A twin closure without b: the twins end sigma.
-  bool HasTwinLeaf() const { return HasTwinClosure() && TwinClosureB() < 0; }
-  /// Some vertex of the twin closure carries a label. On labeled data such
-  /// a run checks labels vertex by vertex, so it walks sigma instead.
-  bool TwinClosureLabeled() const;
 
   /// Multi-line human-readable plan description.
   std::string ToString() const;
@@ -198,13 +172,17 @@ struct ExecutionPlan {
 /// Full Section-VI pipeline: symmetry breaking, order optimization with the
 /// SEED-style sampling estimator over the data graph (`stats` as from
 /// ComputeGraphStats(graph); the triangle count is not read), sigma
-/// generation, operand generation.
+/// generation, operand generation. When the Grochow–Kellis constraints
+/// order two tail vertices of IndependentMatSuffix that are not twins, they
+/// are recomputed with that tail pivoted last, so the whole tail becomes the
+/// count-only leaf (a path's ends: u1<u2 instead of u0<u3).
 ExecutionPlan BuildPlan(const Pattern& pattern, const Graph& graph,
                         const GraphStats& stats, const PlanOptions& options);
 
 /// Builds a plan over a caller-chosen enumeration order (experiments with
 /// pinned orders, EH-like disconnected orders, tests). The order must be a
-/// permutation; connectivity is not required.
+/// permutation; connectivity is not required. Symmetry breaking as in
+/// BuildPlan.
 ExecutionPlan BuildPlanWithOrder(const Pattern& pattern,
                                  const std::vector<int>& pi,
                                  const PlanOptions& options);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -17,7 +19,6 @@
 #include "light.h"
 #include "obs/json.h"
 #include "pattern/catalog.h"
-#include "plan/iep.h"
 #include "plan/plan.h"
 
 namespace light::analysis {
@@ -237,7 +238,7 @@ TEST(AnalysisTest, CompWindowsOfWrongLengthAreCaught) {
   EXPECT_TRUE(HasRule(report, "plan-shape")) << report.ToString();
 }
 
-// --- twin-closure: each way a twin closure can be wrong -------------------
+// --- count-leaf: each way the closing-vertex form can be wrong ------------
 
 ExecutionPlan FourCyclePlan() {
   Pattern p1;
@@ -251,7 +252,8 @@ LintReport LintTwinClosure(const ExecutionPlan& plan) {
 
 TEST(AnalysisTest, BuiltTwinClosureLintsClean) {
   const ExecutionPlan plan = FourCyclePlan();
-  ASSERT_EQ(plan.twin_closure, (std::vector<int>{1, 3, 2})) << plan.ToString();
+  ASSERT_EQ(plan.leaf.tail, (std::vector<int>{1, 3})) << plan.ToString();
+  ASSERT_EQ(plan.leaf.b, 2) << plan.ToString();
   const LintReport report = LintTwinClosure(plan);
   EXPECT_TRUE(report.empty()) << report.ToString();
 }
@@ -262,9 +264,9 @@ TEST(AnalysisTest, TwinClosureOverAdjacentTwinsIsCaught) {
       Pattern::FromEdges(4, {{0, 1}, {0, 3}, {1, 2}, {2, 3}, {1, 3}});
   ExecutionPlan plan =
       BuildPlanWithOrder(diamond, {0, 1, 3, 2}, PlanOptions::Light());
-  plan.twin_closure = {1, 3, 2};
+  plan.leaf = {{1, 3}, {}, 2};
   const LintReport report = LintTwinClosure(plan);
-  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
 }
 
 TEST(AnalysisTest, TwinClosureWithoutChainConstraintIsCaught) {
@@ -272,14 +274,14 @@ TEST(AnalysisTest, TwinClosureWithoutChainConstraintIsCaught) {
   std::erase(plan.partial_order, std::pair<int, int>{1, 3});
   std::erase(plan.lower_bounds[3], 1);
   const LintReport report = LintTwinClosure(plan);
-  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
 }
 
 TEST(AnalysisTest, TwinClosureWithNonTwinOperandIsCaught) {
   ExecutionPlan plan = FourCyclePlan();
   plan.operands[2].k1.push_back(0);
   const LintReport report = LintTwinClosure(plan);
-  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
 }
 
 TEST(AnalysisTest, TwinClosureWhoseWindowNamesATwinIsCaught) {
@@ -289,7 +291,7 @@ TEST(AnalysisTest, TwinClosureWhoseWindowNamesATwinIsCaught) {
   const LintReport report = LintTwinClosure(plan);
   bool names_twin = false;
   for (const LintDiagnostic& d : report.diagnostics) {
-    names_twin |= d.rule_id == "twin-closure" && d.edge == std::pair{1, 2};
+    names_twin |= d.rule_id == "count-leaf" && d.edge == std::pair{1, 2};
   }
   EXPECT_TRUE(names_twin) << report.ToString();
 }
@@ -301,19 +303,20 @@ TEST(AnalysisTest, TwinClosureWithDifferentOuterBoundsIsCaught) {
   std::erase(plan.partial_order, std::pair<int, int>{0, 3});
   std::erase(plan.lower_bounds[3], 0);
   const LintReport report = LintTwinClosure(plan);
-  EXPECT_TRUE(HasRule(report, "twin-closure")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
 }
 
 TEST(AnalysisTest, TwinClosureOnInducedOrCountedTailPlanIsCaught) {
   ExecutionPlan induced = FourCyclePlan();
   induced.options.induced = true;
-  EXPECT_TRUE(HasRule(LintTwinClosure(induced), "twin-closure"));
+  EXPECT_TRUE(HasRule(LintTwinClosure(induced), "count-leaf"));
+  // A counted tail vertex with a non-edge check (u3 must not neighbour u1).
   ExecutionPlan tail = FourCyclePlan();
-  tail.counted_tail = {2};
-  EXPECT_TRUE(HasRule(LintTwinClosure(tail), "twin-closure"));
+  tail.non_adjacent[3].push_back(1);
+  EXPECT_TRUE(HasRule(LintTwinClosure(tail), "count-leaf"));
 }
 
-// --- twin-closure, leaf form: twins that end sigma ------------------------
+// --- count-leaf, twin form: twins that end sigma --------------------------
 
 ExecutionPlan BookPlan() {
   Pattern p5;
@@ -323,7 +326,7 @@ ExecutionPlan BookPlan() {
 
 bool HasTwinMessage(const LintReport& report, const std::string& text) {
   for (const LintDiagnostic& d : report.diagnostics) {
-    if (d.rule_id == "twin-closure" &&
+    if (d.rule_id == "count-leaf" &&
         d.message.find(text) != std::string::npos) {
       return true;
     }
@@ -333,7 +336,7 @@ bool HasTwinMessage(const LintReport& report, const std::string& text) {
 
 TEST(AnalysisTest, BuiltTwinLeafLintsClean) {
   const ExecutionPlan plan = BookPlan();
-  ASSERT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5}))
+  ASSERT_EQ(plan.leaf.tail, (std::vector<int>{2, 3, 4, 5}))
       << plan.ToString();
   const LintReport report = LintTwinClosure(plan);
   EXPECT_TRUE(report.empty()) << report.ToString();
@@ -342,25 +345,23 @@ TEST(AnalysisTest, BuiltTwinLeafLintsClean) {
 TEST(AnalysisTest, TwinLeafThatDoesNotEndSigmaIsCaught) {
   // u5 is a page too, but the leaf stops at u4: MAT(u5) would run after it.
   ExecutionPlan plan = BookPlan();
-  plan.twin_closure = {2, 3, 4};
+  plan.leaf.tail = {2, 3, 4};
   const LintReport report = LintTwinClosure(plan);
   EXPECT_TRUE(HasTwinMessage(report, "does not end MAT(t1) ... MAT(tk) over "
-                                     "the twin leaf"))
+                                     "the leaf's vertices"))
       << report.ToString();
 }
 
-TEST(AnalysisTest, TwinLeafOverOneNeighbourTwinsIsCaught) {
-  // The claw's leaves u2, u3 share only the centre u0: out of scope.
+TEST(AnalysisTest, OneNeighbourTwinLeafLintsClean) {
+  // The claw's leaves u2, u3 share only the centre u0: twins all the same.
   Pattern star3;
   ASSERT_TRUE(FindPattern("star3", &star3).ok());
-  ExecutionPlan plan =
+  const ExecutionPlan plan =
       BuildPlanWithOrder(star3, {1, 0, 2, 3}, PlanOptions::Light());
-  ASSERT_FALSE(plan.HasTwinClosure()) << plan.ToString();
-  plan.twin_closure = {2, 3};
+  ASSERT_EQ(plan.leaf.tail, (std::vector<int>{2, 3})) << plan.ToString();
+  ASSERT_TRUE(plan.leaf.twins());
   const LintReport report = LintTwinClosure(plan);
-  EXPECT_TRUE(HasTwinMessage(report, "fewer than two pattern neighbours"))
-      << report.ToString();
-  EXPECT_EQ(CountRule(report, "twin-closure"), 1u) << report.ToString();
+  EXPECT_TRUE(report.empty()) << report.ToString();
 }
 
 TEST(AnalysisTest, TwinClosureWithLateOuterUpperBoundIsCaught) {
@@ -370,7 +371,7 @@ TEST(AnalysisTest, TwinClosureWithLateOuterUpperBoundIsCaught) {
   plan.upper_bounds[1].push_back(2);
   plan.upper_bounds[3].push_back(2);
   const LintReport report = LintTwinClosure(plan);
-  EXPECT_TRUE(HasTwinMessage(report, "outer bound u2 of the twins is not "
+  EXPECT_TRUE(HasTwinMessage(report, "bound u2 of leaf vertex u1 is not "
                                      "bound before MAT(u1)"))
       << report.ToString();
 }
@@ -557,124 +558,97 @@ TEST(AnalysisTest, DiagnosticJsonRoundTrips) {
   EXPECT_EQ(lines, report.diagnostics.size());
 }
 
-// --- Counted-tail and IEP-decomposition rules ------------------------------
+// --- count-leaf, partition form: GraphPi's inclusion-exclusion ------------
 
-Pattern Star3() {
-  return Pattern::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}});
-}
-
-/// A term plan of Star3 whose counted tail has at least two merged
-/// vertices (the 2-block partition term).
-ExecutionPlan TwoTailTermPlan(IepDecomposition* dec_out = nullptr) {
-  const IepDecomposition dec = BuildIepDecomposition(Star3());
-  for (const IepTerm& term : dec.terms) {
-    if (term.counted_tail.size() == 2) {
-      if (dec_out != nullptr) *dec_out = dec;
-      return BuildIepTermPlan(term, TestGraph(), TestStats(),
-                              PlanOptions::Light());
-    }
-  }
-  ADD_FAILURE() << "star3 decomposition lacks a 2-block term";
-  return {};
+/// path3 under pi = (u1, u2, u0, u3): the ends u0, u3 end sigma, and GK
+/// pivots the middle (u1<u2), so they take the partition form.
+ExecutionPlan PathLeafPlan() {
+  const Pattern path = Pattern::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
+  ExecutionPlan plan =
+      BuildPlanWithOrder(path, {1, 2, 0, 3}, PlanOptions::Light());
+  EXPECT_EQ(plan.leaf.tail, (std::vector<int>{0, 3})) << plan.ToString();
+  EXPECT_EQ(plan.leaf.terms.size(), 2u) << plan.ToString();
+  return plan;
 }
 
 TEST(AnalysisTest, IepTermPlansAndDecompositionsLintClean) {
-  const GraphStats stats = TestStats();
-  size_t decomposable = 0;
+  // Every order of every catalog pattern: all leaf forms lint clean, and
+  // the partition form (the IEP terms) shows up.
+  size_t partition = 0;
   for (const PatternEntry& entry : PatternCatalog()) {
-    const IepDecomposition dec = BuildIepDecomposition(entry.pattern);
-    if (!dec.valid()) continue;
-    ++decomposable;
-    const LintReport dec_report = LintIepDecomposition(entry.pattern, dec);
-    EXPECT_TRUE(dec_report.empty())
-        << entry.name << ":\n" << dec_report.ToString();
-    for (const IepTerm& term : dec.terms) {
+    if (entry.pattern.NumVertices() > 6) continue;
+    std::vector<int> pi(static_cast<size_t>(entry.pattern.NumVertices()));
+    std::iota(pi.begin(), pi.end(), 0);
+    do {
+      if (!IsConnectedOrder(entry.pattern, pi)) continue;
       const ExecutionPlan plan =
-          BuildIepTermPlan(term, TestGraph(), stats, PlanOptions::Light());
-      const LintReport report = LintPlan(term.pattern, plan, TestOptions());
+          BuildPlanWithOrder(entry.pattern, pi, PlanOptions::Light());
+      partition += plan.leaf.terms.empty() ? 0 : 1;
+      const LintReport report =
+          LintPlan(entry.pattern, plan, TestOptions());
       EXPECT_TRUE(report.empty())
-          << entry.name << ":\n" << report.ToString();
-    }
+          << entry.name << ":\n" << plan.ToString() << report.ToString();
+    } while (std::next_permutation(pi.begin(), pi.end()));
   }
-  EXPECT_GE(decomposable, 5u);  // stars, paths, trees all shed a tail
+  EXPECT_GE(partition, 5u);  // paths, P4, ... shed a tail
 }
 
 TEST(AnalysisTest, CountedTailSymmetryBreakingIsCaught) {
-  ExecutionPlan plan = TwoTailTermPlan();
-  plan.options.symmetry_breaking = true;
+  // Twins the restrictions leave unordered: the binomial would count one
+  // order of each pair that the walk counts twice.
+  Pattern star3;
+  ASSERT_TRUE(FindPattern("star3", &star3).ok());
+  ExecutionPlan plan =
+      BuildPlanWithOrder(star3, {1, 0, 2, 3}, PlanOptions::Light());
+  ASSERT_EQ(plan.leaf.tail, (std::vector<int>{2, 3})) << plan.ToString();
+  std::erase(plan.partial_order, std::pair<int, int>{2, 3});
+  std::erase(plan.lower_bounds[3], 2);
   const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
-  EXPECT_TRUE(HasRule(report, "iep-tail-symmetry")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
   EXPECT_FALSE(report.ok());
 }
 
 TEST(AnalysisTest, CountedTailAdjacencyIsCaught) {
-  ExecutionPlan plan = TwoTailTermPlan();
-  ASSERT_EQ(plan.counted_tail.size(), 2u);
-  plan.pattern.AddEdge(plan.counted_tail[0], plan.counted_tail[1]);
+  ExecutionPlan plan = PathLeafPlan();
+  plan.pattern.AddEdge(0, 3);
   const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
-  EXPECT_TRUE(HasRule(report, "iep-tail-not-independent"))
-      << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
   EXPECT_FALSE(report.ok());
 }
 
 TEST(AnalysisTest, CountedTailConstraintIsCaught) {
-  ExecutionPlan plan = TwoTailTermPlan();
-  const int t = plan.counted_tail.front();
-  plan.lower_bounds[static_cast<size_t>(t)].push_back(0);
+  // u0 < u3 orders the partition form's tail: the sum counts both orders.
+  ExecutionPlan plan = PathLeafPlan();
+  plan.partial_order.emplace_back(0, 3);
+  plan.lower_bounds[3].push_back(0);
   const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
-  EXPECT_TRUE(HasRule(report, "iep-tail-constrained")) << report.ToString();
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
   EXPECT_FALSE(report.ok());
 }
 
 TEST(AnalysisTest, IepPartitionViolationsAreCaught) {
-  IepDecomposition dec = BuildIepDecomposition(Star3());
-  ASSERT_TRUE(dec.valid());
-  dec.kernel.push_back(dec.tail.front());  // vertex now in both parts
-  const LintReport report = LintIepDecomposition(Star3(), dec);
-  EXPECT_TRUE(HasRule(report, "iep-partition")) << report.ToString();
-  EXPECT_FALSE(report.ok());
-}
-
-TEST(AnalysisTest, IepKernelDisconnectedIsCaught) {
-  // path3 with the middle vertex shed: the endpoints do not touch.
-  const Pattern path = Path2();
-  IepDecomposition dec;
-  dec.kernel = {0, 2};
-  dec.tail = {1};
-  const LintReport report = LintIepDecomposition(path, dec);
-  EXPECT_TRUE(HasRule(report, "iep-kernel-disconnected"))
-      << report.ToString();
-  EXPECT_FALSE(report.ok());
-}
-
-TEST(AnalysisTest, IepWrongAutomorphismCountIsCaught) {
-  IepDecomposition dec = BuildIepDecomposition(Star3());
-  ASSERT_TRUE(dec.valid());
-  dec.automorphism_count += 1;
-  const LintReport report = LintIepDecomposition(Star3(), dec);
-  EXPECT_TRUE(HasRule(report, "iep-automorphism-count"))
-      << report.ToString();
+  // Terms that treat u0 and u3 as reading one set: their blocks merge.
+  ExecutionPlan plan = PathLeafPlan();
+  plan.leaf.terms[1] = PartitionSum({0, 0});
+  const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
   EXPECT_FALSE(report.ok());
 }
 
 TEST(AnalysisTest, IepTermCoefficientMutationIsCaught) {
-  IepDecomposition dec = BuildIepDecomposition(Star3());
-  ASSERT_TRUE(dec.valid());
-  ASSERT_FALSE(dec.terms.empty());
-  dec.terms.front().coefficient += 1;
-  const LintReport report = LintIepDecomposition(Star3(), dec);
-  EXPECT_TRUE(HasRule(report, "iep-term-mismatch")) << report.ToString();
-  EXPECT_TRUE(HasRule(report, "iep-sum-inexact")) << report.ToString();
+  ExecutionPlan plan = PathLeafPlan();
+  plan.leaf.terms[1].front().coefficient += 1;
+  const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
+  EXPECT_EQ(CountRule(report, "count-leaf"), 2u) << report.ToString();
   EXPECT_FALSE(report.ok());
 }
 
 TEST(AnalysisTest, IepDroppedTermIsCaught) {
-  IepDecomposition dec = BuildIepDecomposition(Star3());
-  ASSERT_TRUE(dec.valid());
-  ASSERT_GE(dec.terms.size(), 2u);
-  dec.terms.pop_back();
-  const LintReport report = LintIepDecomposition(Star3(), dec);
-  EXPECT_TRUE(HasRule(report, "iep-term-mismatch")) << report.ToString();
+  ExecutionPlan plan = PathLeafPlan();
+  ASSERT_GE(plan.leaf.terms[1].size(), 2u);
+  plan.leaf.terms[1].pop_back();
+  const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
+  EXPECT_TRUE(HasRule(report, "count-leaf")) << report.ToString();
   EXPECT_FALSE(report.ok());
 }
 
@@ -716,12 +690,12 @@ TEST(AnalysisTest, RunAcceptsCleanPlanWithLintOn) {
 }
 
 TEST(AnalysisTest, CompWindowOnCountedTailPlanIsCaught) {
-  ExecutionPlan plan = TwoTailTermPlan();
-  ASSERT_FALSE(plan.HasCompWindows());
+  // Cutting C(u3) above u0 is enforced by no restriction: the leaf would
+  // lose candidates.
+  ExecutionPlan plan = PathLeafPlan();
   plan.comp_windows.assign(static_cast<size_t>(plan.pattern.NumVertices()),
                            {});
-  plan.comp_windows[static_cast<size_t>(plan.counted_tail[0])].lower.push_back(
-      0);
+  plan.comp_windows[3].lower.push_back(1);
   const LintReport report = LintPlan(plan.pattern, plan, TestOptions());
   EXPECT_TRUE(HasRule(report, "sb-comp-window")) << report.ToString();
   EXPECT_FALSE(report.ok());

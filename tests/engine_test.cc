@@ -349,15 +349,17 @@ TEST(EnumeratorTest, MatSkipsBoundNonNeighbourInCandidates) {
   EXPECT_EQ(enumerator.stats().mat_counts[2], 4u);
 }
 
-// The twin closure changes the work of a count-only run, not its results:
-// against the same plan with the closure cleared, counts, MAT extension
-// counts and partial results agree, and COMP calls, intersections and
-// elements scanned can only fall. Visitor runs walk sigma either way.
+// The count-only leaf changes the work of a count-only run, not its
+// results: against the same plan with the leaf cleared, counts, MAT
+// extension counts and partial results agree, and COMP calls can only fall;
+// so can intersections and elements scanned for twins and b, while the
+// partition form intersects its blocks' sets instead of walking them.
+// Visitor runs walk sigma either way.
 void ExpectClosureKeepsResults(const Graph& g, const ExecutionPlan& plan,
                                const std::vector<uint32_t>* labels,
                                const std::string& where) {
   ExecutionPlan cleared = plan;
-  cleared.twin_closure.clear();
+  cleared.leaf = {};
   for (const bool visit : {false, true}) {
     Enumerator with(g, plan, labels);
     Enumerator without(g, cleared, labels);
@@ -374,10 +376,12 @@ void ExpectClosureKeepsResults(const Graph& g, const ExecutionPlan& plan,
     const EngineStats& wo = without.stats();
     EXPECT_EQ(ws.mat_counts, wo.mat_counts) << at;
     EXPECT_EQ(ws.num_partial_results, wo.num_partial_results) << at;
-    EXPECT_LE(ws.intersections.num_intersections,
-              wo.intersections.num_intersections)
-        << at;
-    EXPECT_LE(ws.intersections.elements, wo.intersections.elements) << at;
+    if (plan.leaf.twins()) {
+      EXPECT_LE(ws.intersections.num_intersections,
+                wo.intersections.num_intersections)
+          << at;
+      EXPECT_LE(ws.intersections.elements, wo.intersections.elements) << at;
+    }
     for (size_t u = 0; u < ws.comp_counts.size(); ++u) {
       EXPECT_LE(ws.comp_counts[u], wo.comp_counts[u]) << "u" << u << " " << at;
     }
@@ -412,8 +416,10 @@ TEST(TwinClosureTest, ClosureChangesWorkNotResults) {
           PlanOptions options = PlanOptions::Light();
           options.induced = induced;
           const ExecutionPlan plan = BuildPlan(pattern, g, stats, options);
-          closure_plans += plan.HasTwinClosure() ? 1 : 0;
-          leaf_plans += plan.HasTwinLeaf() ? 1 : 0;
+          const bool twins =
+              plan.leaf.twins() && plan.leaf.tail.size() >= 2;
+          closure_plans += twins ? 1 : 0;
+          leaf_plans += twins && plan.leaf.b < 0 ? 1 : 0;
           ExpectClosureKeepsResults(
               g, plan, labeled ? &labels : nullptr,
               entry.name + (induced ? " induced" : " edge") +
@@ -450,7 +456,7 @@ TEST(TwinClosureTest, EveryOrderOfPendantSquareAndK23) {
       if (!IsConnectedOrder(pattern, pi)) continue;
       const ExecutionPlan plan =
           BuildPlanWithOrder(pattern, pi, PlanOptions::Light());
-      if (!plan.HasTwinClosure()) continue;
+      if (!plan.leaf.twins() || plan.leaf.tail.size() < 2) continue;
       ++closure_plans;
       for (const Graph& g : TwinTestGraphs()) {
         ExpectClosureKeepsResults(g, plan, nullptr, name);
@@ -468,12 +474,12 @@ TEST(TwinClosureTest, BookLeafSkipsTheAliasComps) {
   Pattern p5;
   ASSERT_TRUE(FindPattern("P5", &p5).ok());
   const ExecutionPlan plan = PlanFor(p5, g, PlanOptions::Light());
-  ASSERT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5}))
+  ASSERT_EQ(plan.leaf.tail, (std::vector<int>{2, 3, 4, 5}))
       << plan.ToString();
-  ASSERT_LT(plan.TwinClosureB(), 0);
+  ASSERT_LT(plan.leaf.b, 0);
   Enumerator leaf(g, plan);
   ExecutionPlan cleared = plan;
-  cleared.twin_closure.clear();
+  cleared.leaf = {};
   Enumerator walk(g, cleared);
   EXPECT_EQ(leaf.Count(), walk.Count());
   EXPECT_GT(leaf.stats().num_matches, 0u);
@@ -485,17 +491,19 @@ TEST(TwinClosureTest, BookLeafSkipsTheAliasComps) {
   }
 }
 
-// A time limit stops a leaf too; a stopped run adds no partial binomials,
-// and the next run on the same enumerator counts in full.
+// A time limit stops a leaf too; a stopped run adds no partial binomials
+// or partition sums (so its count is no larger than the full one: the
+// signed sum never wraps), and the next run on the same enumerator counts
+// in full.
 TEST(TwinClosureTest, TimeLimitStopsLeaf) {
-  const Graph g = RelabelByDegree(BarabasiAlbert(6000, 8, /*seed=*/44));
-  for (const char* name : {"P5", "P2"}) {
+  const Graph g = RelabelByDegree(BarabasiAlbert(2000, 6, /*seed=*/44));
+  for (const char* name : {"P5", "P2", "star4", "path3", "path4", "P4"}) {
     Pattern pattern;
     ASSERT_TRUE(FindPattern(name, &pattern).ok());
     const ExecutionPlan plan = PlanFor(pattern, g, PlanOptions::Light());
-    ASSERT_TRUE(plan.HasTwinLeaf()) << plan.ToString();
+    ASSERT_GE(plan.leaf.tail.size(), 2u) << plan.ToString();
     ExecutionPlan cleared = plan;
-    cleared.twin_closure.clear();
+    cleared.leaf = {};
     Enumerator walk(g, cleared);
     const uint64_t expected = walk.Count();
     Enumerator enumerator(g, plan);
@@ -516,7 +524,7 @@ TEST(TwinClosureTest, TimeLimitStopsClosure) {
   Pattern p1;
   ASSERT_TRUE(FindPattern("P1", &p1).ok());
   const ExecutionPlan plan = PlanFor(p1, g, PlanOptions::Light());
-  ASSERT_TRUE(plan.HasTwinClosure()) << plan.ToString();
+  ASSERT_GE(plan.leaf.b, 0) << plan.ToString();
   Enumerator enumerator(g, plan);
   enumerator.SetTimeLimit(1e-4);
   enumerator.Count();
@@ -525,9 +533,95 @@ TEST(TwinClosureTest, TimeLimitStopsClosure) {
   const uint64_t full = enumerator.Count();
   EXPECT_FALSE(enumerator.stats().timed_out);
   ExecutionPlan cleared = plan;
-  cleared.twin_closure.clear();
+  cleared.leaf = {};
   Enumerator walk(g, cleared);
   EXPECT_EQ(full, walk.Count());
+}
+
+const std::vector<Graph>& LeafTestGraphs() {
+  static const std::vector<Graph> graphs = [] {
+    std::vector<Graph> out;
+    out.push_back(RelabelByDegree(ErdosRenyi(24, 80, /*seed=*/46)));
+    out.push_back(RelabelByDegree(BarabasiAlbert(26, 3, /*seed=*/47)));
+    return out;
+  }();
+  return graphs;
+}
+
+// The count-only leaf in every form, under every connected vertex order:
+// the one-neighbour twins of stars and path2, a path's ends and P4's tail
+// (partition sums), books and K2,3 (twins), P6, and the pendant shapes. On
+// plain and labeled data, with and without symmetry breaking, a count-only
+// run has the count, MAT extension counts and partial results of a walk of
+// the same plan.
+TEST(LeafTest, EveryOrderCountsLikeTheWalk) {
+  std::vector<std::pair<std::string, Pattern>> patterns;
+  for (const char* name : {"star3", "star4", "star5", "path2", "path3",
+                           "path4", "book4", "P4", "P6"}) {
+    Pattern pattern;
+    ASSERT_TRUE(FindPattern(name, &pattern).ok()) << name;
+    patterns.emplace_back(name, pattern);
+  }
+  for (const char* edges :
+       {"0-2,0-3,0-4,1-2,1-3,1-4", "0-1,1-2,2-3,3-0,0-4",
+        "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-5", "0-1,0-2,0-3,1-2,2-3,0-4"}) {
+    Pattern pattern;
+    ASSERT_TRUE(ParsePattern(edges, &pattern).ok()) << edges;
+    patterns.emplace_back(edges, pattern);
+  }
+  size_t partition = 0;
+  size_t twins = 0;
+  for (const auto& [name, unlabeled] : patterns) {
+    std::vector<int> pi(static_cast<size_t>(unlabeled.NumVertices()));
+    std::iota(pi.begin(), pi.end(), 0);
+    do {
+      if (!IsConnectedOrder(unlabeled, pi)) continue;
+      for (const bool labeled : {false, true}) {
+        // Labels on every other vertex: twins may differ, blocks may mix.
+        Pattern pattern = unlabeled;
+        if (labeled) {
+          for (int u = 0; u < pattern.NumVertices(); u += 2) {
+            pattern.SetLabel(u, 1 + static_cast<uint32_t>(u / 2 % 2));
+          }
+        }
+        for (const bool symmetry : {true, false}) {
+          PlanOptions options = PlanOptions::Light();
+          options.symmetry_breaking = symmetry;
+          const ExecutionPlan plan = BuildPlanWithOrder(pattern, pi, options);
+          partition += plan.leaf.terms.empty() ? 0 : 1;
+          twins += plan.leaf.twins() && plan.leaf.tail.size() >= 2 ? 1 : 0;
+          for (const Graph& g : LeafTestGraphs()) {
+            // Unordered walks grow as d^k: one graph and at most five
+            // vertices are enough for them.
+            if (!symmetry && (&g != &LeafTestGraphs().front() ||
+                              pattern.NumVertices() > 5)) {
+              break;
+            }
+            std::vector<uint32_t> labels(g.NumVertices());
+            for (VertexID v = 0; v < g.NumVertices(); ++v) {
+              labels[v] = 1 + v % 2;
+            }
+            const std::vector<uint32_t>* data = labeled ? &labels : nullptr;
+            Enumerator walk(g, plan, data);
+            CountingVisitor visitor;
+            walk.Enumerate(&visitor);
+            Enumerator leaf(g, plan, data);
+            leaf.Count();
+            const std::string at = name + (labeled ? " labeled\n" : "\n") +
+                                   plan.ToString();
+            EXPECT_EQ(leaf.stats().num_matches, walk.stats().num_matches)
+                << at;
+            EXPECT_EQ(leaf.stats().mat_counts, walk.stats().mat_counts) << at;
+            EXPECT_EQ(leaf.stats().num_partial_results,
+                      walk.stats().num_partial_results)
+                << at;
+          }
+        }
+      }
+    } while (std::next_permutation(pi.begin(), pi.end()));
+  }
+  EXPECT_GT(partition, 0u);
+  EXPECT_GT(twins, 0u);
 }
 
 }  // namespace

@@ -157,86 +157,42 @@ TEST(FacadeTest, UniqueSubgraphsOverridesNestedSymmetryBreaking) {
   EXPECT_FALSE(options.Normalized().plan_options.symmetry_breaking);
 }
 
+// GraphPi's inclusion-exclusion now runs as the count-only leaf of the one
+// plan (partition sums for a path's ends and P4's tail, binomials for
+// twins): every count-only entry point must match a walk of the same query.
 TEST(FacadeTest, IepCountingMatchesEnumeration) {
   const Graph g = TestGraph();
-  for (const char* name : {"star4", "triangle", "book4", "diamond"}) {
+  for (const char* name :
+       {"star4", "triangle", "book4", "diamond", "path3", "P4"}) {
     Pattern pattern;
     ASSERT_TRUE(FindPattern(name, &pattern).ok());
+    for (const bool unique : {true, false}) {
+      WalkVisitor visitor;
+      RunOptions walk;
+      walk.threads = 1;
+      walk.unique_subgraphs = unique;
+      walk.visitor = &visitor;
+      const RunResult expected = light::Run(g, pattern, walk);
+      ASSERT_TRUE(expected.ok()) << name;
+      EXPECT_GT(expected.num_matches, 0u) << name;
 
-    RunOptions enumerate;
-    enumerate.threads = 1;
-    const RunResult expected = light::Run(g, pattern, enumerate);
-    ASSERT_TRUE(expected.ok()) << name;
+      RunOptions leaf = walk;
+      leaf.visitor = nullptr;
+      leaf.lint_plan = true;
+      obs::RunReport report;
+      leaf.report = &report;
+      const RunResult counted = light::Run(g, pattern, leaf);
+      ASSERT_TRUE(counted.ok()) << name << ": " << counted.error;
+      EXPECT_EQ(counted.num_matches, expected.num_matches) << name;
+      EXPECT_EQ(report.num_matches, counted.num_matches) << name;
 
-    RunOptions iep;
-    iep.threads = 1;
-    iep.lint_plan = true;
-    iep.plan_options.count_strategy = CountStrategy::kIep;
-    obs::RunReport iep_report;
-    iep.report = &iep_report;
-    const RunResult via_iep = light::Run(g, pattern, iep);
-    ASSERT_TRUE(via_iep.ok()) << name << ": " << via_iep.error;
-    EXPECT_EQ(via_iep.num_matches, expected.num_matches) << name;
-    // The report's answer is the combined signed count, not the raw
-    // unsigned sum of per-term enumerations.
-    EXPECT_EQ(iep_report.num_matches, via_iep.num_matches) << name;
-
-    // All-embeddings mode goes through IEP without the |Aut| division.
-    RunOptions iep_all = iep;
-    iep_all.unique_subgraphs = false;
-    RunOptions enum_all = enumerate;
-    enum_all.unique_subgraphs = false;
-    EXPECT_EQ(light::Run(g, pattern, iep_all).num_matches,
-              light::Run(g, pattern, enum_all).num_matches)
-        << name;
-
-    // Parallel IEP (per-term pool queries) agrees with serial IEP.
-    RunOptions iep_parallel = iep;
-    iep_parallel.threads = 4;
-    EXPECT_EQ(light::Run(g, pattern, iep_parallel).num_matches,
-              expected.num_matches)
-        << name;
-  }
-}
-
-TEST(FacadeTest, CountStrategyAutoMatchesEnumeration) {
-  const Graph g = TestGraph();
-  Pattern star;
-  ASSERT_TRUE(FindPattern("star5", &star).ok());
-  RunOptions enumerate;
-  enumerate.threads = 1;
-  RunOptions aut = enumerate;
-  aut.plan_options.count_strategy = CountStrategy::kAuto;
-  EXPECT_EQ(light::Run(g, star, aut).num_matches,
-            light::Run(g, star, enumerate).num_matches);
-}
-
-// kAuto counts by enumeration when the enumeration plan ends in a twin
-// leaf (book4 = P5's pages, the diamond's u1 and u3), and by IEP terms for
-// a star, whose one-neighbour twins keep walking. A fresh session caches one
-// plan per part, plus the enumeration plan kAuto resolved to decide.
-TEST(FacadeTest, CountStrategyAutoEnumeratesTwinLeaves) {
-  const Graph g = TestGraph();
-  for (const char* name : {"book4", "P5", "diamond", "star4"}) {
-    Pattern pattern;
-    ASSERT_TRUE(FindPattern(name, &pattern).ok());
-    const bool leaf = std::string(name) != "star4";
-    RunOptions options;
-    options.threads = 1;
-    options.lint_plan = true;
-    options.plan_options.count_strategy = CountStrategy::kIep;
-    const uint64_t expected = light::Run(g, pattern, options).num_matches;
-    EXPECT_GT(expected, 0u) << name;
-
-    options.plan_options.count_strategy = CountStrategy::kAuto;
-    Session session(g, {});
-    const RunResult result = session.RunSync(pattern, options);
-    ASSERT_TRUE(result.ok()) << name << ": " << result.error;
-    EXPECT_EQ(result.num_matches, expected) << name;
-    const size_t terms = BuildIepDecomposition(pattern).terms.size();
-    ASSERT_GT(terms, 1u) << name;
-    EXPECT_EQ(session.stats().plan_cache_misses, leaf ? 1u : 1u + terms)
-        << name;
+      RunOptions parallel = leaf;
+      parallel.report = nullptr;
+      parallel.threads = 4;
+      EXPECT_EQ(light::Run(g, pattern, parallel).num_matches,
+                expected.num_matches)
+          << name;
+    }
   }
 }
 

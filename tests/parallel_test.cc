@@ -314,7 +314,7 @@ TEST(WorkerPoolTest, PoolWorkersTakeTheTwinClosure) {
   ASSERT_TRUE(FindPattern("P1", &p1).ok());
   const ExecutionPlan plan =
       BuildPlan(p1, g, ComputeGraphStats(g), PlanOptions::Light());
-  ASSERT_TRUE(plan.HasTwinClosure()) << plan.ToString();
+  ASSERT_GE(plan.leaf.b, 0) << plan.ToString();
   Enumerator serial(g, plan);
   const uint64_t expected = serial.Count();
   ParallelOptions options;
@@ -333,7 +333,7 @@ TEST(WorkerPoolTest, PoolWorkersTakeTheTwinLeaf) {
   ASSERT_TRUE(FindPattern("P5", &p5).ok());
   const ExecutionPlan plan =
       BuildPlan(p5, g, ComputeGraphStats(g), PlanOptions::Light());
-  ASSERT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5}))
+  ASSERT_EQ(plan.leaf.tail, (std::vector<int>{2, 3, 4, 5}))
       << plan.ToString();
   Enumerator serial(g, plan);
   const uint64_t expected = serial.Count();

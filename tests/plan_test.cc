@@ -14,7 +14,6 @@
 #include "pattern/parse.h"
 #include "plan/cardinality.h"
 #include "plan/execution_order.h"
-#include "plan/iep.h"
 #include "plan/order_optimizer.h"
 #include "plan/set_cover.h"
 
@@ -327,18 +326,21 @@ TEST(PlanTest, FourCyclePicksTheWedgeFirstUnderEveryNumbering) {
             BuildPlan(cycle, g, ComputeGraphStats(g), PlanOptions::Light());
         EXPECT_EQ(plan.pi, (std::vector<int>{0, 1, 3, 2}))
             << name << " " << graph_name << " numbering " << seed;
-        EXPECT_EQ(plan.twin_closure, (std::vector<int>{1, 3, 2}))
+        EXPECT_EQ(plan.leaf.tail, (std::vector<int>{1, 3}))
+            << name << " " << graph_name << " numbering " << seed;
+        EXPECT_EQ(plan.leaf.b, 2)
             << name << " " << graph_name << " numbering " << seed;
       }
     }
   }
 }
 
-// The twin closure's scope. Twins sharing >= 2 pattern neighbours get a
-// leaf when they end sigma (P2/diamond's u1, u3; the pages of book4 = P5;
-// K2,3's side of three), the 4-cycle keeps its closing vertex, and
-// one-neighbour twins (stars, paths) and IEP term plans get none. Without
-// symmetry breaking no restriction orders the twins, so no plan has one.
+// The count-only leaf's scope. Twins get the twin form when they end sigma
+// (P2/diamond's u1, u3; the pages of book4 = P5; K2,3's side of three; and
+// one-neighbour twins: a star's leaves, path2's ends), the 4-cycle keeps
+// its closing vertex, and a path's ends, P4's u2, u4 or P6's u3, u4 take
+// the partition form. Without symmetry breaking no restriction orders
+// twins, so no plan has the twin form over >= 2 vertices or a b.
 TEST(PlanTest, TwinClosureScope) {
   Pattern k23;
   ASSERT_TRUE(ParsePattern("0-2,0-3,0-4,1-2,1-3,1-4", &k23).ok());
@@ -353,33 +355,33 @@ TEST(PlanTest, TwinClosureScope) {
       const std::string at = name + " " + graph_name;
       PlanOptions no_symmetry = PlanOptions::Light();
       no_symmetry.symmetry_breaking = false;
-      EXPECT_FALSE(BuildPlan(pattern, g, stats, no_symmetry).HasTwinClosure())
+      const ExecutionPlan unordered = BuildPlan(pattern, g, stats, no_symmetry);
+      EXPECT_FALSE(unordered.leaf.twins() && unordered.leaf.tail.size() >= 2)
           << at;
+      EXPECT_LT(unordered.leaf.b, 0) << at;
       const ExecutionPlan plan =
           BuildPlan(pattern, g, stats, PlanOptions::Light());
-      const bool leaf = name == "P2" || name == "diamond" || name == "P5" ||
-                        name == "book4" || name == "K2,3";
+      const bool twins = name == "P2" || name == "diamond" || name == "P5" ||
+                         name == "book4" || name == "K2,3" ||
+                         name == "star3" || name == "star4" ||
+                         name == "star5" || name == "path2";
       const bool closes = name == "P1" || name == "square";
-      EXPECT_EQ(plan.HasTwinClosure(), leaf || closes) << at << "\n"
+      const bool partition = name == "path3" || name == "path4" ||
+                             name == "P4" || name == "house" ||
+                             name == "P6" || name == "chordal_house";
+      ASSERT_FALSE(plan.leaf.empty()) << at;
+      EXPECT_EQ(plan.leaf.twins() && plan.leaf.tail.size() >= 2,
+                twins || closes)
+          << at << "\n"
+          << plan.ToString();
+      EXPECT_EQ(plan.leaf.b >= 0, closes) << at;
+      EXPECT_EQ(!plan.leaf.terms.empty(), partition) << at << "\n"
                                                       << plan.ToString();
-      if (!plan.HasTwinClosure()) continue;
-      EXPECT_EQ(plan.TwinClosureB() >= 0, closes) << at;
       if (name == "P5" || name == "book4") {
-        EXPECT_EQ(plan.twin_closure, (std::vector<int>{2, 3, 4, 5})) << at;
-        EXPECT_NE(plan.ToString().find("\ntwin closure: u2<u3<u4<u5\n"),
+        EXPECT_EQ(plan.leaf.tail, (std::vector<int>{2, 3, 4, 5})) << at;
+        EXPECT_NE(plan.ToString().find("\nleaf: u2<u3<u4<u5\n"),
                   std::string::npos)
             << at;
-      }
-    }
-    for (const char* name : {"star3", "star4", "star5", "book4", "P2"}) {
-      Pattern pattern;
-      ASSERT_TRUE(FindPattern(name, &pattern).ok());
-      const IepDecomposition dec = BuildIepDecomposition(pattern);
-      ASSERT_TRUE(dec.valid()) << name;
-      for (const IepTerm& term : dec.terms) {
-        EXPECT_FALSE(BuildIepTermPlan(term, g, stats, PlanOptions::Light())
-                         .HasTwinClosure())
-            << name << " " << graph_name;
       }
     }
   }
@@ -420,17 +422,6 @@ TEST(PlanStatsTest, PlansDoNotDependOnTriangleCount) {
       EXPECT_EQ(BuildRunPlan(g, with_triangles, p, options).ToString(),
                 BuildRunPlan(g, degrees_only, p, options).ToString())
           << graph_name << " " << name;
-    }
-    Pattern book;
-    ASSERT_TRUE(FindPattern("P5", &book).ok());
-    const IepDecomposition dec = BuildIepDecomposition(book);
-    ASSERT_TRUE(dec.valid());
-    for (const IepTerm& term : dec.terms) {
-      EXPECT_EQ(BuildIepTermPlan(term, g, with_triangles, PlanOptions::Light())
-                    .ToString(),
-                BuildIepTermPlan(term, g, degrees_only, PlanOptions::Light())
-                    .ToString())
-          << graph_name << " " << term.pattern.ToString();
     }
   }
 }

@@ -365,100 +365,51 @@ TEST(SessionTest, PlanCacheEvictsLeastRecentlyUsed) {
 }
 
 TEST(SessionTest, IepQueryIsOneQueryOnEveryPath) {
-  // An inclusion-exclusion count runs its K term plans as parts of ONE
-  // query, inline and on the pool alike: one submit, one delivery, one
-  // query-log record, term plans counted as plan-cache lookups, and
-  // deadline counters that agree with the delivered outcome.
+  // A count that ends in the leaf's inclusion-exclusion (a path's ends, a
+  // star's twins) is one query with one plan on every entry point, inline
+  // and on the pool alike: one submit, one delivery (an async callback
+  // fires exactly once), one query-log record, one plan-cache lookup, the
+  // walk's count, and deadline counters that agree with the outcome.
   const Graph g = TestGraph();
   const Graph big = RelabelByDegree(BarabasiAlbert(20000, 8, /*seed=*/5));
-  const Pattern star = Named("star4");
-  const IepDecomposition dec = BuildIepDecomposition(star);
-  ASSERT_TRUE(dec.valid());
-  const uint64_t terms = dec.terms.size();
-  RunOptions enumerate;
-  enumerate.threads = 1;
-  const uint64_t expected = light::Run(g, star, enumerate).num_matches;
-
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    SessionOptions so;
-    so.threads = 4;
-    Session session(g, so);
-    RunOptions iep;
-    iep.threads = threads;
-    iep.plan_options.count_strategy = CountStrategy::kIep;
-    const RunResult first = session.RunSync(star, iep);
-    ASSERT_TRUE(first.ok()) << first.error;
-    EXPECT_EQ(first.num_matches, expected);
-    SessionStats stats = session.stats();
-    EXPECT_EQ(stats.queries_submitted, 1u);
-    EXPECT_EQ(stats.queries_completed, 1u);
-    EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, terms);
-    obs::SessionReport report;
-    session.FillSessionReport(&report);
-    EXPECT_EQ(report.queries.size(), 1u);
-
-    // The same query again: every term plan is a cache hit.
-    const uint64_t hits_before = stats.plan_cache_hits;
-    EXPECT_EQ(session.RunSync(star, iep).num_matches, expected);
-    stats = session.stats();
-    EXPECT_EQ(stats.plan_cache_hits, hits_before + terms);
-    EXPECT_EQ(stats.queries_submitted, 2u);
-    EXPECT_EQ(stats.queries_completed, 2u);
-
-    // A budget far below the run time, anchored at the query's admit.
-    Session slow(big, so);
-    RunOptions tight = iep;
-    tight.time_limit_seconds = 0.02;
-    const RunResult r = slow.RunSync(Named("book4"), tight);
-    EXPECT_TRUE(r.ok() || r.outcome == QueryOutcome::kDeadlineExceeded)
-        << r.error;
-    const SessionStats slow_stats = slow.stats();
-    EXPECT_EQ(slow_stats.queries_submitted, 1u);
-    EXPECT_EQ(slow_stats.queries_completed, 1u);
-    EXPECT_EQ(slow_stats.deadline_exceeded,
-              r.outcome == QueryOutcome::kDeadlineExceeded ? 1u : 0u);
-    slow.FillSessionReport(&report);
-    EXPECT_EQ(report.queries.size(), 1u);
-  }
-}
-
-TEST(SessionTest, TicketEntryPointsHonourCountStrategy) {
-  // Submit, SubmitAsync and RunBatch count through inclusion-exclusion
-  // when asked, exactly as RunSync does: the enumeration count, with every
-  // term plan looked up in the plan cache. An async IEP query runs its K
-  // term plans as K pool parts, and only the last part to finish may
-  // deliver: the callback fires exactly once, with the full signed sum.
-  const Graph g = TestGraph();
-  for (const char* name : {"P5", "star4"}) {
+  for (const char* name : {"star4", "path3"}) {
     SCOPED_TRACE(name);
     const Pattern pattern = Named(name);
-    const IepDecomposition dec = BuildIepDecomposition(pattern);
-    ASSERT_TRUE(dec.valid());
-    const uint64_t terms = dec.terms.size();
-    RunOptions enumerate;
-    enumerate.threads = 1;
-    const uint64_t expected = light::Run(g, pattern, enumerate).num_matches;
-    RunOptions iep;
-    iep.plan_options.count_strategy = CountStrategy::kIep;
+    WalkVisitor walk;
+    RunOptions walk_options;
+    walk_options.threads = 1;
+    walk_options.visitor = &walk;
+    const uint64_t expected =
+        light::Run(g, pattern, walk_options).num_matches;
+    ASSERT_GT(expected, 0u);
 
-    std::mutex mutex;
-    std::condition_variable cv;
-    int fired = 0;
-    RunResult async_result;
-    {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
       SessionOptions so;
       so.threads = 4;
       Session session(g, so);
-      const RunResult submitted = session.Submit(pattern, iep).Wait();
-      ASSERT_TRUE(submitted.ok()) << submitted.error;
-      EXPECT_EQ(submitted.num_matches, expected);
+      RunOptions count;
+      count.threads = threads;
+      const RunResult first = session.RunSync(pattern, count);
+      ASSERT_TRUE(first.ok()) << first.error;
+      EXPECT_EQ(first.num_matches, expected);
       SessionStats stats = session.stats();
-      EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, terms);
+      EXPECT_EQ(stats.queries_submitted, 1u);
+      EXPECT_EQ(stats.queries_completed, 1u);
+      EXPECT_EQ(stats.plan_cache_misses, 1u);
+      obs::SessionReport report;
+      session.FillSessionReport(&report);
+      EXPECT_EQ(report.queries.size(), 1u);
 
-      session.SubmitAsync(pattern, iep, [&](const RunResult& r) {
+      // The other entry points: every later lookup is a cache hit.
+      EXPECT_EQ(session.Submit(pattern, count).Wait().num_matches, expected);
+      std::mutex mutex;
+      std::condition_variable cv;
+      int fired = 0;
+      uint64_t async_matches = 0;
+      session.SubmitAsync(pattern, count, [&](const RunResult& r) {
         std::lock_guard<std::mutex> lock(mutex);
-        async_result = r;
+        async_matches = r.num_matches;
         ++fired;
         cv.notify_all();
       });
@@ -467,22 +418,32 @@ TEST(SessionTest, TicketEntryPointsHonourCountStrategy) {
         ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                                 [&] { return fired > 0; }));
       }
-
-      const std::vector<RunResult> batch =
-          session.RunBatch({pattern, pattern}, iep);
-      ASSERT_EQ(batch.size(), 2u);
-      for (const RunResult& r : batch) {
+      for (const RunResult& r : session.RunBatch({pattern, pattern}, count)) {
         ASSERT_TRUE(r.ok()) << r.error;
         EXPECT_EQ(r.num_matches, expected);
       }
       stats = session.stats();
-      EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, 4 * terms);
-      EXPECT_EQ(stats.queries_completed, 4u);
+      EXPECT_EQ(stats.plan_cache_misses, 1u);
+      EXPECT_EQ(stats.plan_cache_hits, 4u);
+      EXPECT_EQ(stats.queries_completed, 5u);
+      EXPECT_EQ(fired, 1);
+      EXPECT_EQ(async_matches, expected);
+
+      // A budget far below the run time, anchored at the query's admit.
+      Session slow(big, so);
+      RunOptions tight = count;
+      tight.time_limit_seconds = 0.02;
+      const RunResult r = slow.RunSync(Named("book4"), tight);
+      EXPECT_TRUE(r.ok() || r.outcome == QueryOutcome::kDeadlineExceeded)
+          << r.error;
+      const SessionStats slow_stats = slow.stats();
+      EXPECT_EQ(slow_stats.queries_submitted, 1u);
+      EXPECT_EQ(slow_stats.queries_completed, 1u);
+      EXPECT_EQ(slow_stats.deadline_exceeded,
+                r.outcome == QueryOutcome::kDeadlineExceeded ? 1u : 0u);
+      slow.FillSessionReport(&report);
+      EXPECT_EQ(report.queries.size(), 1u);
     }
-    // The session (and its pool) is gone: no part can deliver again.
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(async_result.ok()) << async_result.error;
-    EXPECT_EQ(async_result.num_matches, expected);
   }
 }
 

@@ -50,10 +50,6 @@ void Usage() {
   --pattern-edges S  ad-hoc pattern, e.g. "0-1,1-2,0-2" (see pattern/parse.h)
                      (--edges is accepted as an alias)
   --algorithm A      light (default) | se | lm | msc | cfl | eh | seed | crystal
-  --count-strategy C counting-only execution: enumerate (default) | iep
-                     (inclusion-exclusion decomposition; light/se/lm/msc,
-                     no --induced) | auto (iep when the decomposition
-                     looks profitable)
   --threads K        worker threads (default 1; light/se/lm/msc only)
   --kernel NAME      merge | merge_avx2 | galloping | binary_search | hybrid |
                      hybrid_avx2
@@ -161,7 +157,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {"--dataset", "--scale", "--graph", "--graph-store", "--store-mode",
        "--save-store", "--pattern", "--pattern-edges", "--edges",
-       "--algorithm", "--count-strategy", "--threads", "--kernel",
+       "--algorithm", "--threads", "--kernel",
        "--time-limit", "--bitmap-threshold", "--bitmap-density", "--batch",
        "--metrics-json", "--session-report", "--slow-query-threshold",
        "--trace-out", "--trace-sample"},
@@ -288,22 +284,6 @@ int main(int argc, char** argv) {
                                 ? std::atof(limit_str)
                                 : std::numeric_limits<double>::infinity();
   const bool symmetry = !FlagSet(argc, argv, "--no-symmetry");
-
-  CountStrategy count_strategy = CountStrategy::kEnumerate;
-  if (const char* v = FlagValue(argc, argv, "--count-strategy")) {
-    const std::string c = v;
-    if (c == "enumerate") {
-      count_strategy = CountStrategy::kEnumerate;
-    } else if (c == "iep") {
-      count_strategy = CountStrategy::kIep;
-    } else if (c == "auto") {
-      count_strategy = CountStrategy::kAuto;
-    } else {
-      std::fprintf(stderr,
-                   "error: --count-strategy must be enumerate, iep, or auto\n");
-      return 1;
-    }
-  }
 
   // Observability wiring: all of it is off (and near-free) by default.
   const char* metrics_json = FlagValue(argc, argv, "--metrics-json");
@@ -446,7 +426,6 @@ int main(int argc, char** argv) {
     query.plan_options.auto_kernel = !kernel_pinned;
     query.plan_options.lazy_materialization = algo == "light" || algo == "lm";
     query.plan_options.minimum_set_cover = algo == "light" || algo == "msc";
-    query.plan_options.count_strategy = count_strategy;
 
     Timer batch_timer;
     Session session = store != nullptr ? Session(store, session_options)
@@ -591,7 +570,6 @@ int main(int argc, char** argv) {
   run_options.time_limit_seconds =
       limit_str != nullptr ? std::atof(limit_str) : 0;
   run_options.unique_subgraphs = symmetry;
-  run_options.plan_options.count_strategy = count_strategy;
   run_options.plan_options.induced = FlagSet(argc, argv, "--induced");
   run_options.plan_options.kernel = kernel;
   run_options.plan_options.auto_kernel = !kernel_pinned;
@@ -606,12 +584,6 @@ int main(int argc, char** argv) {
     run_options.plan_options.minimum_set_cover = true;
   } else if (algo != "light" && algo != "cfl") {
     std::fprintf(stderr, "error: unknown algorithm %s\n", algo.c_str());
-    return 1;
-  }
-  if (algo == "cfl" &&
-      run_options.plan_options.count_strategy != CountStrategy::kEnumerate) {
-    std::fprintf(stderr,
-                 "error: --count-strategy applies to light/se/lm/msc only\n");
     return 1;
   }
 
@@ -631,16 +603,12 @@ int main(int argc, char** argv) {
   }
 
   // Build the plan once (reusing the stats computed above) and hand it to
-  // Run as an override; cfl uses its own plan builder. An IEP-eligible run
-  // keeps the override empty: the facade must be free to decompose the
-  // pattern instead of executing one monolithic plan.
+  // Run as an override; cfl uses its own plan builder.
   const ExecutionPlan plan =
       algo == "cfl"
           ? BuildCflLikePlan(pattern, symmetry)
           : BuildRunPlan(data_graph, stats, pattern, run_options);
-  if (run_options.plan_options.count_strategy == CountStrategy::kEnumerate) {
-    run_options.plan = &plan;
-  }
+  run_options.plan = &plan;
   if (FlagSet(argc, argv, "--show-plan")) {
     std::printf("%s", plan.ToString().c_str());
   }

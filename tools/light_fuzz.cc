@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
   std::printf(
       "light_fuzz: seed=%llu cases=%llu divergences=%llu bitmap_cases=%llu "
       "lint_violations=%llu session_cases=%llu deadline_cases=%llu "
-      "iep_cases=%llu comp_window_cases=%llu twin_closure_cases=%llu "
-      "twin_leaf_cases=%llu store_cases=%llu labeled_cases=%llu "
+      "comp_window_cases=%llu twin_closure_cases=%llu twin_leaf_cases=%llu "
+      "partition_leaf_cases=%llu store_cases=%llu labeled_cases=%llu "
       "time=%.1fs\n",
       static_cast<unsigned long long>(options.seed),
       static_cast<unsigned long long>(summary.cases_run),
@@ -113,10 +113,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(summary.lint_violations),
       static_cast<unsigned long long>(summary.session_cases),
       static_cast<unsigned long long>(summary.deadline_cases),
-      static_cast<unsigned long long>(summary.iep_cases),
       static_cast<unsigned long long>(summary.comp_window_cases),
       static_cast<unsigned long long>(summary.twin_closure_cases),
       static_cast<unsigned long long>(summary.twin_leaf_cases),
+      static_cast<unsigned long long>(summary.partition_leaf_cases),
       static_cast<unsigned long long>(summary.store_cases),
       static_cast<unsigned long long>(summary.labeled_cases),
       summary.elapsed_seconds);
